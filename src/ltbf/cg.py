@@ -10,6 +10,17 @@ which matters because downstream quality bounds are stated in terms of it.
 
 Stopping is on the scaled Frobenius norm ||Q X - I||_F / sqrt(N), so a
 run that starts at X = 0 always starts at residual exactly 1.
+
+Callers that need several iterates of one run (a capacity curve over
+iteration budgets, the first iterate below each of several tolerances)
+pass an on_iteration(iterations, x, residual) hook instead of rerunning
+the solver per budget.  It is called once per iteration, after that
+iteration's residual is computed and checked for breakdown, and a true
+return value stops the run there.  The hook does not touch the
+arithmetic, so the iterate it sees at k is bit-identical to the x of a
+run with max_iters=k, and a run the hook stops at k ends in the same
+state as that run.  X is rebound to a fresh array every iteration, so
+the hook may keep a reference to it without copying.
 """
 
 from __future__ import annotations
@@ -94,7 +105,8 @@ def _validate(config, n):
                          "recompute_residual must stay True")
 
 
-def cg_inverse(system, preconditioner=None, config=None, counter=None):
+def cg_inverse(system, preconditioner=None, config=None, counter=None,
+               on_iteration=None):
     """Approximate the inverse of a Hermitian positive definite system.
 
     Parameters
@@ -108,6 +120,10 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None):
     config : CGConfig, optional
         Defaults to the full 10N iteration budget at epsilon 1e-6.
     counter : FlopCounter, optional.
+    on_iteration : callable(iterations, x, residual), optional
+        Called after every iteration with the iteration count, the
+        iterate and its scaled residual; a true return value stops the
+        run after that iteration.  See the module docstring.
 
     Returns
     -------
@@ -157,6 +173,8 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None):
             raise NumericalBreakdownError(iterations, "(residual %r)" % res)
         if config.record_trajectory:
             alpha_hist.append(alpha.copy())
+        if on_iteration is not None and on_iteration(iterations, x, res):
+            break
         if res < config.epsilon:
             break
         if iterations == config.max_iters:

@@ -32,9 +32,10 @@ import numpy as np
 from .beamspace import build_operator, from_beamspace, sparsity_ratio, to_beamspace
 from .cg import CGConfig, NumericalBreakdownError, cg_inverse, write_trajectory
 from .cholqr import RankDeficiencyError
-from .evaluation import (capacity, capacity_vs_iterations, check_sinr_bound,
-                         inverse_error, scenario_gammas, sinr_cdf,
-                         write_bound_csv, write_capacity_csv, write_cdf_csv)
+from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
+                         check_sinr_bound, inverse_error, scenario_gammas,
+                         sinr_cdf, write_bound_csv, write_capacity_csv,
+                         write_cdf_csv, write_csv)
 from .linalg import (CholeskyBreakdownError, FlopCounter,
                      JacobiConvergenceError, SingularTriangularError,
                      direct_inverse_oracle)
@@ -158,6 +159,17 @@ def _build_pipeline(system_ant, setup, seed, operator, counter=None):
     return system, precond
 
 
+def _check_eps(eps):
+    if not 0.0 < eps < 1.0:
+        raise ConfigError("--eps must lie in (0, 1), got %r" % eps)
+
+
+def _check_iterations(what, count, n):
+    if not 0 <= count <= 10 * n:
+        raise ConfigError("%s must lie in [0, %d] (10N), got %d"
+                          % (what, 10 * n, count))
+
+
 def _cmd_invert(args):
     cfg, stats, _ = load_scenario(args.scenario)
     if not (1 <= args.q <= min(64, cfg.n_antennas)):
@@ -165,6 +177,9 @@ def _cmd_invert(args):
                           % (min(64, cfg.n_antennas), args.q))
     if args.p < 1:
         raise ConfigError("power iteration count p must be >= 1, got %d" % args.p)
+    _check_eps(args.eps)
+    if args.max_iters is not None:
+        _check_iterations("--max-iters", args.max_iters, cfg.n_antennas)
     system_ant = assemble_q(stats, n_antennas=cfg.n_antennas)
     operator = build_operator(cfg.side)
     setup = SolverSetup("invert", domain=args.domain, precond=args.precond,
@@ -199,39 +214,38 @@ def _cmd_invert(args):
     return _EXIT_OK
 
 
-def _converged_inverse(system, precond, eps, transform=None):
+def _first_iterates_below(system, precond, targets):
+    """For each residual target, the first iterate of one CG run below it.
+
+    A target the run never reaches gets the iterate at the 10N cap, as a
+    separate run at that target would.
+    """
+    found = {}
+
+    def on_iteration(iterations, x, residual):
+        for target in targets:
+            if target not in found and residual < target:
+                found[target] = x
+        return len(found) == len(targets)
+
     n = system.matrix.shape[0]
     state = cg_inverse(system, preconditioner=precond,
-                       config=CGConfig(max_iters=10 * n, epsilon=eps))
-    x = transform(state.x) if transform is not None else state.x
-    return x, state
+                       config=CGConfig(max_iters=10 * n, epsilon=min(targets)),
+                       on_iteration=on_iteration)
+    return [found.get(target, state.x) for target in targets]
 
 
-def _cmd_sweep(args):
-    cfg, stats, channels = load_scenario(args.scenario)
-    setups = read_sweep_configs(args.configs) if args.configs else list(_DEFAULT_SETUPS)
-    budgets = [int(tok) for tok in args.iters.split(",") if tok.strip()]
-    os.makedirs(args.out_dir, exist_ok=True)
-    if not budgets:
-        # nothing to sweep; leave well-formed empty tables behind
-        write_capacity_csv(os.path.join(args.out_dir, "capacity.csv"), [])
-        write_cdf_csv(os.path.join(args.out_dir, "cdf.csv"), [])
-        write_bound_csv(os.path.join(args.out_dir, "bound.csv"), [])
-        _write_rows(os.path.join(args.out_dir, "run_meta.csv"),
-                    "config_id,domain,precond,q,p,iters_to_eps,"
-                    "residual_fro,residual_spectral,capacity", [])
-        _write_rows(os.path.join(args.out_dir, "sparsity.csv"),
-                    "domain,threshold,sparsity_ratio", [])
-        print("out_dir=%s" % args.out_dir)
-        print("configs=%d" % len(setups))
-        print("budgets=")
-        return _EXIT_OK
+def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
+    """Rows of capacity.csv, cdf.csv, bound.csv, run_meta.csv, sparsity.csv."""
     system_ant = assemble_q(stats, n_antennas=cfg.n_antennas)
     operator = build_operator(cfg.side)
-    rank = args.eval_rank
+    projectors = build_projectors(stats, rank)
 
-    x_exact = direct_inverse_oracle(system_ant.matrix)
-    gam_exact = scenario_gammas(stats, channels, x_exact, cfg.noise_psd, rank=rank)
+    def gammas(x):
+        return scenario_gammas(stats, channels, x, cfg.noise_psd,
+                               projectors=projectors)
+
+    gam_exact = gammas(direct_inverse_oracle(system_ant.matrix))
 
     capacity_rows = []
     cdf_rows = []
@@ -241,17 +255,20 @@ def _cmd_sweep(args):
         transform = None
         if setup.domain == "beamspace":
             transform = lambda xb: from_beamspace(operator, xb, method="fft")
-        for row in capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                          budgets, preconditioner=precond,
-                                          rank=rank, transform=transform):
+        # one run serves the budgets and the converged solve of the CDF
+        rows, converged = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, budgets,
+            preconditioner=precond, transform=transform,
+            projectors=projectors, epsilon=eps)
+        for row in rows:
             capacity_rows.append((setup.name, row["iterations"], row["capacity"]))
-        x_conv, state = _converged_inverse(system, precond, args.eps, transform)
-        gam = scenario_gammas(stats, channels, x_conv, cfg.noise_psd, rank=rank)
+        gam = gammas(converged["x"])
         for db, pr in zip(*sinr_cdf(gam)):
             cdf_rows.append((db, pr, setup.name))
-        fro, spec = inverse_error(system_ant, x_conv)
+        fro, spec = inverse_error(system_ant, converged["x"])
         meta_rows.append((setup.name, setup.domain, setup.precond, setup.q,
-                          setup.p, state.iterations, fro, spec, capacity(gam)))
+                          setup.p, converged["iterations"], fro, spec,
+                          capacity(gam)))
     for db, pr in zip(*sinr_cdf(gam_exact)):
         cdf_rows.append((db, pr, "exact"))
 
@@ -259,10 +276,9 @@ def _cmd_sweep(args):
     bound_rows = []
     bound_setup = SolverSetup("bound_probe", "antenna", "lowrank")
     system, precond = _build_pipeline(system_ant, bound_setup, cfg.seed, operator)
-    for eps_target in _BOUND_EPSILONS:
-        x_loose, _ = _converged_inverse(system, precond, eps_target)
+    for x_loose in _first_iterates_below(system, precond, _BOUND_EPSILONS):
         _, spec = inverse_error(system_ant, x_loose)
-        gam = scenario_gammas(stats, channels, x_loose, cfg.noise_psd, rank=rank)
+        gam = gammas(x_loose)
         bound = check_sinr_bound(gam_exact, gam, spec)
         n_ue = gam.shape[0]
         for user in range(n_ue):
@@ -271,31 +287,47 @@ def _cmd_sweep(args):
             for g_val, rhs_val in zip(g_u, rhs_u):
                 bound_rows.append((user, spec, g_val, rhs_val, g_val - rhs_val))
 
-    write_capacity_csv(os.path.join(args.out_dir, "capacity.csv"), capacity_rows)
-    write_cdf_csv(os.path.join(args.out_dir, "cdf.csv"), cdf_rows)
-    write_bound_csv(os.path.join(args.out_dir, "bound.csv"), bound_rows)
-    _write_rows(os.path.join(args.out_dir, "run_meta.csv"),
-                "config_id,domain,precond,q,p,iters_to_eps,"
-                "residual_fro,residual_spectral,capacity",
-                meta_rows)
-    _write_rows(os.path.join(args.out_dir, "sparsity.csv"),
-                "domain,threshold,sparsity_ratio",
-                [("antenna", 0.005, sparsity_ratio(system_ant.matrix)),
-                 ("beamspace", 0.005,
-                  sparsity_ratio(to_beamspace(operator, system_ant,
-                                              method="fft").matrix))])
+    sparsity_rows = [
+        ("antenna", 0.005, sparsity_ratio(system_ant.matrix)),
+        ("beamspace", 0.005,
+         sparsity_ratio(to_beamspace(operator, system_ant, method="fft").matrix))]
+    return capacity_rows, cdf_rows, bound_rows, meta_rows, sparsity_rows
+
+
+def _cmd_sweep(args):
+    cfg, stats, channels = load_scenario(args.scenario)
+    setups = read_sweep_configs(args.configs) if args.configs else list(_DEFAULT_SETUPS)
+    try:
+        budgets = [int(tok) for tok in args.iters.split(",") if tok.strip()]
+    except ValueError as err:
+        raise ConfigError("--iters must be a comma list of integers, got %r"
+                          % args.iters) from err
+    n = cfg.n_antennas
+    for budget in budgets:
+        _check_iterations("iteration budget", budget, n)
+    _check_eps(args.eps)
+    if not 1 <= args.eval_rank <= n:
+        raise ConfigError("--eval-rank must lie in [1, %d], got %d"
+                          % (n, args.eval_rank))
+    os.makedirs(args.out_dir, exist_ok=True)
+    if budgets:
+        tables = _sweep_tables(cfg, stats, channels, setups, budgets,
+                               args.eps, args.eval_rank)
+    else:
+        tables = ([],) * 5  # nothing to sweep; leave well-formed empty tables
+    capacity_rows, cdf_rows, bound_rows, meta_rows, sparsity_rows = tables
+    out = lambda name: os.path.join(args.out_dir, name)
+    write_capacity_csv(out("capacity.csv"), capacity_rows)
+    write_cdf_csv(out("cdf.csv"), cdf_rows)
+    write_bound_csv(out("bound.csv"), bound_rows)
+    write_csv(out("run_meta.csv"), "config_id,domain,precond,q,p,iters_to_eps,"
+              "residual_fro,residual_spectral,capacity", meta_rows)
+    write_csv(out("sparsity.csv"), "domain,threshold,sparsity_ratio",
+              sparsity_rows)
     print("out_dir=%s" % args.out_dir)
     print("configs=%d" % len(setups))
     print("budgets=%s" % ",".join(str(b) for b in budgets))
     return _EXIT_OK
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(c)) if isinstance(c, (float, np.floating))
-                              else str(c) for c in row) + "\n")
 
 
 def _read_table(path):

@@ -26,6 +26,7 @@ from .cg import CGConfig, cg_inverse
 
 __all__ = [
     "build_projector",
+    "build_projectors",
     "inverse_error",
     "scenario_gammas",
     "mmse_baseline_sinr",
@@ -40,7 +41,12 @@ __all__ = [
     "write_capacity_csv",
     "write_cdf_csv",
     "write_bound_csv",
+    "write_csv",
 ]
+
+# residual floor of the truncated runs: a run stops early only once its
+# iterate is exact to working precision
+_FLOOR_EPS = 1e-16
 
 
 def build_projector(covariance, rank):
@@ -55,6 +61,16 @@ def build_projector(covariance, rank):
         raise ValueError("rank must be in [1, %d], got %d" % (n, rank))
     _, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
     return np.ascontiguousarray(vecs[:, ::-1][:, :rank])
+
+
+def build_projectors(stats, rank):
+    """One build_projector basis per user, in user order.
+
+    The bases depend only on the long-term statistics, so callers that
+    evaluate many inverses of one scenario build them once and pass them
+    to scenario_gammas and capacity_vs_iterations.
+    """
+    return [build_projector(st.covariance, rank) for st in stats]
 
 
 def inverse_error(system, x):
@@ -81,7 +97,7 @@ def _stream_energies(stats, n_streams):
     return np.repeat([st.symbol_energy for st in stats], n_streams)
 
 
-def scenario_gammas(stats, channels, x, noise_psd, rank=4):
+def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
     """Post-combining SINR of every stream under a given inverse.
 
     Parameters
@@ -90,6 +106,8 @@ def scenario_gammas(stats, channels, x, noise_psd, rank=4):
     x : (N, N) approximate inverse of the system matrix.
     noise_psd : noise power spectral density N0.
     rank : dimension of each user's long-term projection subspace.
+    projectors : per-user bases from build_projectors, optional; when
+        given, rank is ignored.
 
     Returns
     -------
@@ -101,8 +119,9 @@ def scenario_gammas(stats, channels, x, noise_psd, rank=4):
     big_h = _stacked_channels(channels)
     energies = _stream_energies(stats, n_streams)
     gammas = np.zeros((n_ue, k_sc, n_streams))
-    for i, st in enumerate(stats):
-        basis = build_projector(st.covariance, rank)
+    if projectors is None:
+        projectors = build_projectors(stats, rank)
+    for i, (st, basis) in enumerate(zip(stats, projectors)):
         front = basis.conj().T @ x
         if not np.any(front):
             continue  # zero inverse: nothing received
@@ -209,31 +228,83 @@ def capacity(gammas):
 
 def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
                            preconditioner=None, rank=4, transform=None,
-                           counter=None):
+                           counter=None, projectors=None, epsilon=None):
     """Capacity achieved by the solver truncated at given iteration counts.
 
-    Reruns the solver with each iteration budget (the iterate sequence is
-    deterministic, so prefixes agree) and evaluates the scenario at each
-    truncation point.  When the system lives in a transformed domain,
-    transform maps the solver iterate back to the antenna domain before
-    evaluation.
+    One solver run serves every checkpoint: through the cg_inverse
+    iteration hook, the scenario is evaluated at each budget as the run
+    reaches it, and the run stops at the largest one.  Each row equals
+    that of a separate run with max_iters=budget and epsilon 1e-16, so a
+    run that reaches that residual floor first reports the iteration where
+    it stopped.  Budgets may repeat and come in any order; 0 scores the
+    zero inverse.  transform maps a transformed-domain iterate back to the
+    antenna domain before evaluation.  projectors are the bases of
+    build_projectors, built from stats and rank when omitted.
 
     Returns a list of dicts with keys requested, iterations, residual,
-    capacity.
+    capacity, one per checkpoint in the given order.  With epsilon given,
+    the run goes on past the largest budget to the iterate at which
+    cg_inverse(max_iters=10 N, epsilon) would stop, and the result is
+    (rows, converged), converged being a dict with keys iterations and x
+    (mapped through transform).
     """
+    n = system.matrix.shape[0]
+    budgets = [int(b) for b in checkpoints]
+    if budgets and not (0 <= min(budgets) and max(budgets) <= 10 * n):
+        raise ValueError("checkpoints must lie in [0, %d], got %s"
+                         % (10 * n, budgets))
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1), got %g" % epsilon)
+    if projectors is None:
+        projectors = build_projectors(stats, rank)
+    top = max(budgets, default=0)
+    wanted = set(budgets)
+    scores = {}  # iteration count -> (residual, capacity)
+    floor_at = None
+    converged = None
+
+    def score(iterations, x, residual):
+        if transform is not None:
+            x = transform(x)
+        gam = scenario_gammas(stats, channels, x, noise_psd,
+                              projectors=projectors)
+        scores[iterations] = (float(residual), capacity(gam))
+
+    def on_iteration(iterations, x, residual):
+        nonlocal floor_at, converged
+        if floor_at is None:
+            if residual < _FLOOR_EPS:
+                floor_at = iterations
+            if iterations in wanted or (floor_at is not None
+                                        and iterations < top):
+                score(iterations, x, residual)
+        if epsilon is not None and converged is None and residual < epsilon:
+            converged = (iterations, x)
+        budgets_done = iterations >= top or floor_at is not None
+        return budgets_done and (epsilon is None or converged is not None)
+
+    if 0 in wanted:
+        score(0, np.zeros((n, n), dtype=np.complex128), float("nan"))
+    if epsilon is None:
+        cfg = CGConfig(max_iters=top, epsilon=_FLOOR_EPS)
+    else:
+        cfg = CGConfig(max_iters=10 * n, epsilon=min(epsilon, _FLOOR_EPS))
+    state = cg_inverse(system, preconditioner=preconditioner, config=cfg,
+                       counter=counter, on_iteration=on_iteration)
     rows = []
-    for budget in checkpoints:
-        cfg = CGConfig(max_iters=int(budget), epsilon=1e-16)
-        state = cg_inverse(system, preconditioner=preconditioner, config=cfg,
-                           counter=counter)
-        x = transform(state.x) if transform is not None else state.x
-        gam = scenario_gammas(stats, channels, x, noise_psd, rank=rank)
-        residual = state.residual_history[-1] if state.residual_history else float("nan")
-        rows.append({"requested": int(budget),
-                     "iterations": state.iterations,
-                     "residual": float(residual),
-                     "capacity": capacity(gam)})
-    return rows
+    for budget in budgets:
+        iterations = budget if floor_at is None else min(budget, floor_at)
+        residual, cap = scores[iterations]
+        rows.append({"requested": budget, "iterations": iterations,
+                     "residual": residual, "capacity": cap})
+    if epsilon is None:
+        return rows
+    if converged is None:  # 10 N cap reached above epsilon
+        converged = (state.iterations, state.x)
+    iterations, x = converged
+    if transform is not None:
+        x = transform(x)
+    return rows, {"iterations": iterations, "x": x}
 
 
 def sinr_cdf(gammas):
@@ -270,7 +341,8 @@ def make_report(gammas):
                       n_points=int(g.size))
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """Write a header line and comma-joined rows; floats keep every digit."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -286,14 +358,14 @@ def _format_cell(cell):
 
 def write_capacity_csv(path, rows):
     """rows: (config_id, iters, capacity)."""
-    _write_csv(path, "config_id,iters,capacity", rows)
+    write_csv(path, "config_id,iters,capacity", rows)
 
 
 def write_cdf_csv(path, rows):
     """rows: (gamma_db, cdf, config_id)."""
-    _write_csv(path, "gamma_db,cdf,config_id", rows)
+    write_csv(path, "gamma_db,cdf,config_id", rows)
 
 
 def write_bound_csv(path, rows):
     """rows: (user, epsilon, gamma, bound_rhs, margin)."""
-    _write_csv(path, "user,epsilon,gamma,bound_rhs,margin", rows)
+    write_csv(path, "user,epsilon,gamma,bound_rhs,margin", rows)

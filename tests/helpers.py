@@ -9,6 +9,8 @@ around.
 
 import numpy as np
 
+from ltbf.cg import CGConfig, cg_inverse
+from ltbf.evaluation import capacity, scenario_gammas
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
 
@@ -108,3 +110,24 @@ def small_scenario_config(**overrides):
                 snr_db_range=(0.0, 10.0), subcarriers=16, seed=421)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
+                            preconditioner=None, rank=4, transform=None):
+    """Capacity rows by one fresh solver run per budget.
+
+    The route capacity_vs_iterations took before it consumed a single run
+    through the iteration hook; its rows must match this one exactly.
+    """
+    rows = []
+    for budget in checkpoints:
+        cfg = CGConfig(max_iters=int(budget), epsilon=1e-16)
+        state = cg_inverse(system, preconditioner=preconditioner, config=cfg)
+        x = transform(state.x) if transform is not None else state.x
+        gam = scenario_gammas(stats, channels, x, noise_psd, rank=rank)
+        residual = state.residual_history[-1] if state.residual_history else float("nan")
+        rows.append({"requested": int(budget),
+                     "iterations": state.iterations,
+                     "residual": float(residual),
+                     "capacity": capacity(gam)})
+    return rows

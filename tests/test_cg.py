@@ -159,6 +159,57 @@ class TestStateAndStopping:
         assert counter.kernel_mults("gemm") > 0
 
 
+class TestIterationHook:
+    """The hook route against the restart route: separate runs per budget."""
+
+    def test_iterate_at_k_equals_truncated_run(self):
+        system = scenario_system(3301)
+        precond = build_preconditioner(system, rank=8, power_iters=4, seed=3301)
+        budgets = {1, 2, 5, 9, 14}
+        seen = {}
+
+        def keep(iterations, x, residual):
+            if iterations in budgets:
+                seen[iterations] = x
+
+        cg_inverse(system, preconditioner=precond,
+                   config=CGConfig(max_iters=max(budgets), epsilon=1e-16),
+                   on_iteration=keep)
+        assert sorted(seen) == sorted(budgets)
+        for k in budgets:
+            alone = cg_inverse(system, preconditioner=precond,
+                               config=CGConfig(max_iters=k, epsilon=1e-16))
+            assert np.array_equal(seen[k], alone.x), k
+
+    def test_fires_once_per_iteration_with_history_values(self):
+        system = scenario_system(3302)
+        calls = []
+        state = cg_inverse(system, config=CGConfig(max_iters=100, epsilon=1e-8),
+                           on_iteration=lambda k, x, r: calls.append((k, r)))
+        assert state.iterations < 100
+        assert [k for k, _ in calls] == list(range(1, state.iterations + 1))
+        assert [r for _, r in calls] == state.residual_history
+
+    def test_true_return_stops_like_a_budget(self):
+        system = scenario_system(3303)
+        config = CGConfig(max_iters=100, epsilon=1e-16)
+        stopped = cg_inverse(system, config=config,
+                             on_iteration=lambda k, x, r: k == 4)
+        budget = cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-16))
+        assert stopped.iterations == 4
+        assert stopped.residual_history == budget.residual_history
+        for name in ("x", "r", "z", "p", "s", "alpha", "beta"):
+            assert np.array_equal(getattr(stopped, name),
+                                  getattr(budget, name)), name
+
+    def test_zero_budget_never_calls_hook(self):
+        calls = []
+        cg_inverse(dense_system(np.eye(4)),
+                   config=CGConfig(max_iters=0, epsilon=1e-8),
+                   on_iteration=lambda *a: calls.append(a))
+        assert calls == []
+
+
 class TestValidation:
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_epsilon_range(self, eps):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ltbf.cli as cli
+import ltbf.evaluation as evaluation
 from ltbf.cg import NumericalBreakdownError
 from ltbf.linalg import full_evd_oracle
 from ltbf.scenario import assemble_q, load_matrix, load_scenario
@@ -328,3 +329,64 @@ class TestReport:
         (partial / "run_meta.csv").write_text(meta)
         rc, _, stderr = run_capture(capsys, ["report", str(partial)])
         assert rc == 4 and stderr
+
+
+# The README's exit-code contract: 0 success, 2 configuration problem
+# (argparse usage errors included), 3 numerical failure, 4 file I/O
+# problem.  {quiet} is a side-4 (N = 16) scenario, {tmp} a fresh directory.
+_EXIT_CASES = [
+    ("gen", ["gen", "{tmp}/ok.cfg", "{tmp}/g.bslv"], 0),
+    ("invert", ["invert", "{quiet}", "--out", "{tmp}/x.inv"], 0),
+    ("sweep", ["sweep", "{quiet}", "--iters", "0,1", "--out-dir", "{tmp}/r"], 0),
+    ("report-empty", ["report", "{tmp}"], 0),
+    ("no-subcommand", [], 2),
+    ("eps-not-a-number", ["invert", "{quiet}", "--eps", "abc"], 2),
+    ("gen-unknown-key", ["gen", "{tmp}/bad.cfg", "{tmp}/g.bslv"], 2),
+    ("invert-q-0", ["invert", "{quiet}", "--q", "0"], 2),
+    ("invert-eps-2", ["invert", "{quiet}", "--eps", "2"], 2),
+    ("invert-eps-0", ["invert", "{quiet}", "--eps", "0"], 2),
+    ("invert-max-iters-neg", ["invert", "{quiet}", "--max-iters", "-1"], 2),
+    ("invert-max-iters-over-10n", ["invert", "{quiet}", "--max-iters", "161"], 2),
+    ("sweep-iters-not-int", ["sweep", "{quiet}", "--iters", "2,x",
+                             "--out-dir", "{tmp}/r"], 2),
+    ("sweep-iters-over-10n", ["sweep", "{quiet}", "--iters", "999",
+                              "--out-dir", "{tmp}/r"], 2),
+    ("sweep-iters-neg", ["sweep", "{quiet}", "--iters", "2,-1",
+                         "--out-dir", "{tmp}/r"], 2),
+    ("sweep-eval-rank-99", ["sweep", "{quiet}", "--eval-rank", "99",
+                            "--out-dir", "{tmp}/r"], 2),
+    ("sweep-eval-rank-0", ["sweep", "{quiet}", "--eval-rank", "0",
+                           "--out-dir", "{tmp}/r"], 2),
+    ("sweep-eps-2", ["sweep", "{quiet}", "--eps", "2", "--out-dir", "{tmp}/r"], 2),
+    ("invert-breakdown", ["invert", "{quiet}", "--out", "{tmp}/x.inv"], 3),
+    ("sweep-breakdown", ["sweep", "{quiet}", "--iters", "1",
+                         "--out-dir", "{tmp}/r"], 3),
+    ("gen-missing-config", ["gen", "{tmp}/absent.cfg", "{tmp}/g.bslv"], 4),
+    ("invert-missing-scenario", ["invert", "{tmp}/absent.bslv"], 4),
+    ("invert-corrupt-scenario", ["invert", "{tmp}/corrupt.bslv"], 4),
+    ("report-missing-dir", ["report", "{tmp}/nowhere"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in _EXIT_CASES],
+                         ids=[case[0] for case in _EXIT_CASES])
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
+                            argv, code):
+    (tmp_path / "ok.cfg").write_text("side = 4\nsubcarriers = 16\n")
+    (tmp_path / "bad.cfg").write_text("side = 4\nantennas = 9\n")
+    blob = bytearray(open(quiet_scenario, "rb").read())
+    blob[40] ^= 0xFF
+    (tmp_path / "corrupt.bslv").write_bytes(bytes(blob))
+    if code == 3:
+        def explode(*args, **kwargs):
+            raise NumericalBreakdownError(3, "(surrogate failure)")
+        monkeypatch.setattr(cli, "cg_inverse", explode)
+        monkeypatch.setattr(evaluation, "cg_inverse", explode)
+    argv = [arg.format(tmp=tmp_path, quiet=quiet_scenario) for arg in argv]
+    try:
+        rc = cli.run(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    assert rc == code
+    if code:
+        assert capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from ltbf.cg import CGConfig, cg_inverse
 from ltbf.evaluation import (
     build_projector,
+    build_projectors,
     capacity,
     capacity_vs_iterations,
     check_sinr_bound,
@@ -17,10 +18,12 @@ from ltbf.evaluation import (
     write_capacity_csv,
     write_cdf_csv,
 )
+from ltbf.beamspace import build_operator, from_beamspace, to_beamspace
 from ltbf.linalg import direct_inverse_oracle
+from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario, steering_vector
 
-from helpers import small_scenario_config
+from helpers import restart_capacity_oracle, small_scenario_config
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +225,83 @@ class TestCapacity:
         assert rows[0]["requested"] == 2 and rows[0]["iterations"] == 2
         assert abs(rows[1]["capacity"] - exact) <= 0.01 * exact
         assert rows[1]["residual"] <= 1e-10
+
+
+def quiet_scene():
+    """Vanishing transmit power: Q is I to rounding, so CG reaches the
+    1e-16 residual floor after a single iteration."""
+    cfg = small_scenario_config(snr_db_range=(-300.0, -300.0))
+    stats, channels = generate_scenario(cfg)
+    return cfg, stats, channels, assemble_q(stats)
+
+
+class TestSingleRunCapacity:
+    """capacity_vs_iterations against the restart-per-budget oracle."""
+
+    @pytest.fixture(scope="class")
+    def pipelines(self, scene):
+        cfg, stats, _, system, _, _ = scene
+        operator = build_operator(cfg.side)
+        beam = to_beamspace(operator, system, method="fft")
+        precond = build_preconditioner(beam, rank=4, power_iters=2, seed=7)
+        back = lambda xb: from_beamspace(operator, xb, method="fft")
+        return {"antenna_plain": (system, None, None),
+                "beamspace_precond": (beam, precond, back)}
+
+    @pytest.mark.parametrize("budgets", [[0], [6, 2, 6, 0, 4], [3, 12], []])
+    @pytest.mark.parametrize("pipeline", ["antenna_plain", "beamspace_precond"])
+    def test_rows_equal_restart_oracle(self, scene, pipelines, pipeline, budgets):
+        cfg, stats, channels, _, _, _ = scene
+        system, precond, back = pipelines[pipeline]
+        rows = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
+                                      budgets, preconditioner=precond,
+                                      transform=back)
+        oracle = restart_capacity_oracle(system, stats, channels,
+                                         cfg.noise_psd, budgets,
+                                         preconditioner=precond, transform=back)
+        # repr: exact float digits, and a nan residual equals itself
+        assert repr(rows) == repr(oracle)
+
+    def test_floor_stop_reports_iterations_reached(self):
+        cfg, stats, channels, system = quiet_scene()
+        budgets = [5, 1, 0, 3]
+        rows = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
+                                      budgets)
+        assert [row["iterations"] for row in rows] == [1, 1, 0, 1]
+        assert repr(rows) == repr(restart_capacity_oracle(
+            system, stats, channels, cfg.noise_psd, budgets))
+
+    @pytest.mark.parametrize("quiet, eps", [(False, 1e-6), (False, 0.5),
+                                            (True, 1e-300)])
+    def test_converged_iterate_equals_separate_solve(self, scene, quiet, eps):
+        if quiet:
+            cfg, stats, channels, system = quiet_scene()
+        else:
+            cfg, stats, channels, system, _, _ = scene
+        n = system.matrix.shape[0]
+        budgets = [2, 4]
+        rows, converged = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, budgets, epsilon=eps)
+        alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
+                                                   epsilon=eps))
+        assert converged["iterations"] == alone.iterations
+        assert np.array_equal(converged["x"], alone.x)
+        assert repr(rows) == repr(restart_capacity_oracle(
+            system, stats, channels, cfg.noise_psd, budgets))
+
+    def test_prebuilt_projectors_give_identical_gammas(self, scene):
+        cfg, stats, channels, _, xinv, g0 = scene
+        projectors = build_projectors(stats, 4)
+        again = scenario_gammas(stats, channels, xinv, cfg.noise_psd,
+                                projectors=projectors)
+        assert np.array_equal(again, g0)
+
+    @pytest.mark.parametrize("budgets", [[-1], [2, 161]])
+    def test_budgets_out_of_range(self, scene, budgets):
+        cfg, stats, channels, system, _, _ = scene
+        with pytest.raises(ValueError):
+            capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
+                                   budgets)
 
 
 class TestSinrCDF:
