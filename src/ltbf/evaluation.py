@@ -5,7 +5,12 @@ dominant eigenvectors of that user's long-term covariance and applies the
 (approximate) whitened front-end built from the system-matrix inverse.
 Post-combining SINR per stream comes from the reduced-space MMSE identity
 gamma = e*u / (1 - e*u) with u = g^H T^{-1} g, where T is the reduced
-covariance of the total received signal including the stream itself.  A
+covariance of the total received signal including the stream itself.
+scenario_gammas scores all users in one batched pass: the users' bases
+are stacked into one block, so every front-end, channel projection,
+reduced covariance and solve is a GEMM or a batched matmul over users and
+subcarriers rather than a per-user loop.  That layout needs every user's
+basis to have the same rank; mixed ranks are rejected.  A
 full-dimension MMSE receiver with the same statistics serves as the
 upper baseline, and a direct signal-over-interference quotient for a
 single resource element is kept as an independent cross-check of the
@@ -100,6 +105,14 @@ def _stream_energies(stats, n_streams):
 def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
     """Post-combining SINR of every stream under a given inverse.
 
+    All users are scored in one batched pass: the conjugate-transposed
+    bases are stacked into one (n_ue*r, N) block, so one product with x
+    gives every user's front-end, one broadcast product per user channel
+    projects every front-end onto every stream, and the r x r noise
+    covariances, reduced covariances T and solves are batched over users
+    and subcarriers.  The stacked layout needs every basis to have the
+    same (N, r) shape.
+
     Parameters
     ----------
     stats, channels : per-user lists from the scenario generator.
@@ -112,30 +125,46 @@ def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
     Returns
     -------
     (n_ue, subcarriers, n_streams) array of linear SINR values.
+
+    Raises
+    ------
+    ValueError
+        If the projectors do not all share one (N, r) shape.
     """
     n_ue = len(stats)
-    n_streams = channels[0].h.shape[2]
-    k_sc = channels[0].h.shape[0]
-    big_h = _stacked_channels(channels)
-    energies = _stream_energies(stats, n_streams)
+    k_sc, n, n_streams = channels[0].h.shape
     gammas = np.zeros((n_ue, k_sc, n_streams))
     if projectors is None:
         projectors = build_projectors(stats, rank)
-    for i, (st, basis) in enumerate(zip(stats, projectors)):
-        front = basis.conj().T @ x
-        if not np.any(front):
-            continue  # zero inverse: nothing received
-        noise_cov = noise_psd * (front @ front.conj().T)
-        g_all = np.einsum("rn,knm->krm", front, big_h)
-        t_mat = noise_cov[None, :, :] + np.einsum(
-            "krm,m,ksm->krs", g_all, energies, g_all.conj())
-        own = slice(i * n_streams, (i + 1) * n_streams)
-        g_own = g_all[:, :, own]
-        sol = np.linalg.solve(t_mat, g_own)
-        u = np.real(np.einsum("krs,krs->ks", g_own.conj(), sol))
-        # e*u < 1 holds exactly; clip shields the quotient from roundoff
-        eu = np.clip(st.symbol_energy * u, 0.0, 1.0 - 1e-15)
-        gammas[i] = eu / (1.0 - eu)
+    shapes = {np.shape(basis) for basis in projectors}
+    if len(shapes) != 1:
+        raise ValueError("projectors must share one (N, r) shape, got %s"
+                         % sorted(shapes))
+    r = shapes.pop()[1]
+    fronts = (np.concatenate([basis.conj().T for basis in projectors]) @ x
+              ).reshape(n_ue, r, n)
+    # a zero front-end (zero inverse) receives nothing
+    active = np.flatnonzero([np.any(front) for front in fronts])
+    if active.size == 0:
+        return gammas
+    fronts = fronts[active]
+    n_act = active.size
+    stacked = fronts.reshape(n_act * r, n)
+    # (subcarriers, n_act*r, n_ue*n_streams), user-major stream order
+    g_all = np.concatenate([stacked @ ch.h for ch in channels], axis=2)
+    g_all = g_all.reshape(k_sc, n_act, r, n_ue * n_streams).transpose(1, 0, 2, 3)
+    energies = _stream_energies(stats, n_streams)
+    noise_cov = noise_psd * (fronts @ fronts.conj().swapaxes(-1, -2))
+    t_mat = noise_cov[:, None] + (g_all * energies) @ g_all.conj().swapaxes(-1, -2)
+    # (n_act, subcarriers, r, n_streams): each active user's own streams
+    g_own = g_all.reshape(n_act, k_sc, r, n_ue, n_streams)[
+        np.arange(n_act), :, :, active]
+    sol = np.linalg.solve(t_mat, g_own)
+    u = np.real(np.sum(g_own.conj() * sol, axis=-2))
+    own_energy = np.array([stats[i].symbol_energy for i in active])
+    # e*u < 1 holds exactly; clip shields the quotient from roundoff
+    eu = np.clip(own_energy[:, None, None] * u, 0.0, 1.0 - 1e-15)
+    gammas[active] = eu / (1.0 - eu)
     return gammas
 
 

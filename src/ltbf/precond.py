@@ -124,13 +124,5 @@ def build_preconditioner(system, rank, power_iters, seed, counter=None):
         If the sketched spectrum has a non-positive eigenvalue or the
         cluster level is non-positive; reciprocals would be meaningless.
     """
-    sigma2 = float(system.sigma2)
-    if sigma2 <= 0.0:
-        raise InvalidSpectrumError("cluster level sigma2 must be positive, got %g" % sigma2)
     sketch = randomized_evd(system.matrix, rank, power_iters, seed, counter=counter)
-    if float(np.min(sketch.eigvals)) <= 0.0:
-        raise InvalidSpectrumError(
-            "sketched eigenvalue %.3e is not positive" % float(np.min(sketch.eigvals)))
-    weights = 1.0 / sigma2 - 1.0 / sketch.eigvals
-    return LowRankPreconditioner(eigvecs=sketch.eigvecs, eigvals=sketch.eigvals,
-                                 sigma2=sigma2, weights=weights)
+    return from_eigenpairs(sketch.eigvecs, sketch.eigvals, system.sigma2)

@@ -7,10 +7,13 @@ values.  Tests compare package output against these, never the other way
 around.
 """
 
+import csv
+import os
+
 import numpy as np
 
 from ltbf.cg import CGConfig, cg_inverse
-from ltbf.evaluation import capacity, scenario_gammas
+from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
 
@@ -131,3 +134,87 @@ def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
                      "residual": float(residual),
                      "capacity": capacity(gam)})
     return rows
+
+
+def einsum_gammas_oracle(stats, channels, x, noise_psd, rank=4, projectors=None):
+    """Stream SINRs of scenario_gammas, one user at a time through einsum.
+
+    The route scenario_gammas took before it batched all users into GEMMs:
+    the full channel tensor is concatenated and each user's reduced
+    covariance is contracted in numpy's own loops.  Same signature and
+    result shape; agreement is to rounding, not bitwise.
+    """
+    n_ue = len(stats)
+    k_sc, _, n_streams = channels[0].h.shape
+    big_h = np.concatenate([ch.h for ch in channels], axis=2)
+    energies = np.repeat([st.symbol_energy for st in stats], n_streams)
+    gammas = np.zeros((n_ue, k_sc, n_streams))
+    if projectors is None:
+        projectors = build_projectors(stats, rank)
+    for i, (st, basis) in enumerate(zip(stats, projectors)):
+        front = basis.conj().T @ x
+        if not np.any(front):
+            continue  # zero inverse: nothing received
+        noise_cov = noise_psd * (front @ front.conj().T)
+        g_all = np.einsum("rn,knm->krm", front, big_h)
+        t_mat = noise_cov[None, :, :] + np.einsum(
+            "krm,m,ksm->krs", g_all, energies, g_all.conj())
+        own = slice(i * n_streams, (i + 1) * n_streams)
+        g_own = g_all[:, :, own]
+        sol = np.linalg.solve(t_mat, g_own)
+        u = np.real(np.einsum("krs,krs->ks", g_own.conj(), sol))
+        eu = np.clip(st.symbol_energy * u, 0.0, 1.0 - 1e-15)
+        gammas[i] = eu / (1.0 - eu)
+    return gammas
+
+
+def _is_float_cell(cell):
+    # write_csv prints floats by repr, which always carries '.', 'e',
+    # 'nan' or 'inf'; integers and names never parse as one of those
+    try:
+        int(cell)
+        return False
+    except ValueError:
+        pass
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def assert_sweep_tables_close(dir_a, dir_b, rtol=1e-12):
+    """Two sweep output directories hold the same tables up to rounding.
+
+    Both directories have the same files with the same headers and row
+    counts; every non-float cell is byte-identical and every float cell
+    agrees to rtol relative.  A bound.csv margin is a difference of two
+    near-equal values, so it is judged against its row's gamma, and a dB
+    cell is judged on its linear value, since relative error in dB blows
+    up near 0 dB.
+    """
+    names = sorted(os.listdir(dir_a))
+    assert names == sorted(os.listdir(dir_b))
+    for name in names:
+        with open(os.path.join(dir_a, name), encoding="utf-8") as fh:
+            rows_a = list(csv.reader(fh))
+        with open(os.path.join(dir_b, name), encoding="utf-8") as fh:
+            rows_b = list(csv.reader(fh))
+        assert rows_a[0] == rows_b[0], name
+        assert len(rows_a) == len(rows_b), name
+        header = rows_a[0]
+        for line, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:]), 2):
+            where = "%s line %d" % (name, line)
+            assert len(row_a) == len(row_b) == len(header), where
+            for col, cell_a, cell_b in zip(header, row_a, row_b):
+                if not (_is_float_cell(cell_a) and _is_float_cell(cell_b)):
+                    assert cell_a == cell_b, "%s column %s" % (where, col)
+                    continue
+                a, b = float(cell_a), float(cell_b)
+                if col.endswith("_db"):
+                    a, b = 10.0 ** (a / 10.0), 10.0 ** (b / 10.0)
+                scale = max(abs(a), abs(b))
+                if col == "margin":
+                    scale = abs(float(row_a[header.index("gamma")]))
+                assert abs(a - b) <= rtol * scale, (
+                    "%s column %s: %r vs %r" % (where, col, cell_a, cell_b))

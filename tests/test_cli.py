@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import helpers
 import ltbf.cli as cli
 import ltbf.evaluation as evaluation
 from ltbf.cg import NumericalBreakdownError
@@ -269,6 +270,24 @@ class TestSweep:
             first = open(os.path.join(default_run_dir, name), "rb").read()
             second = open(os.path.join(again, name), "rb").read()
             assert first == second, name
+
+    def test_tables_match_einsum_oracle_to_rounding(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # the batched scenario_gammas changed the low bits of the tables:
+        # every non-float cell stays byte-identical to the einsum route and
+        # every float cell agrees to 1e-12 relative
+        cfg = write_config(tmp_path / "small.cfg",
+                           "side = 4\nsubcarriers = 32\nseed = 3352\n")
+        scen = str(tmp_path / "small.bslv")
+        assert cli.run(["gen", cfg, scen]) == 0
+        batched, oracle = str(tmp_path / "batched"), str(tmp_path / "oracle")
+        assert cli.run(["sweep", scen, "--out-dir", batched]) == 0
+        monkeypatch.setattr(cli, "scenario_gammas", helpers.einsum_gammas_oracle)
+        monkeypatch.setattr(evaluation, "scenario_gammas",
+                            helpers.einsum_gammas_oracle)
+        assert cli.run(["sweep", scen, "--out-dir", oracle]) == 0
+        capsys.readouterr()
+        helpers.assert_sweep_tables_close(batched, oracle, rtol=1e-12)
 
     def test_bad_config_entries_rejected(self, capsys, tmp_path, mid_scenario):
         bad_domain = write_config(tmp_path / "bad1.cfg", "a domain=fourier\n")

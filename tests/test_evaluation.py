@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ltbf.cg import CGConfig, cg_inverse
 from ltbf.evaluation import (
@@ -23,7 +25,8 @@ from ltbf.linalg import direct_inverse_oracle
 from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario, steering_vector
 
-from helpers import restart_capacity_oracle, small_scenario_config
+from helpers import (einsum_gammas_oracle, restart_capacity_oracle,
+                     small_scenario_config)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,95 @@ class TestScenarioGammas:
         cfg, stats, channels, _, xinv, g0 = scene
         again = scenario_gammas(stats, channels, xinv, cfg.noise_psd, rank=4)
         assert np.array_equal(again, g0)
+
+
+def assert_matches_oracle(gam, oracle, rtol=1e-12):
+    assert gam.shape == oracle.shape
+    assert np.all(np.abs(gam - oracle) <= rtol * np.abs(oracle))
+
+
+def scenario_inverse(cfg, kind):
+    """A scenario and one inverse of its system: exact, a 2-iteration CG
+    iterate, or a preconditioned beamspace iterate mapped back."""
+    stats, channels = generate_scenario(cfg)
+    system = assemble_q(stats)
+    if kind == "exact":
+        x = direct_inverse_oracle(system.matrix)
+    elif kind == "cg2":
+        x = cg_inverse(system, config=CGConfig(max_iters=2, epsilon=1e-16)).x
+    else:
+        op = build_operator(cfg.side)
+        system_b = to_beamspace(op, system, method="fft")
+        precond = build_preconditioner(system_b, rank=4, power_iters=2, seed=5)
+        state = cg_inverse(system_b, preconditioner=precond,
+                           config=CGConfig(max_iters=2, epsilon=1e-16))
+        x = from_beamspace(op, state.x, method="fft")
+    return stats, channels, x
+
+
+class TestBatchedGammasOracle:
+    """The batched scenario_gammas against the per-user einsum route."""
+
+    @pytest.mark.parametrize("n_streams", [1, 2])
+    @pytest.mark.parametrize("n_ue", [1, 4, 8])
+    def test_user_and_stream_counts(self, n_ue, n_streams):
+        cfg = small_scenario_config(n_ue=n_ue, n_streams=n_streams, seed=430)
+        stats, channels, x = scenario_inverse(cfg, "exact")
+        assert_matches_oracle(
+            scenario_gammas(stats, channels, x, cfg.noise_psd),
+            einsum_gammas_oracle(stats, channels, x, cfg.noise_psd))
+
+    @pytest.mark.parametrize("rank", [1, 4, 16])
+    def test_ranks(self, rank):
+        cfg = small_scenario_config(n_ue=3, n_streams=2, seed=431)
+        stats, channels, x = scenario_inverse(cfg, "exact")
+        gam = scenario_gammas(stats, channels, x, cfg.noise_psd, rank=rank)
+        assert_matches_oracle(gam, einsum_gammas_oracle(
+            stats, channels, x, cfg.noise_psd, rank=rank))
+        if rank == cfg.n_antennas:
+            baseline = mmse_baseline_sinr(stats, channels, cfg.noise_psd)
+            assert np.max(np.abs(gam - baseline) / baseline) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["exact", "cg2", "beamspace"])
+    def test_inverse_kinds(self, kind):
+        cfg = small_scenario_config(n_ue=4, seed=432)
+        stats, channels, x = scenario_inverse(cfg, kind)
+        assert_matches_oracle(
+            scenario_gammas(stats, channels, x, cfg.noise_psd),
+            einsum_gammas_oracle(stats, channels, x, cfg.noise_psd))
+
+    def test_zero_inverse(self):
+        cfg = small_scenario_config(n_ue=4, n_streams=2, seed=433)
+        stats, channels = generate_scenario(cfg)
+        zero = np.zeros((cfg.n_antennas,) * 2, dtype=complex)
+        gam = scenario_gammas(stats, channels, zero, cfg.noise_psd)
+        assert gam.shape == (4, cfg.subcarriers, 2)
+        assert np.all(gam == 0.0)
+        assert np.array_equal(
+            gam, einsum_gammas_oracle(stats, channels, zero, cfg.noise_psd))
+
+    def test_mixed_rank_projectors_rejected(self, scene):
+        cfg, stats, channels, _, xinv, _ = scene
+        projectors = [build_projector(stats[0].covariance, 4),
+                      build_projector(stats[1].covariance, 2)]
+        with pytest.raises(ValueError, match="shape"):
+            scenario_gammas(stats, channels, xinv, cfg.noise_psd,
+                            projectors=projectors)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(side=st.integers(2, 4), n_ue=st.integers(1, 5),
+           n_streams=st.integers(1, 2), subcarriers=st.integers(8, 32),
+           seed=st.integers(0, 2**32 - 1))
+    def test_small_scenarios_property(self, side, n_ue, n_streams,
+                                      subcarriers, seed):
+        cfg = ScenarioConfig(side=side, n_ue=n_ue, n_streams=n_streams,
+                             subcarriers=subcarriers, seed=seed)
+        stats, channels, x = scenario_inverse(cfg, "exact")
+        rank = min(4, cfg.n_antennas)
+        assert_matches_oracle(
+            scenario_gammas(stats, channels, x, cfg.noise_psd, rank=rank),
+            einsum_gammas_oracle(stats, channels, x, cfg.noise_psd, rank=rank))
 
 
 class TestExplicitQuotient:

@@ -14,6 +14,7 @@ from ltbf.precond import (
     build_preconditioner,
     from_eigenpairs,
 )
+from ltbf.randevd import randomized_evd
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
 
 
@@ -141,6 +142,18 @@ class TestBuildFromSystem:
         build_preconditioner(system, rank=4, power_iters=2, seed=79,
                              counter=counter)
         assert counter.kernel_mults("gemm") > 0
+
+    def test_equals_wrapped_sketch(self):
+        cfg = ScenarioConfig(side=4, n_ue=2, paths_per_user=2,
+                             subcarriers=16, seed=3313)
+        stats, _ = generate_scenario(cfg)
+        system = assemble_q(stats)
+        m = build_preconditioner(system, rank=4, power_iters=2, seed=82)
+        sketch = randomized_evd(system.matrix, 4, 2, 82)
+        ref = from_eigenpairs(sketch.eigvecs, sketch.eigvals, system.sigma2)
+        for field in ("eigvecs", "eigvals", "weights"):
+            assert np.array_equal(getattr(m, field), getattr(ref, field)), field
+        assert m.sigma2 == ref.sigma2
 
     def test_non_positive_sigma2_rejected(self):
         bad = SystemMatrix(matrix=np.eye(8, dtype=np.complex128), sigma2=0.0,
