@@ -30,7 +30,8 @@ from dataclasses import replace
 import numpy as np
 
 from .beamspace import build_operator, from_beamspace, sparsity_ratio, to_beamspace
-from .cg import CGConfig, NumericalBreakdownError, cg_inverse, write_trajectory
+from .cg import (CGConfig, NumericalBreakdownError, cg_inverse, residual_norm,
+                 write_trajectory)
 from .cholqr import RankDeficiencyError
 from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
                          check_sinr_bound, inverse_error, scenario_gammas,
@@ -215,17 +216,20 @@ def _cmd_invert(args):
 
 
 def _first_iterates_below(system, precond, targets):
-    """For each residual target, the first iterate of one CG run below it.
+    """For each residual target, the iterate of one CG run at which a
+    separate run at that target would stop.
 
-    A target the run never reaches gets the iterate at the 10N cap, as a
-    separate run at that target would.
+    As in that run, a target is reached where the recursive residual
+    estimate and then the true residual are below it.  A target the run
+    never reaches gets the iterate at the 10N cap.
     """
     found = {}
 
     def on_iteration(iterations, x, residual):
-        for target in targets:
-            if target not in found and residual < target:
-                found[target] = x
+        pending = [t for t in targets if t not in found and residual < t]
+        if pending:
+            true = residual_norm(system, x)
+            found.update((t, x) for t in pending if true < t)
         return len(found) == len(targets)
 
     n = system.matrix.shape[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cg import CGConfig, cg_inverse
+from .cg import CGConfig, cg_inverse, residual_norm
 
 __all__ = [
     "build_projector",
@@ -276,6 +276,14 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     cg_inverse(max_iters=10 N, epsilon) would stop, and the result is
     (rows, converged), converged being a dict with keys iterations and x
     (mapped through transform).
+
+    Both equalities fail only where the recursive residual estimate passes
+    a tolerance the run does not stop on (epsilon, or 1e-16 when epsilon
+    is below it) while the true residual is still above it: a separate run
+    at that tolerance replaces its residual there, and its later iterates
+    differ from this run's in the low bits.  converged, or the floor, is
+    then the first later iterate whose estimate and true residual are both
+    below the tolerance.
     """
     n = system.matrix.shape[0]
     budgets = [int(b) for b in checkpoints]
@@ -301,13 +309,22 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
 
     def on_iteration(iterations, x, residual):
         nonlocal floor_at, converged
-        if floor_at is None:
-            if residual < _FLOOR_EPS:
-                floor_at = iterations
-            if iterations in wanted or (floor_at is not None
-                                        and iterations < top):
-                score(iterations, x, residual)
-        if epsilon is not None and converged is None and residual < epsilon:
+        # residual is the recursive estimate unless cg formed the true one;
+        # as in a run without a hook, a tolerance is reached where the
+        # estimate and then the true residual are below it
+        scoring = floor_at is None
+        floor_check = scoring and residual < _FLOOR_EPS
+        eps_check = (epsilon is not None and converged is None
+                     and residual < epsilon)
+        true = None
+        if floor_check or eps_check or (scoring and iterations in wanted):
+            true = residual_norm(system, x, counter=counter)
+        if floor_check and true < _FLOOR_EPS:
+            floor_at = iterations
+        if scoring and (iterations in wanted
+                        or (floor_at is not None and iterations < top)):
+            score(iterations, x, true)
+        if eps_check and true < epsilon:
             converged = (iterations, x)
         budgets_done = iterations >= top or floor_at is not None
         return budgets_done and (epsilon is None or converged is not None)

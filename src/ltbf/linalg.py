@@ -134,7 +134,7 @@ def _check_hermitian(a, rtol, what="matrix"):
         raise NotHermitianError("%s deviates from Hermitian beyond %g relative" % (what, rtol))
 
 
-def gemm(a, b, conj_a=False, conj_b=False, counter=None):
+def gemm(a, b, conj_a=False, conj_b=False, counter=None, out=None):
     """General complex matrix product with optional conjugate transposition.
 
     Parameters
@@ -145,10 +145,13 @@ def gemm(a, b, conj_a=False, conj_b=False, counter=None):
         Apply the conjugate transpose to the respective operand first.
     counter : FlopCounter, optional
         Charged m*n*k multiplies and m*n*(k-1) additions.
+    out : complex ndarray of shape (m, n), optional
+        Block to write the product into, as numpy.matmul's out; it must
+        not overlap either operand.
 
     Returns
     -------
-    complex ndarray of shape (m, n).
+    complex ndarray of shape (m, n), out when given.
     """
     x = a.conj().T if conj_a else a
     y = b.conj().T if conj_b else b
@@ -161,7 +164,7 @@ def gemm(a, b, conj_a=False, conj_b=False, counter=None):
     n = y.shape[1]
     if counter is not None:
         counter.add("gemm", m * n * k, m * n * max(k - 1, 0))
-    return np.matmul(x, y)
+    return np.matmul(x, y, out=out)
 
 
 def cholesky(w, counter=None, pivot_rtol=1e-14):

@@ -60,7 +60,8 @@ class LowRankPreconditioner:
                 "block must have %d rows, got shape %s"
                 % (self.eigvecs.shape[0], (block.shape,)))
         proj = np.matmul(self.eigvecs.conj().T, block)
-        out = block / self.sigma2 - np.matmul(self.eigvecs, self.weights[:, None] * proj)
+        out = block / self.sigma2
+        out -= np.matmul(self.eigvecs, self.weights[:, None] * proj)
         if counter is not None:
             n, m = block.shape
             rank = self.eigvals.shape[0]

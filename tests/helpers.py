@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from ltbf.cg import CGConfig, cg_inverse
+from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
@@ -134,6 +134,25 @@ def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
                      "residual": float(residual),
                      "capacity": capacity(gam)})
     return rows
+
+
+def lagging_estimate_case(system):
+    """An iteration of plain CG whose recursive residual estimate lags.
+
+    Returns (k, epsilon): at iteration k the true residual is below every
+    earlier residual, true or estimated, and below epsilon, while epsilon is
+    the estimate at k.  So a run at that epsilon does not stop at k, and k
+    is the first iterate whose true residual is below epsilon.
+    """
+    n = system.matrix.shape[0]
+    trues = []
+    state = cg_inverse(system, config=CGConfig(max_iters=10 * n, epsilon=1e-300),
+                       on_iteration=lambda k, x, r: trues.append(residual_norm(system, x)))
+    estimates = state.residual_history[:-1]
+    for k, (true, estimate) in enumerate(zip(trues, estimates)):
+        if true < estimate <= min(trues[:k] + estimates[:k], default=1.0):
+            return k + 1, estimate
+    raise AssertionError("the estimate never lags the true residual")
 
 
 def einsum_gammas_oracle(stats, channels, x, noise_psd, rank=4, projectors=None):

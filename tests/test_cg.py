@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from ltbf.cg import (
@@ -38,6 +40,32 @@ class ScaledIdentityPrecond:
 
     def apply(self, block, counter=None):
         return block / self.scale
+
+
+class CheckLog(FlopCounter):
+    """Counter that also notes the iterations at which CG formed I - Q X.
+
+    Every iteration charges one column scaling for the x and r updates and,
+    when it goes on, one for the direction update; a gemm charged right
+    after an odd number of scalings is a true-residual check.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.scalings = 0
+        self.checks = []
+
+    def add(self, kernel, mults, adds=0):
+        super().add(kernel, mults, adds)
+        if kernel == "col_scale":
+            self.scalings += 1
+        elif kernel == "gemm" and self.scalings % 2 == 1:
+            self.checks.append((self.scalings + 1) // 2)
+
+
+def numpy_residual(matrix, x):
+    n = matrix.shape[0]
+    return float(np.linalg.norm(np.eye(n) - matrix @ x) / np.sqrt(n))
 
 
 class TestConvergence:
@@ -116,12 +144,61 @@ class TestStateAndStopping:
         assert state.residual_history[-1] < 1.0
 
     def test_explicit_residual_consistency(self):
-        # the recorded residual is the recomputed I - Q X, not a recurrence
+        # the returned residual is the recomputed I - Q X, not the recurrence
         system = scenario_system(3317, side=4)
         n = system.matrix.shape[0]
         state = cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-15))
         recon = np.eye(n) - system.matrix @ state.x
         assert fro_norm(state.r - recon) <= 1e-10 * np.sqrt(n)
+
+    def test_every_return_holds_true_residual(self):
+        system = scenario_system(3317, side=4)
+        n = system.matrix.shape[0]
+        runs = {
+            "budget": cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-15)),
+            "eps": cg_inverse(system, config=CGConfig(max_iters=160, epsilon=1e-6)),
+            "hook": cg_inverse(system, config=CGConfig(max_iters=160, epsilon=1e-15),
+                               on_iteration=lambda k, x, r: k == 3),
+        }
+        assert [s.iterations for s in (runs["budget"], runs["hook"])] == [4, 3]
+        assert runs["eps"].iterations < 160
+        for name, state in runs.items():
+            recon = np.eye(n) - system.matrix @ state.x
+            assert fro_norm(state.r - recon) <= 1e-14, name
+            assert abs(state.residual_history[-1]
+                       - residual_norm(system, state.x)) <= 1e-14, name
+
+    def test_replacement_when_recursive_residual_passes_eps_early(self):
+        # on this scenario the recursive estimate passes 1e-15 one check
+        # before the true residual does; stopping on it returns x above eps
+        system = scenario_system(3302, side=16)
+        n = system.matrix.shape[0]
+        eps = 1e-15
+        counter = CheckLog()
+        state = cg_inverse(system, config=CGConfig(max_iters=10 * n, epsilon=eps),
+                           counter=counter)
+        assert len(counter.checks) >= 2
+        assert counter.checks[0] < state.iterations == counter.checks[-1]
+        assert numpy_residual(system.matrix, state.x) < eps
+        assert counter.kernel_mults("gemm") > (state.iterations + 1) * n ** 3
+
+    def test_stop_waits_for_the_recursive_estimate(self):
+        # at k the true residual is below eps and the estimate is not: the
+        # run goes on, and a hook that forms every true residual agrees
+        system = scenario_system(3307, side=4)
+        n = system.matrix.shape[0]
+        k, eps = helpers.lagging_estimate_case(system)
+        config = CGConfig(max_iters=10 * n, epsilon=eps)
+        plain = cg_inverse(system, config=config)
+        trues = []
+        hooked = cg_inverse(system, config=config,
+                            on_iteration=lambda i, x, r: trues.append(
+                                residual_norm(system, x)))
+        assert trues[k - 1] < eps
+        assert k < plain.iterations == hooked.iterations
+        assert hooked.residual_history == plain.residual_history
+        assert np.array_equal(hooked.x, plain.x)
+        assert numpy_residual(system.matrix, plain.x) < eps
 
     def test_bitwise_reproducible(self):
         system = scenario_system(3318, side=4)
@@ -223,12 +300,6 @@ class TestValidation:
             cg_inverse(dense_system(np.eye(4)),
                        config=CGConfig(max_iters=iters, epsilon=1e-3))
 
-    def test_recursive_residual_rejected(self):
-        with pytest.raises(ValueError):
-            cg_inverse(dense_system(np.eye(4)),
-                       config=CGConfig(max_iters=4, epsilon=1e-3,
-                                       recompute_residual=False))
-
     def test_non_finite_input_breaks_down_with_index(self):
         q = np.eye(4, dtype=np.complex128)
         q[0, 0] = np.nan
@@ -304,6 +375,35 @@ class TestTrajectoryDump:
         first = lines[1].split(",")
         assert first[0] == "1" and first[2] == "demo_run"
         assert float(first[1]) == state.residual_history[0]
+
+
+class TestAgainstDirectInverse:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(2, 24), log_kappa=st.floats(0.0, 4.0),
+           log_eps=st.floats(-10.0, -3.0), preconditioned=st.booleans(),
+           rank=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_stops_below_eps_on_hermitian_positive_definite(
+            self, n, log_kappa, log_eps, preconditioned, rank, seed):
+        rng = np.random.default_rng(seed)
+        kappa, eps = 10.0 ** log_kappa, 10.0 ** log_eps
+        inner = 10.0 ** rng.uniform(0.0, log_kappa, n - 2)
+        vals = np.sort(np.concatenate([[kappa, 1.0], inner]))[::-1]
+        a, u = helpers.synthetic_hermitian(vals, seed)
+        system = dense_system(a)
+        precond = None
+        if preconditioned:  # exact top eigenpairs
+            k = min(rank, n)
+            precond = from_eigenpairs(u[:, :k], vals[:k], system.sigma2)
+        max_iters = 10 * n
+        state = cg_inverse(system, preconditioner=precond,
+                           config=CGConfig(max_iters=max_iters, epsilon=eps))
+        res = numpy_residual(a, state.x)
+        if state.iterations < max_iters:
+            assert res < eps
+        # X - Q^-1 = Q^-1 (Q X - I), so ||X - Q^-1||_F <= sqrt(n) res / lambda_min
+        err = fro_norm(state.x - direct_inverse_oracle(a))
+        assert err <= np.sqrt(n) * res / vals[-1] * (1.0 + 1e-6) + 1e-10
 
 
 class TestKappaGrowth:

@@ -7,9 +7,13 @@ import pytest
 import helpers
 import ltbf.cli as cli
 import ltbf.evaluation as evaluation
-from ltbf.cg import NumericalBreakdownError
-from ltbf.linalg import full_evd_oracle
-from ltbf.scenario import assemble_q, load_matrix, load_scenario
+from ltbf.beamspace import build_operator, from_beamspace
+from ltbf.cg import CGConfig, NumericalBreakdownError, cg_inverse
+from ltbf.evaluation import (build_projectors, capacity, check_sinr_bound,
+                             inverse_error)
+from ltbf.linalg import direct_inverse_oracle, full_evd_oracle
+from ltbf.scenario import (assemble_q, generate_scenario, load_matrix,
+                           load_scenario)
 
 
 def run_capture(capsys, argv):
@@ -288,6 +292,86 @@ class TestSweep:
         assert cli.run(["sweep", scen, "--out-dir", oracle]) == 0
         capsys.readouterr()
         helpers.assert_sweep_tables_close(batched, oracle, rtol=1e-12)
+
+    def test_tables_within_sinr_bound_of_direct_inverse(self, capsys, tmp_path):
+        # every score of an iterate stays inside the SINR bound of its
+        # spectral residual eps around the direct inverse's score, taken
+        # both ways: gamma0 * L(eps) <= gamma <= gamma0 * (2 - L(eps))
+        cfg_path = write_config(tmp_path / "small.cfg",
+                                "side = 4\nsubcarriers = 32\nseed = 3352\n")
+        scen = str(tmp_path / "small.bslv")
+        out_dir = str(tmp_path / "run")
+        assert cli.run(["gen", cfg_path, scen]) == 0
+        assert cli.run(["sweep", scen, "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        cfg, stats, channels = load_scenario(scen)
+        system_ant = assemble_q(stats)
+        operator = build_operator(cfg.side)
+        projectors = build_projectors(stats, 4)
+
+        def gammas(x):
+            return helpers.einsum_gammas_oracle(stats, channels, x, cfg.noise_psd,
+                                                projectors=projectors)
+
+        g0 = gammas(direct_inverse_oracle(system_ant.matrix))
+
+        def interval(eps):
+            low = check_sinr_bound(g0, g0, eps).rhs
+            return low, 2.0 * g0 - low
+
+        tables = {}
+        for name in ("capacity.csv", "cdf.csv", "bound.csv", "run_meta.csv"):
+            with open(os.path.join(out_dir, name)) as fh:
+                tables[name] = list(csv.DictReader(fh))
+        setups = {setup.name: setup for setup in cli._DEFAULT_SETUPS}
+        for row in tables["capacity.csv"]:
+            setup = setups[row["config_id"]]
+            system, precond = cli._build_pipeline(system_ant, setup, cfg.seed,
+                                                  operator)
+            state = cg_inverse(system, preconditioner=precond,
+                               config=CGConfig(max_iters=int(row["iters"]),
+                                               epsilon=1e-16))
+            x = state.x
+            if setup.domain == "beamspace":
+                x = from_beamspace(operator, x, method="fft")
+            gam = gammas(x)
+            assert float(row["capacity"]) == pytest.approx(capacity(gam),
+                                                           rel=1e-12)
+            eps = inverse_error(system_ant, x)[1]
+            if eps < 1.0:
+                low, high = interval(eps)
+                assert np.all((low <= gam) & (gam <= high)), row
+        exact_db = np.sort(10.0 * np.log10(g0.reshape(-1)))
+        for row in tables["run_meta.csv"]:
+            fro = float(row["residual_fro"])
+            eps = float(row["residual_spectral"])
+            assert 0.0 < fro < 1e-6
+            assert eps <= np.sqrt(system_ant.matrix.shape[0]) * fro
+            low, high = interval(eps)
+            assert capacity(low) <= float(row["capacity"]) <= capacity(high)
+            cdf_db = np.array([float(r["gamma_db"]) for r in tables["cdf.csv"]
+                               if r["config_id"] == row["config_id"]])
+            assert cdf_db.shape == exact_db.shape
+            spread = np.max(1.0 - low / g0)
+            # sorting keeps a per-stream relative band
+            assert np.all(np.abs(10.0 ** ((cdf_db - exact_db) / 10.0) - 1.0)
+                          <= spread), row["config_id"]
+        for row in tables["bound.csv"]:
+            assert float(row["margin"]) >= 0.0, row
+
+    def test_bound_probe_iterates_equal_separate_runs(self):
+        # one target sits where the recursive estimate lags the true
+        # residual, so the first true residual below it is too early
+        stats, _ = generate_scenario(helpers.small_scenario_config())
+        system = assemble_q(stats)
+        n = system.matrix.shape[0]
+        _, eps = helpers.lagging_estimate_case(system)
+        targets = (0.1, eps)
+        for target, x in zip(targets, cli._first_iterates_below(system, None,
+                                                                targets)):
+            alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
+                                                       epsilon=target))
+            assert np.array_equal(x, alone.x), target
 
     def test_bad_config_entries_rejected(self, capsys, tmp_path, mid_scenario):
         bad_domain = write_config(tmp_path / "bad1.cfg", "a domain=fourier\n")

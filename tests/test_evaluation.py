@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ltbf.cg import CGConfig, cg_inverse
+from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import (
     build_projector,
     build_projectors,
@@ -25,8 +25,8 @@ from ltbf.linalg import direct_inverse_oracle
 from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario, steering_vector
 
-from helpers import (einsum_gammas_oracle, restart_capacity_oracle,
-                     small_scenario_config)
+from helpers import (einsum_gammas_oracle, lagging_estimate_case,
+                     restart_capacity_oracle, small_scenario_config)
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +380,33 @@ class TestSingleRunCapacity:
         assert np.array_equal(converged["x"], alone.x)
         assert repr(rows) == repr(restart_capacity_oracle(
             system, stats, channels, cfg.noise_psd, budgets))
+
+    def test_converged_waits_for_a_lagging_estimate(self, scene):
+        # at k the true residual is below eps and the recursive estimate is
+        # not; the single run goes on to where a separate run stops
+        cfg, stats, channels, system, _, _ = scene
+        n = system.matrix.shape[0]
+        k, eps = lagging_estimate_case(system)
+        _, converged = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, [1], epsilon=eps)
+        alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
+                                                   epsilon=eps))
+        assert converged["iterations"] == alone.iterations > k
+        assert np.array_equal(converged["x"], alone.x)
+        assert residual_norm(system, alone.x) < eps
+
+    def test_converged_below_eps_where_the_estimate_leads(self):
+        # the estimate passes 1e-15 while the true residual is above it (the
+        # replacement case of cg_inverse); converged still lies below eps
+        cfg = ScenarioConfig(side=16, subcarriers=32, seed=3302)
+        stats, channels = generate_scenario(cfg)
+        system = assemble_q(stats)
+        eps = 1e-15
+        _, converged = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, [1], epsilon=eps)
+        n = system.matrix.shape[0]
+        resid = np.eye(n) - system.matrix @ converged["x"]
+        assert np.linalg.norm(resid) / np.sqrt(n) < eps
 
     def test_prebuilt_projectors_give_identical_gammas(self, scene):
         cfg, stats, channels, _, xinv, g0 = scene

@@ -57,6 +57,13 @@ class TestGemm:
         assert counter.kernel_mults("gemm") == 3 * 5 * 6
         assert counter.per_kernel["gemm"][1] == 3 * 5 * 5
 
+    def test_out_block_receives_the_same_product(self):
+        a = helpers.random_complex((48, 48), 19)
+        b = helpers.random_complex((48, 48), 20)
+        out = np.empty((48, 48), dtype=np.complex128)
+        assert gemm(a, b, out=out) is out
+        assert np.array_equal(out, gemm(a, b))
+
     def test_shape_mismatch_raises(self):
         a = helpers.random_complex((3, 4), 17)
         b = helpers.random_complex((5, 2), 18)

@@ -81,6 +81,13 @@ class TestApply:
         r = helpers.random_complex((128, 16), 211)
         assert fro_norm(m.apply(r) - m.explicit_matrix() @ r) <= 1e-11
 
+    def test_bitwise_equal_to_woodbury_expression(self):
+        u = helpers.random_unitary_columns(96, 6, 220)
+        m = from_eigenpairs(u, np.linspace(8.0, 1.5, 6), 1.3)
+        r = helpers.random_complex((96, 96), 221)
+        expected = r / m.sigma2 - u @ (m.weights[:, None] * (u.conj().T @ r))
+        assert np.array_equal(m.apply(r), expected)
+
     def test_identity_block_gives_explicit_matrix(self):
         u = helpers.random_unitary_columns(10, 2, 212)
         m = from_eigenpairs(u, [4.0, 3.0], 1.05)
