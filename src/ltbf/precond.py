@@ -15,6 +15,13 @@ implicitly:
 
 evaluated strictly right to left so the cost stays at two thin products
 per application instead of an n^2 rebuild.
+
+build_preconditioner finds (U, Lambda) by sketching the loading Q - I plus
+a small shift rather than Q, as randomized Nystrom preconditioning does
+(Frangella, Tropp & Udell, SIAM J. Matrix Anal. Appl. 44, 2023): the power
+iterations then separate the weak modes from a cluster near zero instead
+of one at one, and the sketch needs about as many CG iterations as exact
+eigenpairs would.
 """
 
 from __future__ import annotations
@@ -110,6 +117,25 @@ def from_eigenpairs(eigvecs, eigvals, sigma2):
 def build_preconditioner(system, rank, power_iters, seed, counter=None):
     """Sketch the top eigenpairs of a system matrix and wrap them.
 
+    The system is expected to be an identity plus a positive semidefinite
+    loading, Q = I + L, which assemble_q and to_beamspace always produce.
+    The power iterations then run on L + delta I = Q - (1 - delta) I
+    rather than on Q: each loaded mode 1 + mu of Q shows up as mu + delta,
+    far from the unit cluster, which drops to delta.  The Ritz values are
+    still those of Q.  The small shift delta keeps the sketch full rank
+    when L has fewer than `rank` modes, and is taken relative to the
+    loading,
+
+        delta = 1e-3 * max(tr(L), 1),   tr(L) = N (sigma2 - 1),
+
+    so that each power step multiplies by a matrix of condition number at
+    most 1 + 1e3.  The floor at 1, the level of the identity, keeps delta
+    positive where tr(L) rounds to zero or below (the identity, a nearly
+    unloaded Q).  Any other Hermitian positive definite system still gets
+    a valid preconditioner, one sketched about the level 1 - delta: the
+    power iterations then favour the eigenvalues farthest from it on
+    either side.
+
     Parameters
     ----------
     system : SystemMatrix
@@ -125,5 +151,8 @@ def build_preconditioner(system, rank, power_iters, seed, counter=None):
         If the sketched spectrum has a non-positive eigenvalue or the
         cluster level is non-positive; reciprocals would be meaningless.
     """
-    sketch = randomized_evd(system.matrix, rank, power_iters, seed, counter=counter)
+    n = system.matrix.shape[0]
+    delta = 1e-3 * max(n * (system.sigma2 - 1.0), 1.0)
+    sketch = randomized_evd(system.matrix, rank, power_iters, seed,
+                            counter=counter, shift=1.0 - delta)
     return from_eigenpairs(sketch.eigvecs, sketch.eigvals, system.sigma2)

@@ -371,25 +371,32 @@ def read_config_file(path):
 
 
 def _pack_complex(a):
-    return np.ascontiguousarray(a, dtype="<c16").tobytes()
+    """Little-endian contiguous form of a complex array, a buffer to write."""
+    return np.ascontiguousarray(a, dtype="<c16")
 
 
 def _unpack_complex(buf, offset, count):
+    """Copy of `count` complex entries at `offset`, parsed in place."""
     end = offset + 16 * count
     if end > len(buf):
         raise ChecksumError("file truncated inside a complex block")
-    arr = np.frombuffer(buf[offset:end], dtype="<c16").astype(np.complex128)
-    return arr, end
+    arr = np.frombuffer(buf, dtype="<c16", count=count, offset=offset)
+    return arr.astype(np.complex128), end
 
 
-def _write_container(path, kind, payload):
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    blob = _MAGIC + struct.pack("<HH", _VERSION, kind) + payload + struct.pack("<I", crc)
+def _write_container(path, kind, parts):
+    """Write the payload `parts` in order, framed, without joining them."""
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(_MAGIC + struct.pack("<HH", _VERSION, kind))
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+            fh.write(part)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def _read_container(path, expect_kind):
+    """The CRC-checked payload of a container, as a view of the file bytes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != _MAGIC:
@@ -400,7 +407,7 @@ def _read_container(path, expect_kind):
     if kind != expect_kind:
         raise MalformedHeaderError("%s: record kind %d, expected %d"
                                    % (path, kind, expect_kind))
-    payload = blob[8:-4]
+    payload = memoryview(blob)[8:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ChecksumError("%s: payload CRC mismatch" % path)
@@ -430,7 +437,7 @@ def save_scenario(path, cfg, stats, channels):
                                          float(ch.phases[s, l]),
                                          int(ch.taps[s, l])))
         parts.append(_pack_complex(ch.h.reshape(-1)))
-    _write_container(path, _KIND_SCENARIO, b"".join(parts))
+    _write_container(path, _KIND_SCENARIO, parts)
 
 
 def load_scenario(path):
@@ -495,8 +502,9 @@ def save_matrix(path, a):
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    payload = struct.pack("<2I", a.shape[0], a.shape[1]) + _pack_complex(a.reshape(-1))
-    _write_container(path, _KIND_MATRIX, payload)
+    _write_container(path, _KIND_MATRIX,
+                     [struct.pack("<2I", a.shape[0], a.shape[1]),
+                      _pack_complex(a.reshape(-1))])
 
 
 def load_matrix(path):

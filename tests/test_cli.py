@@ -55,6 +55,19 @@ def mid_scenario(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def single_path_scenario(tmp_path_factory):
+    # one user on one path: the loading Q - I has rank 1, below the
+    # default sketch rank 8
+    root = tmp_path_factory.mktemp("single")
+    cfg = write_config(root / "single.cfg",
+                       "side = 4\nn_ue = 1\npaths_per_user = 1\n"
+                       "subcarriers = 16\nseed = 3353\n")
+    out = str(root / "single.bslv")
+    assert cli.run(["gen", cfg, out]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def default_run_dir(tmp_path_factory, mid_scenario):
     out_dir = str(tmp_path_factory.mktemp("sweep") / "run")
     assert cli.run(["sweep", mid_scenario, "--iters", "2,4",
@@ -191,6 +204,18 @@ class TestInvert:
         resid = np.linalg.norm(system.matrix @ x - np.eye(n)) / np.sqrt(n)
         assert resid <= 1e-6
 
+    def test_rank_one_loading_inverts(self, capsys, tmp_path,
+                                      single_path_scenario):
+        out = str(tmp_path / "x.inv")
+        rc, stdout, _ = run_capture(capsys, ["invert", single_path_scenario,
+                                             "--domain", "beamspace",
+                                             "--out", out])
+        assert rc == 0
+        _, stats, _ = load_scenario(single_path_scenario)
+        system = assemble_q(stats)
+        resid = np.linalg.norm(system.matrix @ load_matrix(out) - np.eye(16))
+        assert resid / 4.0 < 1e-6
+
     @pytest.mark.parametrize("flags", [["--q", "0"], ["--q", "65"],
                                        ["--p", "0"]])
     def test_sketch_parameters_validated(self, capsys, mid_scenario, flags):
@@ -244,6 +269,17 @@ class TestSweep:
             meta = list(csv.DictReader(fh))
         assert len(meta) == 4
         assert all(float(r["residual_fro"]) <= 1e-6 for r in meta)
+
+    def test_rank_one_loading_sweeps(self, capsys, tmp_path,
+                                     single_path_scenario):
+        out_dir = str(tmp_path / "run")
+        rc, _, _ = run_capture(capsys, ["sweep", single_path_scenario,
+                                        "--out-dir", out_dir])
+        assert rc == 0
+        with open(os.path.join(out_dir, "run_meta.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(float(row["residual_fro"]) < 1e-6 for row in rows)
 
     def test_longer_power_iteration_never_hurts_capacity(self, capsys, tmp_path,
                                                          mid_scenario):

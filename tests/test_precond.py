@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
+from ltbf.beamspace import build_operator, to_beamspace
+from ltbf.cg import CGConfig, cg_inverse
 from ltbf.linalg import (
     DimensionMismatchError,
     FlopCounter,
@@ -16,6 +20,27 @@ from ltbf.precond import (
 )
 from ltbf.randevd import randomized_evd
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
+
+
+def sketch_shift(system):
+    """The shift build_preconditioner sketches about: 1 - delta."""
+    n = system.matrix.shape[0]
+    return 1.0 - 1e-3 * max(n * (system.sigma2 - 1.0), 1.0)
+
+
+def numpy_residual(matrix, x):
+    n = matrix.shape[0]
+    return float(np.linalg.norm(np.eye(n) - matrix @ x) / np.sqrt(n))
+
+
+def pcg_iterations(system, precond, eps=1e-6):
+    """Iterations of a preconditioned run to eps; asserts it got there."""
+    n = system.matrix.shape[0]
+    state = cg_inverse(system, preconditioner=precond,
+                       config=CGConfig(max_iters=10 * n, epsilon=eps))
+    assert state.iterations < 10 * n
+    assert numpy_residual(system.matrix, state.x) < eps
+    return state.iterations
 
 
 def known_surrogate(n, rank, eigvals, sigma2, seed):
@@ -156,7 +181,8 @@ class TestBuildFromSystem:
         stats, _ = generate_scenario(cfg)
         system = assemble_q(stats)
         m = build_preconditioner(system, rank=4, power_iters=2, seed=82)
-        sketch = randomized_evd(system.matrix, 4, 2, 82)
+        sketch = randomized_evd(system.matrix, 4, 2, 82,
+                                shift=sketch_shift(system))
         ref = from_eigenpairs(sketch.eigvecs, sketch.eigvals, system.sigma2)
         for field in ("eigvecs", "eigvals", "weights"):
             assert np.array_equal(getattr(m, field), getattr(ref, field)), field
@@ -174,6 +200,67 @@ class TestBuildFromSystem:
                            domain="antenna")
         with pytest.raises(InvalidSpectrumError):
             build_preconditioner(bad, rank=3, power_iters=2, seed=81)
+
+
+class TestShiftedSketch:
+    """The sketch runs on the loading Q - I, plus a small shift."""
+
+    @pytest.mark.parametrize("stats_config", [
+        # rank(Q - I) = 4, 1 and 0 against a sketch rank of 8
+        dict(side=4, n_ue=2, paths_per_user=2, subcarriers=16, seed=3314),
+        dict(side=4, n_ue=1, paths_per_user=1, subcarriers=16, seed=3315),
+        None,
+    ])
+    def test_loading_of_lower_rank_than_the_sketch(self, stats_config):
+        if stats_config is None:
+            system = assemble_q([], n_antennas=16)
+        else:
+            stats, _ = generate_scenario(ScenarioConfig(**stats_config))
+            system = assemble_q(stats)
+        m = build_preconditioner(system, rank=8, power_iters=4, seed=83)
+        assert np.all(m.eigvals >= 1.0 - 1e-12)
+        pcg_iterations(system, m)
+
+    @pytest.mark.parametrize("seed", [3301, 3302, 3303])
+    def test_iterations_close_to_exact_eigenpairs(self, seed):
+        # unshifted, the q=8 p=4 sketch needs about 7.5 iterations here
+        # against 4.8 with exact eigenpairs
+        stats, _ = generate_scenario(ScenarioConfig(seed=seed))
+        system = to_beamspace(build_operator(16), assemble_q(stats),
+                              method="fft")
+        vals, vecs = np.linalg.eigh(system.matrix)
+        exact = from_eigenpairs(vecs[:, :-9:-1], vals[:-9:-1], system.sigma2)
+        sketched = build_preconditioner(system, rank=8, power_iters=4,
+                                        seed=seed)
+        assert (pcg_iterations(system, sketched)
+                <= pcg_iterations(system, exact) + 1)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(2, 32), data=st.data(), log_scale=st.floats(-6.0, 3.0),
+           log_eps=st.floats(-10.0, -3.0), seed=st.integers(0, 2**32 - 1))
+    def test_identity_plus_psd(self, n, data, log_scale, log_eps, seed):
+        load_rank = data.draw(st.integers(0, n), label="load_rank")
+        rank = data.draw(st.integers(1, min(n, 8)), label="rank")
+        power_iters = data.draw(st.integers(1, 4), label="power_iters")
+        rng = np.random.default_rng(seed)
+        w = helpers.random_complex((n, load_rank), seed) \
+            * 10.0 ** rng.uniform(-2.0, 0.0, load_rank)
+        a = np.eye(n) + 10.0 ** log_scale * (w @ w.conj().T)
+        a = 0.5 * (a + a.conj().T)
+        system = SystemMatrix(matrix=a, sigma2=float(np.real(np.trace(a))) / n,
+                              domain="antenna")
+        m = build_preconditioner(system, rank=rank, power_iters=power_iters,
+                                 seed=seed)
+        spectrum = np.linalg.eigvalsh(a)
+        slack = 1e-12 * spectrum[-1]
+        assert np.all(m.eigvals >= spectrum[0] - slack)
+        assert np.all(m.eigvals <= spectrum[-1] + slack)
+        eps = 10.0 ** log_eps
+        state = cg_inverse(system, preconditioner=m,
+                           config=CGConfig(max_iters=10 * n, epsilon=eps))
+        if state.iterations < 10 * n:
+            assert numpy_residual(a, state.x) < eps
 
 
 class TestSpectrumValidation:

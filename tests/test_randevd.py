@@ -3,7 +3,8 @@ import pytest
 
 import helpers
 from ltbf.cholqr import RankDeficiencyError
-from ltbf.linalg import DimensionMismatchError, NotHermitianError, fro_norm, full_evd_oracle
+from ltbf.linalg import (DimensionMismatchError, FlopCounter, NotHermitianError,
+                         fro_norm, full_evd_oracle)
 from ltbf.randevd import EVDResult, gaussian_start_block, randomized_evd
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
@@ -102,6 +103,37 @@ class TestRecovery:
         assert np.all(res.eigvals >= 0.0)
         assert np.max(np.abs(res.eigvals[:7] - vals[:7])) <= 1e-6
         assert abs(res.eigvals[7] - 0.01) <= 1e-3
+
+
+class TestShift:
+    def test_weak_modes_come_out_of_the_unit_cluster(self):
+        # modes at 1 + mu with mu <= 0.8 converge at 1/(1 + mu) per power
+        # step on a itself, and at about delta/mu on a - (1 - delta) I
+        top = [1.8, 1.6, 1.4, 1.2]
+        a, u, vals = clustered_matrix(64, top, 140)
+        err = {}
+        for shift in (0.0, 1.0 - 1e-3):
+            res = randomized_evd(a, 4, 3, seed=141, shift=shift)
+            err[shift] = np.max(np.abs(res.eigvals - vals[:4]) / vals[:4])
+        assert err[1.0 - 1e-3] <= 1e-6
+        assert err[0.0] >= 1e-3
+
+    def test_ritz_values_are_those_of_the_unshifted_matrix(self):
+        a, u, vals = clustered_matrix(32, [6.0, 4.0, 2.0], 142)
+        res = randomized_evd(a, 3, 4, seed=143, shift=0.999)
+        assert np.max(np.abs(res.eigvals - vals[:3]) / vals[:3]) <= 1e-10
+        assert np.max(helpers.principal_angles(res.eigvecs, u[:, :3])) <= 1e-6
+
+    def test_thin_update_charged_per_power_step(self):
+        a, _, _ = clustered_matrix(40, [5.0, 3.0], 146)
+        counts = {}
+        for shift in (0.0, 0.5):
+            counter = FlopCounter()
+            randomized_evd(a, 3, 4, seed=147, counter=counter, shift=shift)
+            counts[shift] = counter
+        assert counts[0.0].kernel_mults("col_scale") == 0
+        assert counts[0.5].kernel_mults("col_scale") == 4 * 40 * 3
+        assert counts[0.5].kernel_mults("gemm") == counts[0.0].kernel_mults("gemm")
 
 
 class TestDeterminismAndEquivariance:

@@ -263,6 +263,25 @@ class TestPersistence:
         with pytest.raises(ChecksumError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("kind", ["scenario", "matrix"])
+    def test_short_complex_block_with_valid_crc(self, tmp_path, kind):
+        # the payload ends inside a complex block but its CRC matches, so
+        # only the length check before parsing can catch it
+        path = tmp_path / "short.bslv"
+        if kind == "scenario":
+            cfg = small_config()
+            save_scenario(path, cfg, *generate_scenario(cfg))
+            load, cut = load_scenario, 52 + 16 + 100
+        else:
+            save_matrix(path, np.eye(3, dtype=complex))
+            load, cut = load_matrix, 8 + 16 * 5
+        blob = path.read_bytes()
+        payload = blob[8:8 + cut]
+        path.write_bytes(blob[:8] + payload
+                         + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        with pytest.raises(ChecksumError):
+            load(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "scene.bslv"
         path.write_bytes(b"NOPE" + bytes(20))
