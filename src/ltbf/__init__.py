@@ -4,8 +4,9 @@ beamforming studies.
 The package is organized around the inversion pipeline of a multi-user
 system matrix Q = I + sum_i alpha_i * Rbar_i:
 
-- linalg: dense complex kernels with operation counting, plus the
-  reference oracles (cyclic Jacobi EVD, direct Cholesky inverse).
+- linalg: dense complex kernels on BLAS/LAPACK with operation counting,
+  plus the loop oracles they are tested against (cyclic Jacobi EVD, column
+  Cholesky, substitution, direct Cholesky inverse).
 - cholqr: CholeskyQR2 orthogonalization of tall-skinny blocks.
 - randevd: randomized low-rank eigendecomposition by power iteration.
 - precond: the Woodbury-form low-rank preconditioner built from it.

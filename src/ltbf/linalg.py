@@ -8,15 +8,28 @@ textbook operation model of each kernel (a matrix product of an m x k by a
 k x n block charges exactly m*n*k multiplies), independent of how the
 underlying BLAS happens to schedule the arithmetic.
 
-The two *_oracle routines at the bottom are reference paths for tests and
-diagnostics.  They are deliberately simple and slow (cyclic Jacobi, explicit
-triangular inversion) and must stay independent of the randomized pipeline
-they are used to check.
+The production kernels (gemm, cholesky, trsm_right_upper_ct,
+hermitian_evd_small) run on numpy's BLAS and LAPACK.  The *_oracle kernels
+are reference paths for tests and diagnostics, deliberately simple and slow
+Python loops: cholesky_oracle (left-looking column loop),
+trsm_right_upper_ct_oracle (column substitution) and
+hermitian_evd_small_oracle (cyclic Jacobi) are the slow routes each
+production kernel is tested against, with the same contracts;
+full_evd_oracle (cyclic Jacobi up to dimension 1024) and
+direct_inverse_oracle (loop Cholesky and substitution against the identity)
+use only those loops, so they stay independent of the randomized pipeline
+they are used to check.  Two rare paths run the other way: when LAPACK
+rejects a Cholesky outright, cholesky asks cholesky_oracle for the failing
+index, and a triangular factor LAPACK cannot invert (non-finite entries)
+goes through trsm_right_upper_ct_oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Cholesky pivots at or below this times trace / n count as breakdowns
+_PIVOT_RTOL = 1e-14
 
 __all__ = [
     "FlopCounter",
@@ -32,6 +45,9 @@ __all__ = [
     "cholesky",
     "trsm_right_upper_ct",
     "hermitian_evd_small",
+    "cholesky_oracle",
+    "trsm_right_upper_ct_oracle",
+    "hermitian_evd_small_oracle",
     "full_evd_oracle",
     "direct_inverse_oracle",
 ]
@@ -68,7 +84,7 @@ class SingularTriangularError(ArithmeticError):
 
 
 class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi did not converge within the sweep budget."""
+    """A small eigensolver did not converge (Jacobi sweep budget or LAPACK)."""
 
 
 class FlopCounter:
@@ -167,17 +183,33 @@ def gemm(a, b, conj_a=False, conj_b=False, counter=None, out=None):
     return np.matmul(x, y, out=out)
 
 
-def cholesky(w, counter=None, pivot_rtol=1e-14):
+def _pivot_floor(w):
+    """Pivot at or below which a Cholesky factorization of w breaks down."""
+    return _PIVOT_RTOL * float(np.real(np.trace(w))) / max(w.shape[0], 1)
+
+
+def _charge_cholesky(counter, n):
+    # sum over columns j of (n - j) * j for the update, n - j - 1 for the scale
+    if counter is not None:
+        update = (n ** 3 - n) // 6
+        counter.add("cholesky", update + n * (n - 1) // 2, update)
+
+
+def cholesky(w, counter=None):
     """Lower Cholesky factor of a Hermitian positive definite matrix.
 
-    Left-looking column algorithm.  A pivot at or below
-    pivot_rtol * trace(w) / n raises CholeskyBreakdownError carrying the
-    failing column index, which callers use as a rank-deficiency signal.
+    LAPACK factorization (numpy.linalg.cholesky).  A pivot diag(l)[j]**2 at
+    or below 1e-14 * trace(w) / n raises CholeskyBreakdownError carrying the
+    first such index j, which callers use as a rank-deficiency signal; a
+    matrix LAPACK rejects outright raises the same error, its index and
+    pivot found by cholesky_oracle.
 
     Parameters
     ----------
     w : (n, n) complex ndarray, Hermitian within 1e-12 relative.
-    counter : FlopCounter, optional.
+    counter : FlopCounter, optional
+        Charged (n^3 - n)/6 + n(n - 1)/2 multiplies, the column algorithm's
+        count.
 
     Returns
     -------
@@ -185,60 +217,97 @@ def cholesky(w, counter=None, pivot_rtol=1e-14):
         such that l @ l.conj().T reconstructs w.
     """
     _check_hermitian(w, 1e-12, "cholesky input")
+    try:
+        l = np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        # LAPACK reports no index; the loop stops at the failing pivot, and
+        # should it accept every pivot its factor stands
+        return cholesky_oracle(w, counter=counter)
+    pivots = np.diagonal(l).real ** 2
+    low = np.flatnonzero(pivots <= _pivot_floor(w))
+    if low.size:
+        raise CholeskyBreakdownError(int(low[0]), float(pivots[low[0]]))
+    _charge_cholesky(counter, w.shape[0])
+    return l
+
+
+def cholesky_oracle(w, counter=None):
+    """Lower Cholesky factor by the left-looking column loop.
+
+    Reference kernel for cholesky, with the same contract and count: a
+    pivot at or below 1e-14 * trace(w) / n raises CholeskyBreakdownError
+    at its column.
+    """
+    _check_hermitian(w, 1e-12, "cholesky input")
     n = w.shape[0]
-    trace = float(np.real(np.trace(w)))
-    floor = pivot_rtol * trace / max(n, 1)
+    floor = _pivot_floor(w)
     l = np.zeros((n, n), dtype=np.complex128)
-    mults = 0
-    adds = 0
     for j in range(n):
         col = w[j:, j] - l[j:, :j] @ l[j, :j].conj()
-        mults += (n - j) * j
-        adds += (n - j) * j
         pivot = float(col[0].real)
         if pivot <= floor:
             raise CholeskyBreakdownError(j, pivot)
         d = np.sqrt(pivot)
         l[j, j] = d
         l[j + 1:, j] = col[1:] / d
-        mults += n - j - 1
-    if counter is not None:
-        counter.add("cholesky", mults, adds)
+    _charge_cholesky(counter, n)
     return l
+
+
+def _check_trsm(y, l):
+    if y.ndim != 2 or l.ndim != 2 or l.shape[0] != l.shape[1]:
+        raise DimensionMismatchError("trsm expects (n, q) and square (q, q)")
+    if l.shape[0] != y.shape[1]:
+        raise DimensionMismatchError(
+            "trsm dimensions differ: %s vs %s" % (y.shape, l.shape))
+    zero = np.flatnonzero(np.diagonal(l) == 0)
+    if zero.size:
+        raise SingularTriangularError(int(zero[0]))
+
+
+def _charge_trsm(counter, y):
+    if counter is not None:
+        n, q = y.shape
+        counter.add("trsm", n * q * (q + 1) // 2, n * q * (q + 1) // 2)
 
 
 def trsm_right_upper_ct(y, l, counter=None):
     """Solve z @ l.conj().T = y for z, with l lower triangular.
 
     This is the orthogonalization solve of Cholesky QR: the unknown sits on
-    the left and the conjugate-transposed factor acts from the right.
+    the left and the conjugate-transposed factor acts from the right.  The
+    q x q factor is inverted by LAPACK and applied in one matrix product.
 
     Parameters
     ----------
     y : (n, q) complex ndarray.
-    l : (q, q) complex ndarray, lower triangular.
-    counter : FlopCounter, optional.
+    l : (q, q) complex ndarray, lower triangular with a nonzero diagonal;
+        a zero diagonal entry raises SingularTriangularError at its index.
+    counter : FlopCounter, optional
+        Charged n * q * (q + 1) / 2 multiplies, the substitution count.
 
     Returns
     -------
     z : (n, q) complex ndarray.
     """
-    if y.ndim != 2 or l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise DimensionMismatchError("trsm expects (n, q) and square (q, q)")
-    n, q = y.shape
-    if l.shape[0] != q:
-        raise DimensionMismatchError(
-            "trsm dimensions differ: %s vs %s" % (y.shape, l.shape))
+    _check_trsm(y, l)
+    try:
+        inv = np.linalg.inv(l)
+    except np.linalg.LinAlgError:
+        # only a factor with non-finite entries or pivots lost to
+        # under/overflow gets here; the loop divides through as it is
+        return trsm_right_upper_ct_oracle(y, l, counter=counter)
+    _charge_trsm(counter, y)
+    return np.matmul(y, inv.conj().T)
+
+
+def trsm_right_upper_ct_oracle(y, l, counter=None):
+    """trsm_right_upper_ct by column substitution: reference kernel."""
+    _check_trsm(y, l)
     z = np.zeros_like(y, dtype=np.complex128)
-    mults = 0
-    for j in range(q):
-        d = l[j, j]
-        if d == 0:
-            raise SingularTriangularError(j)
-        z[:, j] = (y[:, j] - z[:, :j] @ l[j, :j].conj()) / np.conj(d)
-        mults += n * j + n
-    if counter is not None:
-        counter.add("trsm", mults, mults)
+    for j in range(l.shape[0]):
+        z[:, j] = (y[:, j] - z[:, :j] @ l[j, :j].conj()) / np.conj(l[j, j])
+    _charge_trsm(counter, y)
     return z
 
 
@@ -327,37 +396,74 @@ def _jacobi_evd(a_in, tol, max_sweeps, counter, kernel):
     return vals[order], np.ascontiguousarray(v[:, order])
 
 
-def hermitian_evd_small(b, counter=None, tol=1e-13, max_sweeps=30):
-    """Eigendecomposition of a small Hermitian matrix by cyclic Jacobi.
+def _check_small_evd(b, name):
+    _check_hermitian(b, 1e-10, "evd input")
+    if b.shape[0] > 64:
+        raise DimensionMismatchError(
+            "%s is limited to dimension 64, got %d" % (name, b.shape[0]))
+
+
+def hermitian_evd_small(b, counter=None):
+    """Eigendecomposition of a small Hermitian matrix by LAPACK.
 
     Intended for the compressed blocks of the randomized pipeline; the
-    dimension is capped at 64.  Eigenvalues come back sorted descending,
-    eigenvectors are the matching unitary columns.
+    dimension is capped at 64.  numpy.linalg.eigh runs on the Hermitian
+    part of b.  Eigenvalues come back sorted descending, eigenvectors are
+    the matching unitary columns.
 
     Parameters
     ----------
     b : (q, q) complex ndarray, Hermitian within 1e-10 relative, q <= 64.
-    counter : FlopCounter, optional.
-    tol : float
-        Sweep convergence target on the off-diagonal Frobenius mass,
-        relative to the Frobenius norm of b.
+    counter : FlopCounter, optional
+        Charged 9 q^3 // 2 multiplies and as many additions under the
+        "jacobi_evd" tag, whatever the entries of b: half the 9 q^3 flops
+        of the symmetric QR algorithm with eigenvectors (Golub & Van Loan,
+        Matrix Computations, 4th ed., sec. 8.3.5), one multiply per
+        multiply-add as gemm counts.
 
     Returns
     -------
     (vals, vecs) : real (q,) descending and complex (q, q) unitary.
+
+    Raises
+    ------
+    JacobiConvergenceError
+        When LAPACK reports that the eigensolver did not converge.
     """
-    _check_hermitian(b, 1e-10, "evd input")
-    if b.shape[0] > 64:
-        raise DimensionMismatchError(
-            "hermitian_evd_small is limited to dimension 64, got %d" % b.shape[0])
+    _check_small_evd(b, "hermitian_evd_small")
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+    except np.linalg.LinAlgError as err:
+        raise JacobiConvergenceError("hermitian eigensolver did not converge") from err
+    if counter is not None:
+        model = 9 * b.shape[0] ** 3 // 2
+        counter.add("jacobi_evd", model, model)
+    return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
+
+
+def hermitian_evd_small_oracle(b, counter=None, tol=1e-13, max_sweeps=30):
+    """hermitian_evd_small by cyclic Jacobi: reference kernel.
+
+    Same contract, except that the counter is charged 12 q multiplies per
+    rotation performed, under the same "jacobi_evd" tag.
+
+    Parameters
+    ----------
+    tol : float
+        Sweep convergence target on the off-diagonal Frobenius mass,
+        relative to the Frobenius norm of b.
+    max_sweeps : int
+        Sweep budget; exhausting it raises JacobiConvergenceError.
+    """
+    _check_small_evd(b, "hermitian_evd_small_oracle")
     return _jacobi_evd(b, tol, max_sweeps, counter, "jacobi_evd")
 
 
 def full_evd_oracle(q_mat, counter=None, tol=1e-14, max_sweeps=30):
     """Full eigendecomposition by cyclic Jacobi, for tests and diagnostics.
 
-    Same algorithm as hermitian_evd_small but admits dimensions up to 1024
-    and runs to a tighter default tolerance.  This is the reference spectrum
+    Same algorithm as hermitian_evd_small_oracle but admits dimensions up to
+    1024 and runs to a tighter default tolerance.  This is the reference spectrum
     the randomized decomposition is judged against, so it must never share
     code with that path beyond these elementary rotations.
     """
@@ -376,7 +482,7 @@ def direct_inverse_oracle(q_mat, counter=None):
     solver tests, not part of the iterative pipeline.
     """
     n = q_mat.shape[0]
-    l = cholesky(q_mat, counter=counter)
+    l = cholesky_oracle(q_mat, counter=counter)
     eye = np.eye(n, dtype=np.complex128)
-    z = trsm_right_upper_ct(eye, l, counter=counter)
+    z = trsm_right_upper_ct_oracle(eye, l, counter=counter)
     return gemm(z, z, conj_b=True, counter=counter)

@@ -23,8 +23,7 @@ import numpy as np
 from .cholqr import RankDeficiencyError, cholesky_qr2
 from .linalg import (
     DimensionMismatchError,
-    NotHermitianError,
-    fro_norm,
+    _check_hermitian,
     gemm,
     hermitian_evd_small,
 )
@@ -104,9 +103,7 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
             "rank is limited to 64 by the small-EVD kernel, got %d" % rank)
     if power_iters < 1:
         raise ValueError("power_iters must be >= 1")
-    scale = fro_norm(a)
-    if scale > 0 and fro_norm(a - a.conj().T) > 1e-10 * scale:
-        raise NotHermitianError("randomized_evd input deviates from Hermitian")
+    _check_hermitian(a, 1e-10, "randomized_evd input")
 
     last_err = None
     for redraw in range(_MAX_REDRAWS + 1):

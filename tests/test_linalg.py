@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
+from ltbf.cholqr import RankDeficiencyError, cholesky_qr2
 from ltbf.linalg import (
     CholeskyBreakdownError,
     DimensionMismatchError,
@@ -12,13 +15,20 @@ from ltbf.linalg import (
     SingularTriangularError,
     as_cmatrix,
     cholesky,
+    cholesky_oracle,
     direct_inverse_oracle,
     fro_norm,
     full_evd_oracle,
     gemm,
     hermitian_evd_small,
+    hermitian_evd_small_oracle,
     trsm_right_upper_ct,
+    trsm_right_upper_ct_oracle,
 )
+
+EPS = np.finfo(float).eps
+PROPERTY = settings(max_examples=12, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def hermitian(n, seed, shift=0.0):
@@ -30,6 +40,20 @@ def hermitian(n, seed, shift=0.0):
 def hpd(n, seed):
     a = helpers.random_complex((n, n), seed)
     return a @ a.conj().T + np.eye(n)
+
+
+def with_spectrum(vals, seed):
+    """Exactly Hermitian matrix with the given spectrum, random eigenbasis."""
+    b, _ = helpers.synthetic_hermitian(vals, seed)
+    return 0.5 * (b + b.conj().T)
+
+
+def hpd_with_condition(q, log_cond, log_scale, seed):
+    return with_spectrum(10.0 ** log_scale * np.logspace(0.0, -log_cond, q), seed)
+
+
+hpd_draws = dict(q=st.integers(1, 64), log_cond=st.floats(0.0, 8.0),
+                 log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 31))
 
 
 class TestGemm:
@@ -181,7 +205,7 @@ class TestJacobiEVD:
     def test_rotation_counter_multiple_of_12n(self):
         n = 10
         counter = FlopCounter()
-        hermitian_evd_small(hermitian(n, 45), counter=counter)
+        hermitian_evd_small_oracle(hermitian(n, 45), counter=counter)
         mults = counter.kernel_mults("jacobi_evd")
         assert mults > 0 and mults % (12 * n) == 0
 
@@ -193,7 +217,20 @@ class TestJacobiEVD:
     def test_sweep_budget_exhaustion_raises(self):
         a = hermitian(12, 46)
         with pytest.raises(JacobiConvergenceError):
-            hermitian_evd_small(a, max_sweeps=1, tol=1e-15)
+            hermitian_evd_small_oracle(a, max_sweeps=1, tol=1e-15)
+
+    def test_nominal_count_is_fixed(self):
+        q = 12
+        for b in (hermitian(q, 47), np.diag(np.arange(q, 0.0, -1.0)).astype(complex)):
+            counter = FlopCounter()
+            hermitian_evd_small(b, counter=counter)
+            assert counter.per_kernel["jacobi_evd"] == [9 * q ** 3 // 2] * 2
+
+    def test_oracle_caps_and_checks_like_production(self):
+        with pytest.raises(DimensionMismatchError):
+            hermitian_evd_small_oracle(np.eye(65, dtype=np.complex128))
+        with pytest.raises(NotHermitianError):
+            hermitian_evd_small_oracle(helpers.random_complex((8, 8), 48) + 10.0)
 
 
 class TestDirectInverseOracle:
@@ -205,3 +242,145 @@ class TestDirectInverseOracle:
     def test_matches_library_inverse(self):
         q = hpd(9, 51)
         assert fro_norm(direct_inverse_oracle(q) - np.linalg.inv(q)) <= 1e-10
+
+
+class TestOracleKernels:
+    """The loop kernels keep the contracts their production twins hold."""
+
+    def test_cholesky_oracle_breakdown_index(self):
+        v = helpers.random_complex((5, 1), 22)
+        with pytest.raises(CholeskyBreakdownError) as exc:
+            cholesky_oracle(v @ v.conj().T)
+        assert exc.value.index == 1
+
+    def test_trsm_oracle_zero_diagonal(self):
+        l = np.eye(4, dtype=np.complex128)
+        l[1, 1] = 0.0
+        with pytest.raises(SingularTriangularError) as exc:
+            trsm_right_upper_ct_oracle(helpers.random_complex((3, 4), 37), l)
+        assert exc.value.index == 1
+
+    def test_counts_equal_production(self):
+        w, y = hpd(9, 38), helpers.random_complex((20, 9), 39)
+        fast, slow = FlopCounter(), FlopCounter()
+        trsm_right_upper_ct(y, cholesky(w, counter=fast), counter=fast)
+        trsm_right_upper_ct_oracle(y, cholesky_oracle(w, counter=slow), counter=slow)
+        assert fast.per_kernel == slow.per_kernel
+
+
+class TestDualRoute:
+    """Each LAPACK kernel against its loop oracle on random inputs.
+
+    Tolerances scale with the conditioning the factor inherits: a q x q
+    HPD matrix of condition kappa has a Cholesky factor of condition
+    sqrt(kappa), and the two routes round differently.
+    """
+
+    @PROPERTY
+    @given(**hpd_draws)
+    def test_cholesky_factor_matches_oracle(self, q, log_cond, log_scale, seed):
+        w = hpd_with_condition(q, log_cond, log_scale, seed)
+        l, lo = cholesky(w), cholesky_oracle(w)
+        assert np.array_equal(np.tril(l), l)
+        assert np.all(np.diagonal(l).imag == 0.0)
+        assert fro_norm(l - lo) <= q * EPS * 10.0 ** (log_cond / 2) * fro_norm(lo)
+        assert fro_norm(l @ l.conj().T - w) <= 4 * q * EPS * fro_norm(w)
+
+    @PROPERTY
+    @given(rows=st.integers(0, 200), **hpd_draws)
+    def test_trsm_matches_oracle(self, rows, q, log_cond, log_scale, seed):
+        l = cholesky_oracle(hpd_with_condition(q, log_cond, log_scale, seed))
+        y = helpers.random_complex((q + rows, q), seed + 1)
+        z, zo = trsm_right_upper_ct(y, l), trsm_right_upper_ct_oracle(y, l)
+        assert fro_norm(z - zo) <= q * EPS * 10.0 ** (log_cond / 2) * fro_norm(zo)
+
+    @PROPERTY
+    @given(**hpd_draws)
+    def test_eigenvalues_match_oracle(self, q, log_cond, log_scale, seed):
+        b = hpd_with_condition(q, log_cond, log_scale, seed)
+        vals, vecs = hermitian_evd_small(b)
+        vals_o, _ = hermitian_evd_small_oracle(b)
+        assert np.max(np.abs(vals - vals_o)) <= 1e-12 * fro_norm(b)
+        assert fro_norm(vecs.conj().T @ vecs - np.eye(q)) <= 4 * q * EPS
+
+    @PROPERTY
+    @given(sizes=st.lists(st.integers(1, 16), min_size=1, max_size=6).filter(
+        lambda m: sum(m) <= 64), log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2 ** 31))
+    def test_cluster_projectors_match_oracle(self, sizes, log_scale, seed):
+        # eigenvector phases differ between LAPACK and Jacobi, and inside a
+        # cluster so does the basis, but the projector onto each cluster
+        # is unique; clusters sit at k, k - 1, ..., 1 with 1e-6 jitter
+        rng = np.random.default_rng(seed)
+        centers = np.repeat(np.arange(len(sizes), 0.0, -1.0), sizes)
+        jitter = 1.0 + 1e-6 * rng.uniform(-1.0, 1.0, centers.size)
+        b = with_spectrum(10.0 ** log_scale * centers * jitter, seed)
+        gap = 10.0 ** log_scale * (1.0 - 2e-6)
+        (_, vecs), (_, vecs_o) = hermitian_evd_small(b), hermitian_evd_small_oracle(b)
+        edges = np.cumsum([0] + sizes)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            p, po = vecs[:, lo:hi], vecs_o[:, lo:hi]
+            diff = p @ p.conj().T - po @ po.conj().T
+            assert fro_norm(diff) <= 1e-12 * fro_norm(b) / gap
+
+
+class TestEdgeCases:
+    def test_pivot_below_floor_that_lapack_accepts(self):
+        w = np.diag([1.0, 1e-17, 1.0, 1e-18]).astype(np.complex128)
+        assert np.all(np.diagonal(np.linalg.cholesky(w)).real > 0.0)
+        with pytest.raises(CholeskyBreakdownError) as exc:
+            cholesky(w)
+        assert exc.value.index == 1
+        assert exc.value.pivot == pytest.approx(1e-17)
+
+    def test_lapack_rejection_reports_the_oracle_index(self):
+        w = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
+        with pytest.raises(CholeskyBreakdownError) as exc:
+            cholesky(w)
+        assert (exc.value.index, exc.value.pivot) == (1, -3.0)
+        with pytest.raises(CholeskyBreakdownError) as exc:
+            cholesky(np.zeros((3, 3), dtype=np.complex128))
+        assert exc.value.index == 0
+
+    @pytest.mark.parametrize("seed", [22, 90, 91])
+    def test_rank_one_gram_breaks_at_index_one(self, seed):
+        v = helpers.random_complex((6, 1), seed)
+        with pytest.raises(CholeskyBreakdownError) as exc:
+            cholesky(v @ v.conj().T)
+        assert exc.value.index == 1
+
+    def test_dependent_columns_reach_rank_deficiency(self):
+        a = helpers.random_complex((24, 5), 92)
+        a[:, 4] = 2.0 * a[:, 1] - a[:, 2]
+        with pytest.raises(RankDeficiencyError):
+            cholesky_qr2(a)
+
+    def test_nonfinite_factor_does_not_leak_linalg_error(self):
+        l = np.eye(3, dtype=np.complex128)
+        l[2, 0] = np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(l)
+        with np.errstate(all="ignore"):
+            z = trsm_right_upper_ct(helpers.random_complex((4, 3), 93), l)
+        assert z.shape == (4, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 8), seed=st.integers(0, 2 ** 31),
+           special=st.sampled_from([0.0, 1e-300, 1e300, np.inf, np.nan]),
+           rank=st.integers(0, 8))
+    def test_no_linalg_error_escapes(self, q, seed, special, rank):
+        # low rank, indefinite, tiny, huge and non-finite inputs meet only
+        # the documented errors; float warnings are expected on these
+        v = helpers.random_complex((q, min(rank, q)), seed)
+        signs = np.where(np.arange(v.shape[1]) % 2, -1.0, 1.0)
+        w = (v * signs) @ v.conj().T
+        w[0, 0] = special
+        documented = (CholeskyBreakdownError, NotHermitianError,
+                      SingularTriangularError, JacobiConvergenceError)
+        for kernel in (cholesky, hermitian_evd_small,
+                       lambda m: trsm_right_upper_ct(np.ones((2, q)), np.tril(m))):
+            try:
+                with np.errstate(all="ignore"):
+                    kernel(w)
+            except documented:
+                pass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
+from ltbf import cholqr, linalg, randevd
 from ltbf.cholqr import RankDeficiencyError
 from ltbf.linalg import (DimensionMismatchError, FlopCounter, NotHermitianError,
                          fro_norm, full_evd_oracle)
@@ -192,3 +193,29 @@ class TestFailureModes:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             randomized_evd(np.ones((4, 5), dtype=complex), 2, 1, seed=1)
+
+
+class TestProductionKernels:
+    """The sketch runs on the LAPACK kernels, never on their loop oracles."""
+
+    def sketch(self):
+        a, _, _ = clustered_matrix(48, np.linspace(30.0, 2.0, 16), 140)
+        return randomized_evd(a, 16, 4, seed=141, shift=0.9)
+
+    def test_sketch_reaches_no_loop_oracle(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sketch reached a loop oracle")
+        for name in ("cholesky_oracle", "trsm_right_upper_ct_oracle", "_jacobi_evd"):
+            monkeypatch.setattr(linalg, name, forbidden)
+        assert np.all(np.isfinite(self.sketch().eigvals))
+
+    def test_matches_sketch_on_oracle_kernels(self, monkeypatch):
+        res = self.sketch()
+        monkeypatch.setattr(cholqr, "cholesky", linalg.cholesky_oracle)
+        monkeypatch.setattr(cholqr, "trsm_right_upper_ct",
+                            linalg.trsm_right_upper_ct_oracle)
+        monkeypatch.setattr(randevd, "hermitian_evd_small",
+                            linalg.hermitian_evd_small_oracle)
+        ref = self.sketch()
+        assert np.max(np.abs(res.eigvals - ref.eigvals)) <= 1e-12 * ref.eigvals[0]
+        assert np.max(helpers.principal_angles(res.eigvecs, ref.eigvecs)) <= 1e-8
