@@ -45,7 +45,7 @@ def main():
           % (vals[-1] / vals[0], clustered, len(vals), edge))
 
     operator = build_operator(cfg.side)
-    system_beam = to_beamspace(operator, system, method="fft")
+    system_beam = to_beamspace(operator, system)
     print("beamspace sparsity %.2f vs antenna %.2f (threshold 0.005)"
           % (sparsity_ratio(system_beam.matrix),
              sparsity_ratio(system.matrix)))

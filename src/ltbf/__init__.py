@@ -6,14 +6,16 @@ system matrix Q = I + sum_i alpha_i * Rbar_i:
 
 - linalg: dense complex kernels on BLAS/LAPACK with operation counting,
   plus the loop oracles they are tested against (cyclic Jacobi EVD, column
-  Cholesky, substitution, direct Cholesky inverse).
+  Cholesky, substitution, direct Cholesky inverse), which the pipeline
+  does not call.
 - cholqr: CholeskyQR2 orthogonalization of tall-skinny blocks.
 - randevd: randomized low-rank eigendecomposition by power iteration.
 - precond: the Woodbury-form low-rank preconditioner built from it.
 - cg: the block conjugate-gradient inverse solver.
-- beamspace: the 2-D DFT similarity transform and sparsity metrics.
+- beamspace: the 2-D DFT similarity transform, by FFT, and sparsity
+  metrics.
 - scenario: synthetic channel/covariance generation and file I/O.
-- evaluation: post-beamforming SINR, capacity and bound checks.
+- evaluation: batched post-combining SINR, capacity and bound checks.
 - cli: the gen/invert/sweep/report command-line front end.
 """
 

@@ -34,6 +34,9 @@ needs a true residual forms it with residual_norm; a run at tolerance
 eps without a hook stops at the first iterate where the recorded value
 and then the true residual are below eps.  X is rebound to a fresh array
 every iteration, so the hook may keep a reference to it without copying.
+
+residual_history is the only per-iteration record a run keeps;
+write_trajectory dumps it as the residual trace.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "NumericalBreakdownError",
     "cg_inverse",
     "residual_norm",
-    "iteration_bound_estimate",
     "write_trajectory",
 ]
 
@@ -72,14 +74,10 @@ class CGConfig:
     max_iters : hard iteration budget, 0 <= max_iters <= 10 * N.
     epsilon : stopping threshold on ||Q X - I||_F / sqrt(N), in (0, 1); a
         run stops on it only when the true residual is below it.
-    record_trajectory : additionally keep per-iteration alpha snapshots
-        (one per iteration) and beta snapshots (one per iteration
-        transition, so one fewer) on the state for diagnostics.
     """
 
     max_iters: int
     epsilon: float
-    record_trajectory: bool = False
 
 
 @dataclass
@@ -96,8 +94,6 @@ class CGState:
     iterations: int
     residual_history: list = field(default_factory=list)
     frozen: np.ndarray | None = None
-    alpha_history: list | None = None
-    beta_history: list | None = None
 
 
 def _colwise_dot(a, b, counter):
@@ -169,8 +165,6 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     alpha = np.zeros(n, dtype=np.complex128)
     beta = np.zeros(n, dtype=np.complex128)
     history = []
-    alpha_hist = [] if config.record_trajectory else None
-    beta_hist = [] if config.record_trajectory else None
     s = None
     t = None  # true residual I - Q X, formed only when needed
     iterations = 0
@@ -196,8 +190,6 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         if not (np.isfinite(estimate) and np.isfinite(res)
                 and np.all(np.isfinite(alpha))):
             raise NumericalBreakdownError(iterations, "(residual %r)" % res)
-        if config.record_trajectory:
-            alpha_hist.append(alpha.copy())
         stop = on_iteration is not None and bool(on_iteration(iterations, x, res))
         if stop and not (passed or last):
             t, history[-1] = _true_residual(q, x, eye, t, counter)
@@ -214,8 +206,6 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         frozen |= np.abs(rz) < _FREEZE_EPS
         denom = np.where(frozen, 1.0, rz)
         beta = np.where(frozen, 0.0, rz_new / denom)
-        if config.record_trajectory:
-            beta_hist.append(beta.copy())
         if np.any(frozen):
             z = np.where(frozen[None, :], 0.0, z)
         p *= beta[None, :]
@@ -224,10 +214,9 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             counter.add("col_scale", n * n, n * n)
         rz = rz_new
 
-    state = CGState(x=x, r=r, z=z, p=p, s=s, alpha=alpha, beta=beta,
-                    iterations=iterations, residual_history=history,
-                    frozen=frozen, alpha_history=alpha_hist, beta_history=beta_hist)
-    return state
+    return CGState(x=x, r=r, z=z, p=p, s=s, alpha=alpha, beta=beta,
+                   iterations=iterations, residual_history=history,
+                   frozen=frozen)
 
 
 def residual_norm(system, x, counter=None):
@@ -235,19 +224,6 @@ def residual_norm(system, x, counter=None):
     q = system.matrix
     eye = np.eye(q.shape[0], dtype=np.complex128)
     return _true_residual(q, x, eye, None, counter)[1]
-
-
-def iteration_bound_estimate(kappa, epsilon):
-    """Classic CG iteration estimate sqrt(kappa) * ln(2/epsilon) / 2.
-
-    A planning aid only; clustered spectra converge much faster than this
-    worst-case figure suggests.
-    """
-    if kappa < 1.0:
-        raise ValueError("condition number must be >= 1, got %g" % kappa)
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1), got %g" % epsilon)
-    return float(np.sqrt(kappa) * np.log(2.0 / epsilon) / 2.0)
 
 
 def write_trajectory(path, state, config_id):

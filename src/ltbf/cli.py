@@ -38,8 +38,7 @@ from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
                          sinr_cdf, write_bound_csv, write_capacity_csv,
                          write_cdf_csv, write_csv)
 from .linalg import (CholeskyBreakdownError, FlopCounter,
-                     JacobiConvergenceError, SingularTriangularError,
-                     direct_inverse_oracle)
+                     JacobiConvergenceError, SingularTriangularError, fro_norm)
 from .precond import InvalidSpectrumError, build_preconditioner
 from .scenario import (ConfigError, FileFormatError, assemble_q,
                        generate_scenario, load_scenario, read_config_file,
@@ -79,6 +78,9 @@ _DEFAULT_SETUPS = (
     SolverSetup("beamspace_plain", "beamspace", "none"),
     SolverSetup("beamspace_precond", "beamspace", "lowrank"),
 )
+
+# the sweep's loose solves for bound.csv
+_BOUND_SETUP = SolverSetup("bound_probe", "antenna", "lowrank")
 
 
 def read_sweep_configs(path):
@@ -150,7 +152,7 @@ def _cmd_gen(args):
 def _build_pipeline(system_ant, setup, seed, operator, counter=None):
     """(system in the working domain, preconditioner or None)."""
     if setup.domain == "beamspace":
-        system = to_beamspace(operator, system_ant, method="fft")
+        system = to_beamspace(operator, system_ant)
     else:
         system = system_ant
     precond = None
@@ -165,6 +167,16 @@ def _check_eps(eps):
         raise ConfigError("--eps must lie in (0, 1), got %r" % eps)
 
 
+def _check_sketch(q, p, n, where=""):
+    """Sketch rank q in [1, min(64, N)] and power iterations p >= 1."""
+    if not 1 <= q <= min(64, n):
+        raise ConfigError("%ssketch rank q must lie in [1, %d], got %d"
+                          % (where, min(64, n), q))
+    if p < 1:
+        raise ConfigError("%spower iteration count p must be >= 1, got %d"
+                          % (where, p))
+
+
 def _check_iterations(what, count, n):
     if not 0 <= count <= 10 * n:
         raise ConfigError("%s must lie in [0, %d] (10N), got %d"
@@ -173,11 +185,7 @@ def _check_iterations(what, count, n):
 
 def _cmd_invert(args):
     cfg, stats, _ = load_scenario(args.scenario)
-    if not (1 <= args.q <= min(64, cfg.n_antennas)):
-        raise ConfigError("sketch rank q must lie in [1, %d], got %d"
-                          % (min(64, cfg.n_antennas), args.q))
-    if args.p < 1:
-        raise ConfigError("power iteration count p must be >= 1, got %d" % args.p)
+    _check_sketch(args.q, args.p, cfg.n_antennas)
     _check_eps(args.eps)
     if args.max_iters is not None:
         _check_iterations("--max-iters", args.max_iters, cfg.n_antennas)
@@ -190,18 +198,20 @@ def _cmd_invert(args):
                                       counter=counter)
     n = system.matrix.shape[0]
     max_iters = args.max_iters if args.max_iters is not None else 10 * n
-    cg_cfg = CGConfig(max_iters=max_iters, epsilon=args.eps,
-                      record_trajectory=bool(args.trace))
-    state = cg_inverse(system, preconditioner=precond, config=cg_cfg,
+    state = cg_inverse(system, preconditioner=precond,
+                       config=CGConfig(max_iters=max_iters, epsilon=args.eps),
                        counter=counter)
     x = state.x
     if setup.domain == "beamspace":
-        x = from_beamspace(operator, x, method="fft")
+        x = from_beamspace(operator, x)
     out_path = args.out if args.out else args.scenario + ".inv"
     save_matrix(out_path, x)
     if args.trace:
         write_trajectory(args.trace, state, "%s_%s" % (args.domain, args.precond))
-    residual = state.residual_history[-1] if state.residual_history else float("nan")
+    # without iterations the final iterate is X = 0, whose true residual I
+    # is still in state.r
+    residual = (state.residual_history[-1] if state.residual_history
+                else float(fro_norm(state.r) / np.sqrt(n)))
     print("out=%s" % out_path)
     print("domain=%s" % setup.domain)
     print("precond=%s" % setup.precond)
@@ -249,7 +259,7 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
         return scenario_gammas(stats, channels, x, cfg.noise_psd,
                                projectors=projectors)
 
-    gam_exact = gammas(direct_inverse_oracle(system_ant.matrix))
+    gam_exact = gammas(np.linalg.inv(system_ant.matrix))
 
     capacity_rows = []
     cdf_rows = []
@@ -258,7 +268,7 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
         system, precond = _build_pipeline(system_ant, setup, cfg.seed, operator)
         transform = None
         if setup.domain == "beamspace":
-            transform = lambda xb: from_beamspace(operator, xb, method="fft")
+            transform = lambda xb: from_beamspace(operator, xb)
         # one run serves the budgets and the converged solve of the CDF
         rows, converged = capacity_vs_iterations(
             system, stats, channels, cfg.noise_psd, budgets,
@@ -278,8 +288,8 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
 
     # bound rows come from deliberately loose solves at the probe tolerances
     bound_rows = []
-    bound_setup = SolverSetup("bound_probe", "antenna", "lowrank")
-    system, precond = _build_pipeline(system_ant, bound_setup, cfg.seed, operator)
+    system, precond = _build_pipeline(system_ant, _BOUND_SETUP, cfg.seed,
+                                      operator)
     for x_loose in _first_iterates_below(system, precond, _BOUND_EPSILONS):
         _, spec = inverse_error(system_ant, x_loose)
         gam = gammas(x_loose)
@@ -294,7 +304,7 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     sparsity_rows = [
         ("antenna", 0.005, sparsity_ratio(system_ant.matrix)),
         ("beamspace", 0.005,
-         sparsity_ratio(to_beamspace(operator, system_ant, method="fft").matrix))]
+         sparsity_ratio(to_beamspace(operator, system_ant).matrix))]
     return capacity_rows, cdf_rows, bound_rows, meta_rows, sparsity_rows
 
 
@@ -307,6 +317,8 @@ def _cmd_sweep(args):
         raise ConfigError("--iters must be a comma list of integers, got %r"
                           % args.iters) from err
     n = cfg.n_antennas
+    for setup in setups + [_BOUND_SETUP]:
+        _check_sketch(setup.q, setup.p, n, "config %s: " % setup.name)
     for budget in budgets:
         _check_iterations("iteration budget", budget, n)
     _check_eps(args.eps)

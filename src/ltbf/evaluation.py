@@ -10,11 +10,11 @@ scenario_gammas scores all users in one batched pass: the users' bases
 are stacked into one block, so every front-end, channel projection,
 reduced covariance and solve is a GEMM or a batched matmul over users and
 subcarriers rather than a per-user loop.  That layout needs every user's
-basis to have the same rank; mixed ranks are rejected.  A
-full-dimension MMSE receiver with the same statistics serves as the
-upper baseline, and a direct signal-over-interference quotient for a
-single resource element is kept as an independent cross-check of the
-batched path.
+basis to have the same rank; mixed ranks are rejected.  The module holds
+only this production path; the references it is tested against (a
+full-dimension MMSE receiver as the upper baseline, a per-element
+beamformed signal-over-interference quotient and a per-user einsum route)
+live in the test suite's helpers.
 
 Degradation under an inexact inverse is compared against the algebraic
 guarantee rhs = gamma0 * (1-eps)^2 / ((1+eps)^2 + 4*eps*mean(gamma0)),
@@ -34,15 +34,11 @@ __all__ = [
     "build_projectors",
     "inverse_error",
     "scenario_gammas",
-    "mmse_baseline_sinr",
-    "post_beamforming_sinr",
     "BoundCheck",
     "check_sinr_bound",
     "capacity",
     "capacity_vs_iterations",
     "sinr_cdf",
-    "SINRReport",
-    "make_report",
     "write_capacity_csv",
     "write_cdf_csv",
     "write_bound_csv",
@@ -91,11 +87,6 @@ def inverse_error(system, x):
     fro = float(np.linalg.norm(resid)) / np.sqrt(n)
     spec = float(np.linalg.norm(resid, 2))
     return fro, spec
-
-
-def _stacked_channels(channels):
-    # (subcarriers, N, n_ue * n_streams), user-major column order
-    return np.concatenate([ch.h for ch in channels], axis=2)
 
 
 def _stream_energies(stats, n_streams):
@@ -166,49 +157,6 @@ def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
     eu = np.clip(own_energy[:, None, None] * u, 0.0, 1.0 - 1e-15)
     gammas[active] = eu / (1.0 - eu)
     return gammas
-
-
-def mmse_baseline_sinr(stats, channels, noise_psd):
-    """Stream SINR of the unreduced MMSE receiver, the upper reference.
-
-    Works on the full N-dimensional observation with exact statistics, so
-    it upper-bounds the projected receiver for every stream.
-    """
-    n_ue = len(stats)
-    n_streams = channels[0].h.shape[2]
-    k_sc, n, _ = channels[0].h.shape
-    big_h = _stacked_channels(channels)
-    energies = _stream_energies(stats, n_streams)
-    t_mat = noise_psd * np.eye(n, dtype=np.complex128)[None, :, :] + np.einsum(
-        "knm,m,kpm->knp", big_h, energies, big_h.conj())
-    sol = np.linalg.solve(t_mat, big_h)
-    u = np.real(np.einsum("knm,knm->km", big_h.conj(), sol))
-    eu = np.clip(energies[None, :] * u, 0.0, 1.0 - 1e-15)
-    gam = eu / (1.0 - eu)
-    return np.ascontiguousarray(gam.reshape(k_sc, n_ue, n_streams).transpose(1, 0, 2))
-
-
-def post_beamforming_sinr(g_target, g_others, energy_target, energies_others,
-                          noise_cov):
-    """Single-element SINR from the explicit beamformed quotient.
-
-    Forms the MMSE beamformer for one stream and evaluates signal power
-    over interference-plus-noise power term by term.  Independent of the
-    solve-based identity used in scenario_gammas, hence usable to verify
-    it.
-    """
-    g_target = np.asarray(g_target).reshape(-1)
-    g_others = np.asarray(g_others)
-    t_mat = np.asarray(noise_cov, dtype=np.complex128).copy()
-    t_mat += energy_target * np.outer(g_target, g_target.conj())
-    for e_j, g_j in zip(energies_others, g_others.T):
-        t_mat += e_j * np.outer(g_j, g_j.conj())
-    w = np.linalg.solve(t_mat, g_target)
-    signal = energy_target * np.abs(w.conj() @ g_target) ** 2
-    interference = float(np.real(w.conj() @ noise_cov @ w))
-    for e_j, g_j in zip(energies_others, g_others.T):
-        interference += e_j * np.abs(w.conj() @ g_j) ** 2
-    return float(signal / interference)
 
 
 @dataclass
@@ -362,29 +310,6 @@ def sinr_cdf(gammas):
     flat = np.maximum(flat, 1e-30)  # log of a hard zero
     probs = np.arange(1, flat.size + 1) / flat.size
     return 10.0 * np.log10(flat), probs
-
-
-@dataclass
-class SINRReport:
-    """Headline numbers of one evaluated scenario."""
-
-    capacity_bits: float
-    per_user_mean_db: list
-    worst_db: float
-    best_db: float
-    n_points: int
-
-
-def make_report(gammas):
-    g = np.asarray(gammas, dtype=float)
-    safe = np.maximum(g, 1e-30)
-    per_user = [float(10.0 * np.log10(np.mean(safe[i])))
-                for i in range(g.shape[0])]
-    return SINRReport(capacity_bits=capacity(g),
-                      per_user_mean_db=per_user,
-                      worst_db=float(10.0 * np.log10(np.min(safe))),
-                      best_db=float(10.0 * np.log10(np.max(safe))),
-                      n_points=int(g.size))
 
 
 def write_csv(path, header, rows):

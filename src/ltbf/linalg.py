@@ -18,7 +18,8 @@ production kernel is tested against, with the same contracts;
 full_evd_oracle (cyclic Jacobi up to dimension 1024) and
 direct_inverse_oracle (loop Cholesky and substitution against the identity)
 use only those loops, so they stay independent of the randomized pipeline
-they are used to check.  Two rare paths run the other way: when LAPACK
+they are used to check.  The pipeline itself reaches no oracle (the sweep's
+exact reference is np.linalg.inv) except on two rare paths: when LAPACK
 rejects a Cholesky outright, cholesky asks cholesky_oracle for the failing
 index, and a triangular factor LAPACK cannot invert (non-finite entries)
 goes through trsm_right_upper_ct_oracle.
@@ -479,7 +480,7 @@ def direct_inverse_oracle(q_mat, counter=None):
 
     Cholesky followed by a triangular solve against the identity; the
     inverse is assembled as z z^H with z = l^{-H}.  Reference path for
-    solver tests, not part of the iterative pipeline.
+    solver tests and demos, not part of the pipeline.
     """
     n = q_mat.shape[0]
     l = cholesky_oracle(q_mat, counter=counter)

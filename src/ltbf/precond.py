@@ -77,18 +77,6 @@ class LowRankPreconditioner:
                         2 * rank * n * m + n * m)
         return out
 
-    def explicit_matrix(self):
-        """Dense preconditioner matrix, for tests and diagnostics only."""
-        n = self.eigvecs.shape[0]
-        return (np.eye(n, dtype=np.complex128) / self.sigma2
-                - (self.eigvecs * self.weights) @ self.eigvecs.conj().T)
-
-    def surrogate_matrix(self):
-        """Dense low-rank surrogate qhat, for tests and diagnostics only."""
-        n = self.eigvecs.shape[0]
-        return (self.sigma2 * np.eye(n, dtype=np.complex128)
-                + (self.eigvecs * (self.eigvals - self.sigma2)) @ self.eigvecs.conj().T)
-
 
 def from_eigenpairs(eigvecs, eigvals, sigma2):
     """Wrap already-known eigenpairs without sketching.

@@ -3,8 +3,11 @@
 Everything here is deliberately independent of the package's own kernels:
 the matrix product is three explicit loops, orthonormalization is modified
 Gram-Schmidt, and subspace distances go through the cross-Gram singular
-values.  Tests compare package output against these, never the other way
-around.
+values.  The receiver references (full-dimension MMSE baseline, explicit
+beamformed quotient, per-user einsum SINRs) and the dense matrices behind
+the implicit preconditioner live here too, since the package itself only
+runs the batched and implicit paths.  Tests compare package output against
+these, never the other way around.
 """
 
 import csv
@@ -155,6 +158,69 @@ def lagging_estimate_case(system):
     raise AssertionError("the estimate never lags the true residual")
 
 
+def _stacked_channels(channels):
+    # (subcarriers, N, n_ue * n_streams), user-major column order
+    return np.concatenate([ch.h for ch in channels], axis=2)
+
+
+def mmse_baseline_sinr(stats, channels, noise_psd):
+    """Stream SINR of the unreduced MMSE receiver, the upper reference.
+
+    Works on the full N-dimensional observation with exact statistics, so
+    it upper-bounds the projected receiver for every stream.
+    """
+    n_ue = len(stats)
+    n_streams = channels[0].h.shape[2]
+    k_sc, n, _ = channels[0].h.shape
+    big_h = _stacked_channels(channels)
+    energies = np.repeat([st.symbol_energy for st in stats], n_streams)
+    t_mat = noise_psd * np.eye(n, dtype=np.complex128)[None, :, :] + np.einsum(
+        "knm,m,kpm->knp", big_h, energies, big_h.conj())
+    sol = np.linalg.solve(t_mat, big_h)
+    u = np.real(np.einsum("knm,knm->km", big_h.conj(), sol))
+    eu = np.clip(energies[None, :] * u, 0.0, 1.0 - 1e-15)
+    gam = eu / (1.0 - eu)
+    return np.ascontiguousarray(gam.reshape(k_sc, n_ue, n_streams).transpose(1, 0, 2))
+
+
+def post_beamforming_sinr(g_target, g_others, energy_target, energies_others,
+                          noise_cov):
+    """Single-element SINR from the explicit beamformed quotient.
+
+    Forms the MMSE beamformer for one stream and evaluates signal power
+    over interference-plus-noise power term by term.  Independent of the
+    solve-based identity used in scenario_gammas, hence usable to verify
+    it.
+    """
+    g_target = np.asarray(g_target).reshape(-1)
+    g_others = np.asarray(g_others)
+    t_mat = np.asarray(noise_cov, dtype=np.complex128).copy()
+    t_mat += energy_target * np.outer(g_target, g_target.conj())
+    for e_j, g_j in zip(energies_others, g_others.T):
+        t_mat += e_j * np.outer(g_j, g_j.conj())
+    w = np.linalg.solve(t_mat, g_target)
+    signal = energy_target * np.abs(w.conj() @ g_target) ** 2
+    interference = float(np.real(w.conj() @ noise_cov @ w))
+    for e_j, g_j in zip(energies_others, g_others.T):
+        interference += e_j * np.abs(w.conj() @ g_j) ** 2
+    return float(signal / interference)
+
+
+def explicit_matrix(precond):
+    """Dense matrix of a LowRankPreconditioner's implicit apply()."""
+    n = precond.eigvecs.shape[0]
+    return (np.eye(n, dtype=np.complex128) / precond.sigma2
+            - (precond.eigvecs * precond.weights) @ precond.eigvecs.conj().T)
+
+
+def surrogate_matrix(precond):
+    """Dense low-rank surrogate qhat that a LowRankPreconditioner inverts."""
+    n = precond.eigvecs.shape[0]
+    return (precond.sigma2 * np.eye(n, dtype=np.complex128)
+            + (precond.eigvecs * (precond.eigvals - precond.sigma2))
+            @ precond.eigvecs.conj().T)
+
+
 def einsum_gammas_oracle(stats, channels, x, noise_psd, rank=4, projectors=None):
     """Stream SINRs of scenario_gammas, one user at a time through einsum.
 
@@ -165,7 +231,7 @@ def einsum_gammas_oracle(stats, channels, x, noise_psd, rank=4, projectors=None)
     """
     n_ue = len(stats)
     k_sc, _, n_streams = channels[0].h.shape
-    big_h = np.concatenate([ch.h for ch in channels], axis=2)
+    big_h = _stacked_channels(channels)
     energies = np.repeat([st.symbol_energy for st in stats], n_streams)
     gammas = np.zeros((n_ue, k_sc, n_streams))
     if projectors is None:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import helpers
+import ltbf
 import ltbf.cli as cli
 import ltbf.evaluation as evaluation
-from ltbf.beamspace import build_operator, from_beamspace
+from ltbf.beamspace import BeamspaceOperator, build_operator, from_beamspace
 from ltbf.cg import CGConfig, NumericalBreakdownError, cg_inverse
 from ltbf.evaluation import (build_projectors, capacity, check_sinr_bound,
                              inverse_error)
@@ -216,6 +217,22 @@ class TestInvert:
         resid = np.linalg.norm(system.matrix @ load_matrix(out) - np.eye(16))
         assert resid / 4.0 < 1e-6
 
+    def test_zero_budget_reports_true_residual_of_zero_iterate(
+            self, capsys, tmp_path, quiet_scenario):
+        trace = str(tmp_path / "trace.csv")
+        out = str(tmp_path / "x.inv")
+        rc, stdout, _ = run_capture(capsys, ["invert", quiet_scenario,
+                                             "--max-iters", "0",
+                                             "--trace", trace, "--out", out])
+        assert rc == 0
+        fields = stdout_fields(stdout)
+        assert fields["iterations"] == "0"
+        # X = 0 leaves the residual I, of scaled norm exactly 1
+        assert float(fields["residual"]) == 1.0
+        assert fields["warning"].startswith("target 1e-06 not reached")
+        assert not np.any(load_matrix(out))
+        assert open(trace).read() == "iter,residual,config_id\n"
+
     @pytest.mark.parametrize("flags", [["--q", "0"], ["--q", "65"],
                                        ["--p", "0"]])
     def test_sketch_parameters_validated(self, capsys, mid_scenario, flags):
@@ -378,6 +395,21 @@ class TestSweep:
                 low, high = interval(eps)
                 assert np.all((low <= gam) & (gam <= high)), row
         exact_db = np.sort(10.0 * np.log10(g0.reshape(-1)))
+        # the sweep scores its exact reference with a LAPACK inverse; its
+        # cdf.csv rows and every bound_rhs match the loop oracle's scores
+        swept_exact = np.array([float(r["gamma_db"]) for r in tables["cdf.csv"]
+                                if r["config_id"] == "exact"])
+        np.testing.assert_allclose(10.0 ** (swept_exact / 10.0),
+                                   np.sort(g0.reshape(-1)), rtol=1e-12, atol=0.0)
+        bound_rows = tables["bound.csv"]
+        assert bound_rows and len(bound_rows) % g0.size == 0
+        for start in range(0, len(bound_rows), g0.size):
+            probe = bound_rows[start:start + g0.size]
+            assert len({r["epsilon"] for r in probe}) == 1
+            rhs = check_sinr_bound(g0, g0, float(probe[0]["epsilon"])).rhs
+            # rows run user by user over each user's flattened elements
+            np.testing.assert_allclose([float(r["bound_rhs"]) for r in probe],
+                                       rhs.reshape(-1), rtol=1e-12, atol=0.0)
         for row in tables["run_meta.csv"]:
             fro = float(row["residual_fro"])
             eps = float(row["residual_spectral"])
@@ -408,6 +440,19 @@ class TestSweep:
             alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                        epsilon=target))
             assert np.array_equal(x, alone.x), target
+
+    def test_array_below_bound_probe_rank_is_config_error(self, capsys,
+                                                          tmp_path):
+        # N = 4 admits the config line, not the q = 8 sketch of the
+        # built-in bound probe
+        cfg = write_config(tmp_path / "tiny.cfg", "side = 2\nsubcarriers = 16\n")
+        scen = str(tmp_path / "tiny.bslv")
+        assert cli.run(["gen", cfg, scen]) == 0
+        configs = write_config(tmp_path / "plain.cfg", "a precond=none q=4\n")
+        rc, _, stderr = run_capture(capsys, ["sweep", scen, "--configs", configs,
+                                             "--iters", "2",
+                                             "--out-dir", str(tmp_path / "r")])
+        assert rc == 2 and "bound_probe" in stderr
 
     def test_bad_config_entries_rejected(self, capsys, tmp_path, mid_scenario):
         bad_domain = write_config(tmp_path / "bad1.cfg", "a domain=fourier\n")
@@ -497,6 +542,14 @@ _EXIT_CASES = [
     ("sweep-eval-rank-0", ["sweep", "{quiet}", "--eval-rank", "0",
                            "--out-dir", "{tmp}/r"], 2),
     ("sweep-eps-2", ["sweep", "{quiet}", "--eps", "2", "--out-dir", "{tmp}/r"], 2),
+    ("sweep-config-q-0", ["sweep", "{quiet}", "--configs", "{tmp}/q0.sweep",
+                          "--out-dir", "{tmp}/r"], 2),
+    ("sweep-config-q-17", ["sweep", "{quiet}", "--configs", "{tmp}/q17.sweep",
+                           "--out-dir", "{tmp}/r"], 2),
+    ("sweep-config-q-65", ["sweep", "{quiet}", "--configs", "{tmp}/q65.sweep",
+                           "--out-dir", "{tmp}/r"], 2),
+    ("sweep-config-p-0", ["sweep", "{quiet}", "--configs", "{tmp}/p0.sweep",
+                          "--out-dir", "{tmp}/r"], 2),
     ("invert-breakdown", ["invert", "{quiet}", "--out", "{tmp}/x.inv"], 3),
     ("sweep-breakdown", ["sweep", "{quiet}", "--iters", "1",
                          "--out-dir", "{tmp}/r"], 3),
@@ -513,6 +566,10 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
                             argv, code):
     (tmp_path / "ok.cfg").write_text("side = 4\nsubcarriers = 16\n")
     (tmp_path / "bad.cfg").write_text("side = 4\nantennas = 9\n")
+    for name, sketch in (("q0", "q=0"), ("q17", "q=17"), ("q65", "q=65"),
+                         ("p0", "p=0")):
+        (tmp_path / ("%s.sweep" % name)).write_text(
+            "lr domain=antenna precond=lowrank %s\n" % sketch)
     blob = bytearray(open(quiet_scenario, "rb").read())
     blob[40] ^= 0xFF
     (tmp_path / "corrupt.bslv").write_bytes(bytes(blob))
@@ -529,3 +586,29 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
     assert rc == code
     if code:
         assert capsys.readouterr().err
+
+
+_ORACLES = ("direct_inverse_oracle", "full_evd_oracle", "cholesky_oracle",
+            "trsm_right_upper_ct_oracle", "hermitian_evd_small_oracle")
+
+
+def test_pipeline_reaches_no_oracle(capsys, monkeypatch, tmp_path):
+    # every binding of a loop oracle, and the dense DFT matrix, raises
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline reached a reference path")
+    for module in (ltbf.linalg, ltbf.cholqr, ltbf.randevd, ltbf.precond,
+                   ltbf.cg, ltbf.beamspace, ltbf.scenario, ltbf.evaluation,
+                   cli):
+        for name in _ORACLES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(BeamspaceOperator, "f", property(forbidden))
+    cfg = write_config(tmp_path / "small.cfg",
+                       "side = 4\nsubcarriers = 32\nseed = 3352\n")
+    scen = str(tmp_path / "small.bslv")
+    assert cli.run(["gen", cfg, scen]) == 0
+    for domain in ("antenna", "beamspace"):
+        assert cli.run(["invert", scen, "--domain", domain,
+                        "--out", str(tmp_path / "x.inv")]) == 0
+    assert cli.run(["sweep", scen, "--out-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()

@@ -11,9 +11,6 @@ from ltbf.evaluation import (
     capacity_vs_iterations,
     check_sinr_bound,
     inverse_error,
-    make_report,
-    mmse_baseline_sinr,
-    post_beamforming_sinr,
     scenario_gammas,
     sinr_cdf,
     write_bound_csv,
@@ -26,6 +23,7 @@ from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario, steering_vector
 
 from helpers import (einsum_gammas_oracle, lagging_estimate_case,
+                     mmse_baseline_sinr, post_beamforming_sinr,
                      restart_capacity_oracle, small_scenario_config)
 
 
@@ -454,17 +452,6 @@ class TestSinrCDF:
         db_trunc, _ = sinr_cdf(g_trunc)
         assert np.all(db_exact >= db_trunc - 0.1)
         assert np.median(db_exact - db_trunc) > 0.0
-
-
-class TestReport:
-    def test_headline_numbers(self, scene):
-        _, _, _, _, _, g0 = scene
-        rep = make_report(g0)
-        assert rep.n_points == g0.size
-        assert abs(rep.capacity_bits - capacity(g0)) <= 1e-15
-        assert rep.worst_db <= min(rep.per_user_mean_db)
-        assert rep.best_db >= max(rep.per_user_mean_db)
-        assert len(rep.per_user_mean_db) == g0.shape[0]
 
 
 class TestCSVWriters:
