@@ -89,9 +89,10 @@ def _inverse_similarity(op, a, method, counter):
 def to_beamspace(op, system, method="fft", counter=None):
     """Transform an antenna-domain system matrix into beamspace.
 
-    The result is re-symmetrized (the transform of a Hermitian matrix is
-    Hermitian; averaging with its adjoint removes round-off drift) and
-    tagged with the beamspace domain.  Trace and spectrum are preserved.
+    The result is tagged with the beamspace domain; SystemMatrix keeps its
+    Hermitian part, which removes the round-off drift of the transform,
+    and raises NotFiniteError if the transform overflowed.  Trace and
+    spectrum are preserved.
 
     The fft path charges nothing to the counter; its asymptotic cost is
     N^2 log N scalar multiplies against the dense path's 2 N^3.
@@ -99,11 +100,9 @@ def to_beamspace(op, system, method="fft", counter=None):
     if system.domain != "antenna":
         raise ValueError("to_beamspace expects an antenna-domain system, got %r"
                          % system.domain)
-    qb = _forward_similarity(op, system.matrix, method, counter)
-    qb = 0.5 * (qb + qb.conj().T)
-    n = qb.shape[0]
-    sigma2 = float(np.real(np.trace(qb))) / n
-    return SystemMatrix(matrix=qb, sigma2=sigma2, domain="beamspace")
+    with np.errstate(over="ignore", invalid="ignore"):  # SystemMatrix rejects it
+        qb = _forward_similarity(op, system.matrix, method, counter)
+    return SystemMatrix(qb, "beamspace")
 
 
 def from_beamspace(op, x_b, method="fft", counter=None):

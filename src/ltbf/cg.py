@@ -82,15 +82,10 @@ class CGConfig:
 
 @dataclass
 class CGState:
-    """Iterate block and scratch blocks after the last iteration."""
+    """Iterate block and its true residual after the last iteration."""
 
     x: np.ndarray
     r: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
-    s: np.ndarray | None
-    alpha: np.ndarray
-    beta: np.ndarray
     iterations: int
     residual_history: list = field(default_factory=list)
     frozen: np.ndarray | None = None
@@ -162,8 +157,6 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     p = z.copy()
     rz = _colwise_dot(r, z, counter)
     frozen = np.zeros(n, dtype=bool)
-    alpha = np.zeros(n, dtype=np.complex128)
-    beta = np.zeros(n, dtype=np.complex128)
     history = []
     s = None
     t = None  # true residual I - Q X, formed only when needed
@@ -214,8 +207,7 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             counter.add("col_scale", n * n, n * n)
         rz = rz_new
 
-    return CGState(x=x, r=r, z=z, p=p, s=s, alpha=alpha, beta=beta,
-                   iterations=iterations, residual_history=history,
+    return CGState(x=x, r=r, iterations=iterations, residual_history=history,
                    frozen=frozen)
 
 

@@ -35,10 +35,10 @@ from .cg import (CGConfig, NumericalBreakdownError, cg_inverse, residual_norm,
 from .cholqr import RankDeficiencyError
 from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
                          check_sinr_bound, inverse_error, scenario_gammas,
-                         sinr_cdf, write_bound_csv, write_capacity_csv,
-                         write_cdf_csv, write_csv)
+                         sinr_cdf, write_csv)
 from .linalg import (CholeskyBreakdownError, FlopCounter,
-                     JacobiConvergenceError, SingularTriangularError, fro_norm)
+                     JacobiConvergenceError, NotFiniteError,
+                     SingularTriangularError, fro_norm)
 from .precond import InvalidSpectrumError, build_preconditioner
 from .scenario import (ConfigError, FileFormatError, assemble_q,
                        generate_scenario, load_scenario, read_config_file,
@@ -49,10 +49,11 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 _EXIT_IO = 4
 
+# NotFiniteError: a finite Q whose beamspace transform overflows
 _NUMERICAL_ERRORS = (RankDeficiencyError, NumericalBreakdownError,
                      CholeskyBreakdownError, SingularTriangularError,
                      JacobiConvergenceError, InvalidSpectrumError,
-                     np.linalg.LinAlgError)
+                     NotFiniteError, np.linalg.LinAlgError)
 
 _BOUND_EPSILONS = (0.1, 0.01)
 
@@ -333,9 +334,10 @@ def _cmd_sweep(args):
         tables = ([],) * 5  # nothing to sweep; leave well-formed empty tables
     capacity_rows, cdf_rows, bound_rows, meta_rows, sparsity_rows = tables
     out = lambda name: os.path.join(args.out_dir, name)
-    write_capacity_csv(out("capacity.csv"), capacity_rows)
-    write_cdf_csv(out("cdf.csv"), cdf_rows)
-    write_bound_csv(out("bound.csv"), bound_rows)
+    write_csv(out("capacity.csv"), "config_id,iters,capacity", capacity_rows)
+    write_csv(out("cdf.csv"), "gamma_db,cdf,config_id", cdf_rows)
+    write_csv(out("bound.csv"), "user,epsilon,gamma,bound_rhs,margin",
+              bound_rows)
     write_csv(out("run_meta.csv"), "config_id,domain,precond,q,p,iters_to_eps,"
               "residual_fro,residual_spectral,capacity", meta_rows)
     write_csv(out("sparsity.csv"), "domain,threshold,sparsity_ratio",

@@ -39,9 +39,6 @@ __all__ = [
     "capacity",
     "capacity_vs_iterations",
     "sinr_cdf",
-    "write_capacity_csv",
-    "write_cdf_csv",
-    "write_bound_csv",
     "write_csv",
 ]
 
@@ -326,17 +323,3 @@ def _format_cell(cell):
         return repr(float(cell))
     return str(cell)
 
-
-def write_capacity_csv(path, rows):
-    """rows: (config_id, iters, capacity)."""
-    write_csv(path, "config_id,iters,capacity", rows)
-
-
-def write_cdf_csv(path, rows):
-    """rows: (gamma_db, cdf, config_id)."""
-    write_csv(path, "gamma_db,cdf,config_id", rows)
-
-
-def write_bound_csv(path, rows):
-    """rows: (user, epsilon, gamma, bound_rhs, margin)."""
-    write_csv(path, "user,epsilon,gamma,bound_rhs,margin", rows)

@@ -1,7 +1,9 @@
 """Dense complex linear-algebra kernels with nominal operation counting.
 
-Everything here works on numpy complex128 arrays in row-major layout.  The
-kernels are pure functions of their inputs; the only bookkeeping is an
+Everything here works on numpy complex128 arrays in row-major layout.
+as_cmatrix makes such an array at a construction boundary (scenario's
+SystemMatrix runs every system matrix through it); the kernels assume
+clean input and are pure functions of it.  The only bookkeeping is an
 optional FlopCounter that the caller threads through a pipeline to meter
 how many complex multiplies a given algorithm performed.  Counts follow the
 textbook operation model of each kernel (a matrix product of an m x k by a
@@ -126,7 +128,8 @@ class FlopCounter:
 
 def as_cmatrix(a):
     """Coerce input to a 2-D row-major complex128 array, rejecting non-finite
-    entries.  Use at construction boundaries; kernels assume clean input."""
+    entries.  Used at construction boundaries, such as SystemMatrix;
+    kernels assume clean input."""
     m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
     if m.ndim != 2:
         raise DimensionMismatchError("expected a 2-D array, got ndim=%d" % m.ndim)

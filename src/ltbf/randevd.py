@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cholqr import RankDeficiencyError, cholesky_qr2
-from .linalg import (
-    DimensionMismatchError,
-    _check_hermitian,
-    gemm,
-    hermitian_evd_small,
-)
+from .linalg import DimensionMismatchError, gemm, hermitian_evd_small
 
 __all__ = ["EVDResult", "gaussian_start_block", "randomized_evd"]
 
@@ -70,7 +65,9 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
 
     Parameters
     ----------
-    a : (n, n) complex ndarray, Hermitian within 1e-10 relative.
+    a : (n, n) complex ndarray, Hermitian: a precondition, unchecked here
+        and guaranteed by the SystemMatrix build_preconditioner passes.
+        hermitian_evd_small still rejects a compressed block far from it.
     rank : int
         Number of eigenpairs, 1 <= rank <= min(n, 64).
     power_iters : int
@@ -103,7 +100,6 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
             "rank is limited to 64 by the small-EVD kernel, got %d" % rank)
     if power_iters < 1:
         raise ValueError("power_iters must be >= 1")
-    _check_hermitian(a, 1e-10, "randomized_evd input")
 
     last_err = None
     for redraw in range(_MAX_REDRAWS + 1):

@@ -44,9 +44,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from .linalg import DimensionMismatchError, NotFiniteError, as_cmatrix
 
 __all__ = [
     "ConfigError",
@@ -73,6 +75,9 @@ _MAGIC = b"BSLV"
 _VERSION = 1
 _KIND_SCENARIO = 1
 _KIND_MATRIX = 2
+# one 36-byte path record, per stream, per path
+_PATH = np.dtype([("power", "<f8"), ("azimuth", "<f8"), ("elevation", "<f8"),
+                  ("phase", "<f8"), ("tap", "<u4")])
 
 
 class ConfigError(ValueError):
@@ -183,15 +188,34 @@ class InstantChannel:
 class SystemMatrix:
     """A system matrix tagged with its domain and cluster level.
 
-    matrix : (N, N) Hermitian positive definite.
-    sigma2 : mean diagonal level Re(trace)/N, the cluster estimate the
-        preconditioner shrinks toward.
+    The one place that makes a system matrix valid, so that solvers and
+    sketches take it as Hermitian unchecked.  Construction runs the input
+    through as_cmatrix (2-D, complex128, finite), rejects an empty or
+    non-square one with DimensionMismatchError and stores its Hermitian
+    part 0.5 (m + m^H); a NotFiniteError follows if that or its trace
+    overflows.  Positive definiteness is left to the solvers.
+
+    matrix : (N, N) Hermitian.
     domain : "antenna" or "beamspace".
+    sigma2 : derived mean diagonal level Re(trace)/N, the cluster
+        estimate the preconditioner shrinks toward.
     """
 
     matrix: np.ndarray
-    sigma2: float
     domain: str
+    sigma2: float = field(init=False)
+
+    def __post_init__(self):
+        m = as_cmatrix(self.matrix)
+        n = m.shape[0]
+        if n == 0 or m.shape[1] != n:
+            raise DimensionMismatchError(
+                "system matrix must be square and non-empty, got %s" % (m.shape,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.matrix = as_cmatrix(0.5 * (m + m.conj().T))
+            self.sigma2 = float(np.real(np.trace(self.matrix))) / n
+        if not np.isfinite(self.sigma2):
+            raise NotFiniteError("system matrix trace overflows")
 
 
 def steering_vector(side, azimuth, elevation):
@@ -300,31 +324,38 @@ def assemble_q(stats, n_antennas=None):
     """Assemble the system matrix Q = I + sum_i alpha_i covariance_i.
 
     With no users the result is the identity; n_antennas is then required
-    to fix the dimension.  Covariances must be Hermitian with trace N.
+    to fix the dimension.  Covariances must be finite and Hermitian with
+    trace N, each alpha positive and finite, and Q finite; otherwise a
+    ConfigError, as for an invalid config, since a CRC-valid scenario
+    file can carry such statistics.  NaN fails every check.
     """
     if not stats:
         if n_antennas is None:
             raise ValueError("n_antennas is required when stats is empty")
-        eye = np.eye(n_antennas, dtype=np.complex128)
-        return SystemMatrix(matrix=eye, sigma2=1.0, domain="antenna")
+        return SystemMatrix(np.eye(n_antennas, dtype=np.complex128), "antenna")
     n = stats[0].covariance.shape[0]
     q = np.eye(n, dtype=np.complex128)
-    for st in stats:
-        cov = st.covariance
-        if cov.shape != (n, n):
-            raise ValueError("covariance shapes disagree")
-        trace = float(np.real(np.trace(cov)))
-        if abs(trace - n) > 1e-9 * n:
-            raise ValueError("covariance trace %.6f deviates from N=%d" % (trace, n))
-        scale = float(np.linalg.norm(cov))
-        if scale > 0 and np.linalg.norm(cov - cov.conj().T) > 1e-12 * scale:
-            raise ValueError("covariance deviates from Hermitian")
-        if not (st.alpha > 0.0 and np.isfinite(st.alpha)):
-            raise ValueError("alpha must be positive and finite")
-        q = q + st.alpha * cov
-    q = 0.5 * (q + q.conj().T)
-    sigma2 = float(np.real(np.trace(q))) / n
-    return SystemMatrix(matrix=q, sigma2=sigma2, domain="antenna")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st in stats:
+            cov = st.covariance
+            if cov.shape != (n, n):
+                raise ConfigError("covariance shapes disagree")
+            trace = float(np.real(np.trace(cov)))
+            if not abs(trace - n) <= 1e-9 * n:
+                raise ConfigError("covariance trace %r deviates from N=%d"
+                                  % (trace, n))
+            scale = float(np.linalg.norm(cov))
+            skew = float(np.linalg.norm(cov - cov.conj().T))
+            if not (np.isfinite(scale) and skew <= 1e-12 * scale):
+                raise ConfigError("covariance is not finite and Hermitian")
+            if not (st.alpha > 0.0 and np.isfinite(st.alpha)):
+                raise ConfigError("alpha must be positive and finite, got %r"
+                                  % st.alpha)
+            q = q + st.alpha * cov
+    try:
+        return SystemMatrix(q, "antenna")
+    except NotFiniteError as err:
+        raise ConfigError("assembled system matrix is not finite") from err
 
 
 _CONFIG_KEYS = {
@@ -375,12 +406,18 @@ def _pack_complex(a):
     return np.ascontiguousarray(a, dtype="<c16")
 
 
-def _unpack_complex(buf, offset, count):
-    """Copy of `count` complex entries at `offset`, parsed in place."""
-    end = offset + 16 * count
+def _unpack(buf, offset, count, dtype):
+    """View of `count` records of `dtype` at `offset`, bounds-checked before
+    anything is allocated, and the offset past them."""
+    end = offset + np.dtype(dtype).itemsize * count
     if end > len(buf):
-        raise ChecksumError("file truncated inside a complex block")
-    arr = np.frombuffer(buf, dtype="<c16", count=count, offset=offset)
+        raise ChecksumError("file truncated inside a block of %d records" % count)
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=offset), end
+
+
+def _unpack_complex(buf, offset, count):
+    """Copy of `count` complex entries at `offset`."""
+    arr, end = _unpack(buf, offset, count, "<c16")
     return arr.astype(np.complex128), end
 
 
@@ -428,14 +465,11 @@ def save_scenario(path, cfg, stats, channels):
     for st, ch in zip(stats, channels):
         parts.append(struct.pack("<2d", st.alpha, st.symbol_energy))
         parts.append(_pack_complex(st.covariance.reshape(n * n)))
-        for s in range(cfg.n_streams):
-            for l in range(cfg.paths_per_user):
-                parts.append(struct.pack("<4dI",
-                                         float(ch.powers[s, l]),
-                                         float(ch.azimuths[s, l]),
-                                         float(ch.elevations[s, l]),
-                                         float(ch.phases[s, l]),
-                                         int(ch.taps[s, l])))
+        paths = np.empty(cfg.n_streams * cfg.paths_per_user, dtype=_PATH)
+        for name, values in zip(_PATH.names, (ch.powers, ch.azimuths,
+                                              ch.elevations, ch.phases, ch.taps)):
+            paths[name] = values.reshape(-1)
+        parts.append(paths.tobytes())
         parts.append(_pack_complex(ch.h.reshape(-1)))
     _write_container(path, _KIND_SCENARIO, parts)
 
@@ -468,23 +502,12 @@ def load_scenario(path):
         offset += 16
         cov_flat, offset = _unpack_complex(payload, offset, n * n)
         cov = cov_flat.reshape(n, n)
+        records, offset = _unpack(payload, offset, n_streams * paths, _PATH)
         shape = (n_streams, paths)
-        powers = np.empty(shape)
-        azimuths = np.empty(shape)
-        elevations = np.empty(shape)
-        phases = np.empty(shape)
-        taps = np.empty(shape, dtype=np.int64)
-        for s in range(n_streams):
-            for l in range(paths):
-                if offset + 36 > len(payload):
-                    raise ChecksumError("%s: truncated path block" % path)
-                p, az, el, ph, tap = struct.unpack_from("<4dI", payload, offset)
-                offset += 36
-                powers[s, l] = p
-                azimuths[s, l] = az
-                elevations[s, l] = el
-                phases[s, l] = ph
-                taps[s, l] = tap
+        powers, azimuths, elevations, phases = (
+            records[name].reshape(shape).astype(np.float64)
+            for name in _PATH.names[:4])
+        taps = records["tap"].reshape(shape).astype(np.int64)
         h_flat, offset = _unpack_complex(payload, offset, subc * n * n_streams)
         h = h_flat.reshape(subc, n, n_streams)
         stats.append(UserStats(covariance=cov, alpha=alpha, symbol_energy=energy))

@@ -12,12 +12,16 @@ these, never the other way around.
 
 import csv
 import os
+import struct
+import tempfile
+import zlib
 
 import numpy as np
 
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
-from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
+from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
+                           save_scenario)
 
 
 def triple_loop_gemm(a, b):
@@ -116,6 +120,76 @@ def small_scenario_config(**overrides):
                 snr_db_range=(0.0, 10.0), subcarriers=16, seed=421)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def with_crc(blob):
+    """A BSLV file's bytes with the trailing CRC recomputed over its payload."""
+    payload = bytes(blob[8:-4])
+    return (bytes(blob[:8]) + payload
+            + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+def scenario_bytes(cfg, stats, channels):
+    """The bytes save_scenario writes for these objects."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "scenario.bslv")
+        save_scenario(path, cfg, stats, channels)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _double_trace(st):
+    st.covariance = 2.0 * st.covariance
+
+
+def _skew(st):
+    st.covariance = st.covariance.copy()
+    st.covariance[0, 1] += 1.0
+
+
+def _zero_alpha(st):
+    st.alpha = 0.0
+
+
+def _nan_covariance(st):
+    st.covariance = np.full_like(st.covariance, np.nan)
+
+
+def _overflowing_alpha(st):
+    # Q's diagonal reaches 1.7e308, which overflows when Q is Hermitized
+    st.alpha = 1.7e308
+
+
+# statistics a CRC-valid scenario file can carry that assemble_q rejects
+INVALID_STATISTICS = {
+    "trace-2n": _double_trace,
+    "skewed-covariance": _skew,
+    "alpha-0": _zero_alpha,
+    "nan-covariance": _nan_covariance,
+    "q-overflow": _overflowing_alpha,
+}
+
+
+def invalid_statistics_bytes(name, cfg, stats, channels):
+    """A CRC-valid scenario file whose first user carries the named edit."""
+    stats = [type(st)(covariance=st.covariance, alpha=st.alpha,
+                      symbol_energy=st.symbol_energy) for st in stats]
+    INVALID_STATISTICS[name](stats[0])
+    return scenario_bytes(cfg, stats, channels)
+
+
+def oversized_path_block_bytes():
+    """A 96-byte CRC-valid scenario file that claims 2^31 paths per user.
+
+    n_streams * paths_per_user passes the config check (it does not exceed
+    subcarriers), but the payload ends before the first 36-byte path
+    record: a 1 x 1 array, one user, its alpha, energy and covariance.
+    """
+    payload = (struct.pack("<5I", 1, 1, 1, 2 ** 31, 2 ** 31)
+               + struct.pack("<3d", 0.0, 0.0, 1.0) + struct.pack("<Q", 0)
+               + struct.pack("<2d", 1.0, 1.0)
+               + np.array([1.0], dtype="<c16").tobytes())
+    return with_crc(b"BSLV" + struct.pack("<HH", 1, 1) + payload + bytes(4))
 
 
 def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,

@@ -19,9 +19,7 @@ from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_sce
 
 
 def antenna_system(matrix):
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    sigma2 = float(np.real(np.trace(matrix))) / matrix.shape[0]
-    return SystemMatrix(matrix=matrix, sigma2=sigma2, domain="antenna")
+    return SystemMatrix(matrix, "antenna")
 
 
 def scenario_system(seed, side=4):

@@ -20,9 +20,7 @@ from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_sce
 
 
 def dense_system(matrix):
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    sigma2 = float(np.real(np.trace(matrix))) / matrix.shape[0]
-    return SystemMatrix(matrix=matrix, sigma2=sigma2, domain="antenna")
+    return SystemMatrix(matrix, "antenna")
 
 
 def scenario_system(seed, side=8):
@@ -73,7 +71,6 @@ class TestConvergence:
                            config=CGConfig(max_iters=10, epsilon=1e-8))
         assert state.iterations == 1
         assert np.array_equal(state.x, np.eye(6, dtype=np.complex128))
-        assert np.allclose(state.alpha, 1.0)
 
     def test_distinct_eigenvalues_finite_termination(self):
         q = np.diag([1.0, 2.0, 4.0]).astype(complex)
@@ -264,7 +261,7 @@ class TestIterationHook:
         budget = cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-16))
         assert stopped.iterations == 4
         assert stopped.residual_history == budget.residual_history
-        for name in ("x", "r", "z", "p", "s", "alpha", "beta"):
+        for name in ("x", "r", "frozen"):
             assert np.array_equal(getattr(stopped, name),
                                   getattr(budget, name)), name
 
@@ -290,13 +287,14 @@ class TestValidation:
                        config=CGConfig(max_iters=iters, epsilon=1e-3))
 
     def test_non_finite_input_breaks_down_with_index(self):
-        q = np.eye(4, dtype=np.complex128)
-        q[0, 0] = np.nan
+        # NaN is rejected when the SystemMatrix is built; this finite Q
+        # passes construction and overflows in the first iteration
+        q = np.array([[1e160, 1e155j], [-1e155j, 1.0]])
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             with pytest.raises(NumericalBreakdownError) as err:
-                cg_inverse(SystemMatrix(matrix=q, sigma2=1.0, domain="antenna"),
+                cg_inverse(dense_system(q),
                            config=CGConfig(max_iters=4, epsilon=1e-3))
-        assert err.value.iteration >= 1
+        assert err.value.iteration == 1
 
 
 class TestResidualNorm:

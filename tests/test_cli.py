@@ -516,8 +516,10 @@ class TestReport:
 
 
 # The README's exit-code contract: 0 success, 2 configuration problem
-# (argparse usage errors included), 3 numerical failure, 4 file I/O
-# problem.  {quiet} is a side-4 (N = 16) scenario, {tmp} a fresh directory.
+# (argparse usage errors included, and CRC-valid scenario files whose
+# statistics are invalid), 3 numerical failure, 4 file I/O problem.
+# {quiet} is a side-4 (N = 16) scenario, {tmp} a fresh directory holding
+# one {name}.bslv copy of it per edit in helpers.INVALID_STATISTICS.
 _EXIT_CASES = [
     ("gen", ["gen", "{tmp}/ok.cfg", "{tmp}/g.bslv"], 0),
     ("invert", ["invert", "{quiet}", "--out", "{tmp}/x.inv"], 0),
@@ -550,12 +552,20 @@ _EXIT_CASES = [
                            "--out-dir", "{tmp}/r"], 2),
     ("sweep-config-p-0", ["sweep", "{quiet}", "--configs", "{tmp}/p0.sweep",
                           "--out-dir", "{tmp}/r"], 2),
+] + [
+    ("%s-%s" % (command, name), [command, "{tmp}/%s.bslv" % name] + extra, 2)
+    for name in helpers.INVALID_STATISTICS
+    for command, extra in (("invert", []), ("sweep", ["--out-dir", "{tmp}/r"]))
+] + [
     ("invert-breakdown", ["invert", "{quiet}", "--out", "{tmp}/x.inv"], 3),
     ("sweep-breakdown", ["sweep", "{quiet}", "--iters", "1",
                          "--out-dir", "{tmp}/r"], 3),
     ("gen-missing-config", ["gen", "{tmp}/absent.cfg", "{tmp}/g.bslv"], 4),
     ("invert-missing-scenario", ["invert", "{tmp}/absent.bslv"], 4),
     ("invert-corrupt-scenario", ["invert", "{tmp}/corrupt.bslv"], 4),
+    ("invert-oversized-path-block", ["invert", "{tmp}/oversized.bslv"], 4),
+    ("sweep-oversized-path-block", ["sweep", "{tmp}/oversized.bslv",
+                                    "--out-dir", "{tmp}/r"], 4),
     ("report-missing-dir", ["report", "{tmp}/nowhere"], 4),
 ]
 
@@ -573,6 +583,11 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
     blob = bytearray(open(quiet_scenario, "rb").read())
     blob[40] ^= 0xFF
     (tmp_path / "corrupt.bslv").write_bytes(bytes(blob))
+    (tmp_path / "oversized.bslv").write_bytes(helpers.oversized_path_block_bytes())
+    loaded = load_scenario(quiet_scenario)
+    for name in helpers.INVALID_STATISTICS:
+        (tmp_path / ("%s.bslv" % name)).write_bytes(
+            helpers.invalid_statistics_bytes(name, *loaded))
     if code == 3:
         def explode(*args, **kwargs):
             raise NumericalBreakdownError(3, "(surrogate failure)")
@@ -586,6 +601,20 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
     assert rc == code
     if code:
         assert capsys.readouterr().err
+
+
+def test_beamspace_overflow_is_a_numerical_failure(capsys, tmp_path,
+                                                   quiet_scenario):
+    # valid statistics and a finite Q, but its beamspace transform
+    # overflows; SystemMatrix rejects the result
+    cfg, stats, channels = load_scenario(quiet_scenario)
+    stats[0].alpha = 1e307
+    path = tmp_path / "loud.bslv"
+    path.write_bytes(helpers.scenario_bytes(cfg, stats, channels))
+    rc, _, err = run_capture(capsys, ["invert", str(path), "--domain",
+                                      "beamspace", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "non-finite" in err
 
 
 _ORACLES = ("direct_inverse_oracle", "full_evd_oracle", "cholesky_oracle",

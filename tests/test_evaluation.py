@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ltbf.cli as cli
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import (
     build_projector,
@@ -13,14 +14,13 @@ from ltbf.evaluation import (
     inverse_error,
     scenario_gammas,
     sinr_cdf,
-    write_bound_csv,
-    write_capacity_csv,
-    write_cdf_csv,
+    write_csv,
 )
 from ltbf.beamspace import build_operator, from_beamspace, to_beamspace
 from ltbf.linalg import direct_inverse_oracle
 from ltbf.precond import build_preconditioner
-from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario, steering_vector
+from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
+                           save_scenario, steering_vector)
 
 from helpers import (einsum_gammas_oracle, lagging_estimate_case,
                      mmse_baseline_sinr, post_beamforming_sinr,
@@ -458,7 +458,7 @@ class TestCSVWriters:
     def test_capacity_rows_round_trip(self, tmp_path):
         rows = [("plain", 3, 1.2345678901234567), ("precond", 5, 2.5)]
         path = tmp_path / "capacity.csv"
-        write_capacity_csv(path, rows)
+        write_csv(path, "config_id,iters,capacity", rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "config_id,iters,capacity"
         cells = lines[1].split(",")
@@ -466,17 +466,22 @@ class TestCSVWriters:
         assert float(cells[2]) == rows[0][2]
 
     def test_cdf_and_bound_headers(self, tmp_path):
-        cdf_path = tmp_path / "cdf.csv"
-        write_cdf_csv(cdf_path, [(1.5, 0.25, "exact")])
-        assert cdf_path.read_text().splitlines()[0] == "gamma_db,cdf,config_id"
-        bound_path = tmp_path / "bound.csv"
-        write_bound_csv(bound_path, [(0, 0.1, 2.0, 1.5, 0.5)])
-        assert bound_path.read_text().splitlines()[0] == \
-            "user,epsilon,gamma,bound_rhs,margin"
+        # the sweep passes each table's header to write_csv; with no
+        # budgets it writes the headers alone
+        cfg = ScenarioConfig(side=4, n_ue=1, paths_per_user=1, subcarriers=4)
+        scenario = str(tmp_path / "s.bslv")
+        save_scenario(scenario, cfg, *generate_scenario(cfg))
+        assert cli.run(["sweep", scenario, "--iters", "",
+                        "--out-dir", str(tmp_path)]) == 0
+        for name, header in (("capacity", "config_id,iters,capacity"),
+                             ("cdf", "gamma_db,cdf,config_id"),
+                             ("bound", "user,epsilon,gamma,bound_rhs,margin")):
+            text = (tmp_path / (name + ".csv")).read_text()
+            assert text == header + "\n", name
 
     def test_float_cells_preserve_all_digits(self, tmp_path):
         value = 0.1 + 0.2  # not representable prettily
         path = tmp_path / "cap.csv"
-        write_capacity_csv(path, [("c", 1, value)])
+        write_csv(path, "config_id,iters,capacity", [("c", 1, value)])
         back = float(path.read_text().splitlines()[1].split(",")[2])
         assert back == value

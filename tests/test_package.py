@@ -1,6 +1,11 @@
 import importlib
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # the modules perfbench's tracer wraps: it looks up every name in each
 # module's __all__, so a stale export breaks a traced run
@@ -15,3 +20,15 @@ def test_all_names_resolve(name):
     missing = [export for export in exports if not hasattr(module, export)]
     assert not missing, missing
     assert len(set(exports)) == len(exports)
+
+
+def test_perfbench_smoke_runs():
+    # the benchmark harness drives the package through its public calls
+    # (to_beamspace(..., method="fft"), build_preconditioner(rank=,
+    # power_iters=, seed=), ...); its smoke run at side 4 catches a change
+    # that breaks one of them
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=_ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "smoke: ok" in done.stdout.splitlines(), done.stdout

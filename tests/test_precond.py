@@ -189,15 +189,14 @@ class TestBuildFromSystem:
         assert m.sigma2 == ref.sigma2
 
     def test_non_positive_sigma2_rejected(self):
-        bad = SystemMatrix(matrix=np.eye(8, dtype=np.complex128), sigma2=0.0,
-                           domain="antenna")
+        # sigma2 = Re tr / N = -1
+        bad = SystemMatrix(-np.eye(8), "antenna")
         with pytest.raises(InvalidSpectrumError):
             build_preconditioner(bad, rank=2, power_iters=1, seed=80)
 
     def test_negative_sketched_eigenvalue_rejected(self):
         a, _ = helpers.synthetic_hermitian([5.0, 4.0, -3.0, 0.1], 220)
-        bad = SystemMatrix(matrix=a, sigma2=float(np.real(np.trace(a))) / 4.0,
-                           domain="antenna")
+        bad = SystemMatrix(a, "antenna")
         with pytest.raises(InvalidSpectrumError):
             build_preconditioner(bad, rank=3, power_iters=2, seed=81)
 
@@ -248,8 +247,7 @@ class TestShiftedSketch:
             * 10.0 ** rng.uniform(-2.0, 0.0, load_rank)
         a = np.eye(n) + 10.0 ** log_scale * (w @ w.conj().T)
         a = 0.5 * (a + a.conj().T)
-        system = SystemMatrix(matrix=a, sigma2=float(np.real(np.trace(a))) / n,
-                              domain="antenna")
+        system = SystemMatrix(a, "antenna")
         m = build_preconditioner(system, rank=rank, power_iters=power_iters,
                                  seed=seed)
         spectrum = np.linalg.eigvalsh(a)

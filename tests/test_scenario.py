@@ -3,14 +3,19 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ltbf.linalg import fro_norm
+import helpers
+from ltbf.linalg import DimensionMismatchError, NotFiniteError, fro_norm
 from ltbf.scenario import (
     ChecksumError,
     ConfigError,
     DegenerateGeometryError,
+    FileFormatError,
     MalformedHeaderError,
     ScenarioConfig,
+    SystemMatrix,
     UserStats,
     VersionError,
     assemble_q,
@@ -200,19 +205,61 @@ class TestAssembleQ:
         good, _ = generate_scenario(small_config())
         bad_trace = UserStats(covariance=2.0 * good[0].covariance, alpha=1.0,
                               symbol_energy=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             assemble_q([bad_trace])
         skew = good[0].covariance.copy()
         skew[0, 1] += 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             assemble_q([UserStats(covariance=skew, alpha=1.0, symbol_energy=1.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             assemble_q([UserStats(covariance=good[0].covariance, alpha=0.0,
                                   symbol_energy=0.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             assemble_q([good[0],
                         UserStats(covariance=np.eye(4, dtype=complex), alpha=1.0,
                                   symbol_energy=1.0)])
+
+    @pytest.mark.parametrize("name", sorted(helpers.INVALID_STATISTICS))
+    def test_invalid_statistics_raise_config_error(self, name):
+        # NaN fails every comparison, so each check is written to pass
+        # only on valid values
+        stats, _ = generate_scenario(small_config())
+        helpers.INVALID_STATISTICS[name](stats[0])
+        with pytest.raises(ConfigError):
+            assemble_q(stats)
+
+
+class TestSystemMatrix:
+    def test_stores_hermitian_part_and_derives_sigma2(self):
+        m = np.array([[2.0, 1.0 + 1.0j], [3.0, 4.0 + 0.5j]])
+        system = SystemMatrix(m, "antenna")
+        assert np.array_equal(system.matrix, 0.5 * (m + m.conj().T))
+        assert system.matrix.dtype == np.complex128
+        assert system.sigma2 == 3.0
+        assert system.domain == "antenna"
+
+    def test_hermitizing_again_changes_no_bit(self):
+        stats, _ = generate_scenario(small_config())
+        q = assemble_q(stats).matrix
+        again = SystemMatrix(q, "antenna").matrix
+        assert again.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), (0, 0)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            SystemMatrix(np.ones(shape), "antenna")
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1.7e308])
+    def test_non_finite_rejected(self, entry):
+        # 1.7e308 is finite, but doubles past the float range when Hermitized
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 1] = entry
+        with pytest.raises(NotFiniteError):
+            SystemMatrix(m, "antenna")
+
+    def test_trace_overflow_rejected(self):
+        with pytest.raises(NotFiniteError):
+            SystemMatrix(np.diag([1e308, 1e308]), "antenna")
 
 
 class TestPersistence:
@@ -343,6 +390,16 @@ class TestPersistence:
         system = assemble_q(stats)
         assert np.linalg.eigvalsh(system.matrix).min() >= 1.0 - 1e-9
 
+    def test_oversized_path_block_rejected_before_allocation(self, tmp_path):
+        # 2^31 path records would take 16 GiB per field; the payload length
+        # check must come first
+        blob = helpers.oversized_path_block_bytes()
+        assert len(blob) == 96
+        path = tmp_path / "oversized.bslv"
+        path.write_bytes(blob)
+        with pytest.raises(ChecksumError):
+            load_scenario(path)
+
     def test_save_checks_lengths(self, tmp_path):
         cfg = small_config()
         stats, channels = generate_scenario(cfg)
@@ -395,3 +452,34 @@ class TestConfigFile:
                         "subcarriers = 16\n")
         with pytest.raises(ConfigError):
             read_config_file(path)
+
+
+_MUTATED_CONFIG = small_config(side=2, n_ue=2, paths_per_user=1, subcarriers=2)
+_MUTATED_BASE = helpers.scenario_bytes(_MUTATED_CONFIG,
+                                       *generate_scenario(_MUTATED_CONFIG))
+
+
+def _mutated(position, flip):
+    blob = bytearray(_MUTATED_BASE)
+    blob[position] ^= flip
+    return helpers.with_crc(blob)
+
+
+class TestMutatedFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.builds(_mutated, st.integers(0, len(_MUTATED_BASE) - 5),
+                          st.integers(1, 255)))
+    @example(blob=helpers.oversized_path_block_bytes())
+    @example(blob=helpers.invalid_statistics_bytes(
+        "nan-covariance", _MUTATED_CONFIG, *generate_scenario(_MUTATED_CONFIG)))
+    def test_load_and_assemble_raise_only_documented_errors(
+            self, tmp_path_factory, blob):
+        # any byte changed, CRC recomputed: loading and assembling Q
+        # either succeed or raise a FileFormatError or a ConfigError
+        path = tmp_path_factory.mktemp("mutated") / "scenario.bslv"
+        path.write_bytes(blob)
+        try:
+            cfg, stats, _ = load_scenario(path)
+            assemble_q(stats, n_antennas=cfg.n_antennas)
+        except (FileFormatError, ConfigError):
+            pass
