@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from ltbf.cg import CGConfig, cg_inverse
-from ltbf.evaluation import (capacity, capacity_vs_iterations, check_sinr_bound,
-                             inverse_error, scenario_gammas)
+from ltbf.evaluation import (build_projectors, capacity, capacity_vs_iterations,
+                             check_sinr_bound, inverse_error, scenario_gammas)
 from ltbf.linalg import direct_inverse_oracle
 from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
@@ -38,11 +38,12 @@ def main():
                                    seed=cfg.seed)
     budgets = [1, 2, 3, 4, 6, 8]
     print("capacity vs iteration budget (plain | preconditioned):")
-    plain = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                   budgets, rank=args.rank)
-    pre = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                 budgets, preconditioner=precond,
-                                 rank=args.rank)
+    projectors = build_projectors(stats, args.rank)
+    plain, _ = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
+                                      budgets, (), projectors=projectors)
+    pre, _ = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
+                                    budgets, (), preconditioner=precond,
+                                    projectors=projectors)
     for row_p, row_q in zip(plain, pre):
         print("  k'=%2d   %.4f (%.0f%%)  |  %.4f (%.0f%%)"
               % (row_p["iterations"],

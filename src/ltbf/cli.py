@@ -30,8 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from .beamspace import build_operator, from_beamspace, sparsity_ratio, to_beamspace
-from .cg import (CGConfig, NumericalBreakdownError, cg_inverse, residual_norm,
-                 write_trajectory)
+from .cg import CGConfig, NumericalBreakdownError, cg_inverse, write_trajectory
 from .cholqr import RankDeficiencyError
 from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
                          check_sinr_bound, inverse_error, scenario_gammas,
@@ -42,7 +41,7 @@ from .linalg import (CholeskyBreakdownError, FlopCounter,
 from .precond import InvalidSpectrumError, build_preconditioner
 from .scenario import (ConfigError, FileFormatError, assemble_q,
                        generate_scenario, load_scenario, read_config_file,
-                       save_matrix, save_scenario)
+                       read_config_lines, save_matrix, save_scenario)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -88,34 +87,30 @@ def read_sweep_configs(path):
     """Parse the sweep config file into SolverSetup objects."""
     setups = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            name = tokens[0]
-            if "=" in name:
-                raise ConfigError("%s:%d: first token must be the config id"
-                                  % (path, lineno))
-            if name in seen:
-                raise ConfigError("%s:%d: duplicate config id %r"
-                                  % (path, lineno, name))
-            seen.add(name)
-            kwargs = {}
-            for tok in tokens[1:]:
-                if "=" not in tok:
-                    raise ConfigError("%s:%d: expected key=value, got %r"
-                                      % (path, lineno, tok))
-                key, value = tok.split("=", 1)
-                if key not in ("domain", "precond", "q", "p"):
-                    raise ConfigError("%s:%d: unknown config key %r"
-                                      % (path, lineno, key))
-                kwargs[key] = value
-            try:
-                setups.append(SolverSetup(name, **kwargs))
-            except ValueError as err:
-                raise ConfigError("%s:%d: %s" % (path, lineno, err)) from err
+    for lineno, line in read_config_lines(path):
+        tokens = line.split()
+        name = tokens[0]
+        if "=" in name:
+            raise ConfigError("%s:%d: first token must be the config id"
+                              % (path, lineno))
+        if name in seen:
+            raise ConfigError("%s:%d: duplicate config id %r"
+                              % (path, lineno, name))
+        seen.add(name)
+        kwargs = {}
+        for tok in tokens[1:]:
+            if "=" not in tok:
+                raise ConfigError("%s:%d: expected key=value, got %r"
+                                  % (path, lineno, tok))
+            key, value = tok.split("=", 1)
+            if key not in ("domain", "precond", "q", "p"):
+                raise ConfigError("%s:%d: unknown config key %r"
+                                  % (path, lineno, key))
+            kwargs[key] = value
+        try:
+            setups.append(SolverSetup(name, **kwargs))
+        except ValueError as err:
+            raise ConfigError("%s:%d: %s" % (path, lineno, err)) from err
     if not setups:
         raise ConfigError("%s: no solver configurations found" % path)
     return setups
@@ -150,17 +145,12 @@ def _cmd_gen(args):
     return _EXIT_OK
 
 
-def _build_pipeline(system_ant, setup, seed, operator, counter=None):
-    """(system in the working domain, preconditioner or None)."""
-    if setup.domain == "beamspace":
-        system = to_beamspace(operator, system_ant)
-    else:
-        system = system_ant
-    precond = None
+def _setup_preconditioner(system, setup, seed, counter=None):
+    """The setup's preconditioner of the working-domain system, or None."""
     if setup.precond == "lowrank":
-        precond = build_preconditioner(system, rank=setup.q, power_iters=setup.p,
-                                       seed=seed, counter=counter)
-    return system, precond
+        return build_preconditioner(system, rank=setup.q, power_iters=setup.p,
+                                    seed=seed, counter=counter)
+    return None
 
 
 def _check_eps(eps):
@@ -190,13 +180,14 @@ def _cmd_invert(args):
     _check_eps(args.eps)
     if args.max_iters is not None:
         _check_iterations("--max-iters", args.max_iters, cfg.n_antennas)
-    system_ant = assemble_q(stats, n_antennas=cfg.n_antennas)
+    system = assemble_q(stats, n_antennas=cfg.n_antennas)
     operator = build_operator(cfg.side)
     setup = SolverSetup("invert", domain=args.domain, precond=args.precond,
                         q=args.q, p=args.p)
+    if setup.domain == "beamspace":
+        system = to_beamspace(operator, system)
     counter = FlopCounter()
-    system, precond = _build_pipeline(system_ant, setup, cfg.seed, operator,
-                                      counter=counter)
+    precond = _setup_preconditioner(system, setup, cfg.seed, counter=counter)
     n = system.matrix.shape[0]
     max_iters = args.max_iters if args.max_iters is not None else 10 * n
     state = cg_inverse(system, preconditioner=precond,
@@ -209,10 +200,8 @@ def _cmd_invert(args):
     save_matrix(out_path, x)
     if args.trace:
         write_trajectory(args.trace, state, "%s_%s" % (args.domain, args.precond))
-    # without iterations the final iterate is X = 0, whose true residual I
-    # is still in state.r
-    residual = (state.residual_history[-1] if state.residual_history
-                else float(fro_norm(state.r) / np.sqrt(n)))
+    # the true residual of the final iterate, I itself for X = 0
+    residual = float(fro_norm(state.r) / np.sqrt(n))
     print("out=%s" % out_path)
     print("domain=%s" % setup.domain)
     print("precond=%s" % setup.precond)
@@ -226,34 +215,12 @@ def _cmd_invert(args):
     return _EXIT_OK
 
 
-def _first_iterates_below(system, precond, targets):
-    """For each residual target, the iterate of one CG run at which a
-    separate run at that target would stop.
-
-    As in that run, a target is reached where the recursive residual
-    estimate and then the true residual are below it.  A target the run
-    never reaches gets the iterate at the 10N cap.
-    """
-    found = {}
-
-    def on_iteration(iterations, x, residual):
-        pending = [t for t in targets if t not in found and residual < t]
-        if pending:
-            true = residual_norm(system, x)
-            found.update((t, x) for t in pending if true < t)
-        return len(found) == len(targets)
-
-    n = system.matrix.shape[0]
-    state = cg_inverse(system, preconditioner=precond,
-                       config=CGConfig(max_iters=10 * n, epsilon=min(targets)),
-                       on_iteration=on_iteration)
-    return [found.get(target, state.x) for target in targets]
-
-
 def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     """Rows of capacity.csv, cdf.csv, bound.csv, run_meta.csv, sparsity.csv."""
     system_ant = assemble_q(stats, n_antennas=cfg.n_antennas)
     operator = build_operator(cfg.side)
+    systems = {"antenna": system_ant,
+               "beamspace": to_beamspace(operator, system_ant)}
     projectors = build_projectors(stats, rank)
 
     def gammas(x):
@@ -266,15 +233,16 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     cdf_rows = []
     meta_rows = []
     for setup in setups:
-        system, precond = _build_pipeline(system_ant, setup, cfg.seed, operator)
+        system = systems[setup.domain]
+        precond = _setup_preconditioner(system, setup, cfg.seed)
         transform = None
         if setup.domain == "beamspace":
             transform = lambda xb: from_beamspace(operator, xb)
         # one run serves the budgets and the converged solve of the CDF
-        rows, converged = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, budgets,
+        rows, (converged,) = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, budgets, [eps],
             preconditioner=precond, transform=transform,
-            projectors=projectors, epsilon=eps)
+            projectors=projectors)
         for row in rows:
             capacity_rows.append((setup.name, row["iterations"], row["capacity"]))
         gam = gammas(converged["x"])
@@ -287,13 +255,16 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     for db, pr in zip(*sinr_cdf(gam_exact)):
         cdf_rows.append((db, pr, "exact"))
 
-    # bound rows come from deliberately loose solves at the probe tolerances
+    # bound rows come from deliberately loose solves at the probe
+    # tolerances, all read off one run
     bound_rows = []
-    system, precond = _build_pipeline(system_ant, _BOUND_SETUP, cfg.seed,
-                                      operator)
-    for x_loose in _first_iterates_below(system, precond, _BOUND_EPSILONS):
-        _, spec = inverse_error(system_ant, x_loose)
-        gam = gammas(x_loose)
+    precond = _setup_preconditioner(system_ant, _BOUND_SETUP, cfg.seed)
+    _, probes = capacity_vs_iterations(
+        system_ant, stats, channels, cfg.noise_psd, [], _BOUND_EPSILONS,
+        preconditioner=precond, projectors=projectors)
+    for probe in probes:
+        _, spec = inverse_error(system_ant, probe["x"])
+        gam = gammas(probe["x"])
         bound = check_sinr_bound(gam_exact, gam, spec)
         n_ue = gam.shape[0]
         for user in range(n_ue):
@@ -302,10 +273,8 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
             for g_val, rhs_val in zip(g_u, rhs_u):
                 bound_rows.append((user, spec, g_val, rhs_val, g_val - rhs_val))
 
-    sparsity_rows = [
-        ("antenna", 0.005, sparsity_ratio(system_ant.matrix)),
-        ("beamspace", 0.005,
-         sparsity_ratio(to_beamspace(operator, system_ant).matrix))]
+    sparsity_rows = [(domain, 0.005, sparsity_ratio(system.matrix))
+                     for domain, system in systems.items()]
     return capacity_rows, cdf_rows, bound_rows, meta_rows, sparsity_rows
 
 
@@ -348,9 +317,17 @@ def _cmd_sweep(args):
     return _EXIT_OK
 
 
-def _read_table(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+def _read_table(run_dir, name, columns):
+    """The rows of a sweep table, each of the named columns parsed by its
+    type; a table that lacks one or holds a value that does not parse is a
+    FileFormatError."""
+    path = os.path.join(run_dir, name)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return [{key: kind(row[key]) for key, kind in columns.items()}
+                    for row in csv.DictReader(fh)]
+    except (KeyError, TypeError, ValueError, csv.Error) as err:
+        raise FileFormatError("%s: malformed table: %r" % (path, err)) from err
 
 
 def _cmd_report(args):
@@ -358,10 +335,14 @@ def _cmd_report(args):
     if "run_meta.csv" not in names:
         print("no runs found in %s" % args.run_dir)
         return _EXIT_OK
-    meta = _read_table(os.path.join(args.run_dir, "run_meta.csv"))
-    cap = _read_table(os.path.join(args.run_dir, "capacity.csv"))
-    bound = _read_table(os.path.join(args.run_dir, "bound.csv"))
-    sparsity = _read_table(os.path.join(args.run_dir, "sparsity.csv"))
+    meta = _read_table(args.run_dir, "run_meta.csv", {
+        "config_id": str, "domain": str, "precond": str, "iters_to_eps": int,
+        "capacity": float})
+    cap = _read_table(args.run_dir, "capacity.csv", {
+        "config_id": str, "iters": int, "capacity": float})
+    bound = _read_table(args.run_dir, "bound.csv", {"margin": float})
+    sparsity = _read_table(args.run_dir, "sparsity.csv", {
+        "domain": str, "threshold": str, "sparsity_ratio": float})
 
     lines = ["solver configurations: %d" % len(meta)]
     baseline = next((r for r in meta if r["domain"] == "antenna"
@@ -369,16 +350,16 @@ def _cmd_report(args):
     for row in meta:
         note = ""
         if baseline is not None and row is not baseline:
-            saved = int(baseline["iters_to_eps"]) - int(row["iters_to_eps"])
+            saved = baseline["iters_to_eps"] - row["iters_to_eps"]
             note = "  (saves %d vs plain antenna)" % saved
-        lines.append("%s: %s iterations to target, capacity %.4f%s"
+        lines.append("%s: %d iterations to target, capacity %.4f%s"
                      % (row["config_id"], row["iters_to_eps"],
-                        float(row["capacity"]), note))
+                        row["capacity"], note))
 
     by_config = {}
     for row in cap:
         by_config.setdefault(row["config_id"], []).append(
-            (int(row["iters"]), float(row["capacity"])))
+            (row["iters"], row["capacity"]))
     if baseline is not None and by_config:
         base_curve = dict(by_config.get(baseline["config_id"], ()))
         for name, curve in sorted(by_config.items()):
@@ -392,13 +373,13 @@ def _cmd_report(args):
                              % (name, ", ".join(deltas)))
 
     if bound:
-        margins = np.array([float(r["margin"]) for r in bound])
+        margins = np.array([r["margin"] for r in bound])
         lines.append("SINR bound: %d rows, worst margin %.3e, violations %d"
                      % (len(bound), margins.min(), int(np.sum(margins < 0))))
     for row in sparsity:
         lines.append("sparsity ratio (%s, threshold %s): %.3f"
                      % (row["domain"], row["threshold"],
-                        float(row["sparsity_ratio"])))
+                        row["sparsity_ratio"]))
 
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -201,101 +201,100 @@ def capacity(gammas):
 
 
 def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
-                           preconditioner=None, rank=4, transform=None,
-                           counter=None, projectors=None, epsilon=None):
-    """Capacity achieved by the solver truncated at given iteration counts.
+                           tolerances, preconditioner=None, transform=None,
+                           projectors=None):
+    """Capacity at iteration budgets and iterates at tolerances, from one
+    solver run.
 
-    One solver run serves every checkpoint: through the cg_inverse
-    iteration hook, the scenario is evaluated at each budget as the run
-    reaches it, and the run stops at the largest one.  Each row equals
-    that of a separate run with max_iters=budget and epsilon 1e-16, so a
-    run that reaches that residual floor first reports the iteration where
-    it stopped.  Budgets may repeat and come in any order; 0 scores the
-    zero inverse.  transform maps a transformed-domain iterate back to the
-    antenna domain before evaluation.  projectors are the bases of
-    build_projectors, built from stats and rank when omitted.
+    Through the cg_inverse iteration hook, the scenario is scored at each
+    budget as the run reaches it, and each tolerance takes the iterate at
+    which a separate cg_inverse(max_iters=10 N, tolerance) run would stop.
+    The run stops at the smallest tolerance (or 1e-16, when there are
+    checkpoints and it is smaller) after at most 10 N iterations, or at
+    the largest budget when there are no tolerances.  Each row equals that
+    of a separate run with max_iters=budget and epsilon 1e-16, so a run
+    that reaches that residual floor first reports the iteration where it
+    stopped.  Budgets may repeat and come in any order; 0 scores the zero
+    inverse.  transform maps a transformed-domain iterate back to the
+    antenna domain before it is scored or returned.  projectors are the
+    bases of build_projectors, built at rank 4 when omitted.
 
-    Returns a list of dicts with keys requested, iterations, residual,
-    capacity, one per checkpoint in the given order.  With epsilon given,
-    the run goes on past the largest budget to the iterate at which
-    cg_inverse(max_iters=10 N, epsilon) would stop, and the result is
-    (rows, converged), converged being a dict with keys iterations and x
-    (mapped through transform).
+    Returns (rows, converged), one dict per checkpoint and per tolerance
+    in the given order: rows with keys requested, iterations, residual,
+    capacity; converged with keys iterations and x, the iterate at the
+    10 N cap for a tolerance the run never reaches.
 
-    Both equalities fail only where the recursive residual estimate passes
-    a tolerance the run does not stop on (epsilon, or 1e-16 when epsilon
-    is below it) while the true residual is still above it: a separate run
-    at that tolerance replaces its residual there, and its later iterates
-    differ from this run's in the low bits.  converged, or the floor, is
-    then the first later iterate whose estimate and true residual are both
-    below the tolerance.
+    The iterate at the run's own tolerance equals a separate run's bit for
+    bit.  A larger tolerance, and the floor, match except where the
+    recursive residual estimate passes it while the true residual is still
+    above it: a separate run replaces its residual there, and its later
+    iterates differ from this run's in the low bits.  The iterate taken is
+    then the first later one whose estimate and true residual are both
+    below it.
     """
     n = system.matrix.shape[0]
     budgets = [int(b) for b in checkpoints]
+    tolerances = list(tolerances)
     if budgets and not (0 <= min(budgets) and max(budgets) <= 10 * n):
         raise ValueError("checkpoints must lie in [0, %d], got %s"
                          % (10 * n, budgets))
-    if epsilon is not None and not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1), got %g" % epsilon)
-    if projectors is None:
-        projectors = build_projectors(stats, rank)
+    if not all(0.0 < tol < 1.0 for tol in tolerances):
+        raise ValueError("tolerances must lie in (0, 1), got %s" % tolerances)
+    if projectors is None and budgets:
+        projectors = build_projectors(stats, 4)
+    back = transform if transform is not None else (lambda x: x)
     top = max(budgets, default=0)
     wanted = set(budgets)
     scores = {}  # iteration count -> (residual, capacity)
     floor_at = None
-    converged = None
+    found = {}  # tolerance -> (iterations, x)
 
     def score(iterations, x, residual):
-        if transform is not None:
-            x = transform(x)
-        gam = scenario_gammas(stats, channels, x, noise_psd,
+        gam = scenario_gammas(stats, channels, back(x), noise_psd,
                               projectors=projectors)
         scores[iterations] = (float(residual), capacity(gam))
 
     def on_iteration(iterations, x, residual):
-        nonlocal floor_at, converged
+        nonlocal floor_at
         # residual is the recursive estimate unless cg formed the true one;
         # as in a run without a hook, a tolerance is reached where the
         # estimate and then the true residual are below it
-        scoring = floor_at is None
+        scoring = bool(budgets) and floor_at is None
         floor_check = scoring and residual < _FLOOR_EPS
-        eps_check = (epsilon is not None and converged is None
-                     and residual < epsilon)
+        pending = [tol for tol in tolerances
+                   if tol not in found and residual < tol]
         true = None
-        if floor_check or eps_check or (scoring and iterations in wanted):
-            true = residual_norm(system, x, counter=counter)
+        if floor_check or pending or (scoring and iterations in wanted):
+            true = residual_norm(system, x)
         if floor_check and true < _FLOOR_EPS:
             floor_at = iterations
         if scoring and (iterations in wanted
                         or (floor_at is not None and iterations < top)):
             score(iterations, x, true)
-        if eps_check and true < epsilon:
-            converged = (iterations, x)
+        found.update((tol, (iterations, x)) for tol in pending if true < tol)
         budgets_done = iterations >= top or floor_at is not None
-        return budgets_done and (epsilon is None or converged is not None)
+        return budgets_done and all(tol in found for tol in tolerances)
 
     if 0 in wanted:
         score(0, np.zeros((n, n), dtype=np.complex128), float("nan"))
-    if epsilon is None:
-        cfg = CGConfig(max_iters=top, epsilon=_FLOOR_EPS)
-    else:
-        cfg = CGConfig(max_iters=10 * n, epsilon=min(epsilon, _FLOOR_EPS))
-    state = cg_inverse(system, preconditioner=preconditioner, config=cfg,
-                       counter=counter, on_iteration=on_iteration)
+    max_iters = 10 * n if tolerances else top
+    if max_iters:
+        floor = [_FLOOR_EPS] if budgets else []
+        cfg = CGConfig(max_iters=max_iters, epsilon=min(tolerances + floor))
+        state = cg_inverse(system, preconditioner=preconditioner, config=cfg,
+                           on_iteration=on_iteration)
     rows = []
     for budget in budgets:
         iterations = budget if floor_at is None else min(budget, floor_at)
         residual, cap = scores[iterations]
         rows.append({"requested": budget, "iterations": iterations,
                      "residual": residual, "capacity": cap})
-    if epsilon is None:
-        return rows
-    if converged is None:  # 10 N cap reached above epsilon
-        converged = (state.iterations, state.x)
-    iterations, x = converged
-    if transform is not None:
-        x = transform(x)
-    return rows, {"iterations": iterations, "x": x}
+    converged = []
+    for tol in tolerances:
+        # a tolerance the 10 N cap stops short of gets the last iterate
+        iterations, x = found.get(tol, (state.iterations, state.x))
+        converged.append({"iterations": iterations, "x": back(x)})
+    return rows, converged
 
 
 def sinr_cdf(gammas):

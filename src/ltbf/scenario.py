@@ -64,6 +64,7 @@ __all__ = [
     "steering_vector",
     "generate_scenario",
     "assemble_q",
+    "read_config_lines",
     "read_config_file",
     "save_scenario",
     "load_scenario",
@@ -100,8 +101,9 @@ class ChecksumError(FileFormatError):
     """Payload CRC mismatch, including truncated files."""
 
 
-class DegenerateGeometryError(RuntimeError):
-    """Path geometry stayed degenerate after the retry budget."""
+class DegenerateGeometryError(ConfigError):
+    """Path geometry stayed degenerate after the retry budget: the config
+    admits no valid scenario, as with one antenna and two or more paths."""
 
 
 @dataclass
@@ -325,7 +327,8 @@ def assemble_q(stats, n_antennas=None):
 
     With no users the result is the identity; n_antennas is then required
     to fix the dimension.  Covariances must be finite and Hermitian with
-    trace N, each alpha positive and finite, and Q finite; otherwise a
+    trace N, each alpha and symbol_energy positive and finite, and Q
+    finite; otherwise a
     ConfigError, as for an invalid config, since a CRC-valid scenario
     file can carry such statistics.  NaN fails every check.
     """
@@ -351,6 +354,9 @@ def assemble_q(stats, n_antennas=None):
             if not (st.alpha > 0.0 and np.isfinite(st.alpha)):
                 raise ConfigError("alpha must be positive and finite, got %r"
                                   % st.alpha)
+            if not (st.symbol_energy > 0.0 and np.isfinite(st.symbol_energy)):
+                raise ConfigError("symbol_energy must be positive and finite, "
+                                  "got %r" % st.symbol_energy)
             q = q + st.alpha * cov
     try:
         return SystemMatrix(q, "antenna")
@@ -371,32 +377,42 @@ _CONFIG_KEYS = {
 }
 
 
+def read_config_lines(path):
+    """(line number, text) of each line of a UTF-8 config file that is not
+    blank once its '#' comment is cut; other bytes are a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ConfigError("%s: not UTF-8 text: %s" % (path, err)) from err
+    for lineno, raw in enumerate(raw_lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_config_file(path):
     """Parse a flat key=value scenario config file into a ScenarioConfig."""
     cfg = ScenarioConfig()
     low, high = cfg.snr_db_range
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key = value, got %r"
-                                  % (path, lineno, raw.strip()))
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
-            try:
-                parsed = _CONFIG_KEYS[key](value)
-            except ValueError as err:
-                raise ConfigError("%s:%d: bad value for %s: %r"
-                                  % (path, lineno, key, value)) from err
-            if key == "snr_db_low":
-                low = parsed
-            elif key == "snr_db_high":
-                high = parsed
-            else:
-                cfg = replace(cfg, **{key: parsed})
+    for lineno, line in read_config_lines(path):
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key = value, got %r"
+                              % (path, lineno, line))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+        try:
+            parsed = _CONFIG_KEYS[key](value)
+        except ValueError as err:
+            raise ConfigError("%s:%d: bad value for %s: %r"
+                              % (path, lineno, key, value)) from err
+        if key == "snr_db_low":
+            low = parsed
+        elif key == "snr_db_high":
+            high = parsed
+        else:
+            cfg = replace(cfg, **{key: parsed})
     cfg = replace(cfg, snr_db_range=(low, high))
     return cfg.validate()
 

@@ -21,7 +21,7 @@ import numpy as np
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
-                           save_scenario)
+                           save_matrix, save_scenario)
 
 
 def triple_loop_gemm(a, b):
@@ -129,13 +129,28 @@ def with_crc(blob):
             + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
-def scenario_bytes(cfg, stats, channels):
-    """The bytes save_scenario writes for these objects."""
+def _saved_bytes(save, *args):
     with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "scenario.bslv")
-        save_scenario(path, cfg, stats, channels)
+        path = os.path.join(root, "saved.bslv")
+        save(path, *args)
         with open(path, "rb") as fh:
             return fh.read()
+
+
+def scenario_bytes(cfg, stats, channels):
+    """The bytes save_scenario writes for these objects."""
+    return _saved_bytes(save_scenario, cfg, stats, channels)
+
+
+def matrix_bytes(a):
+    """The bytes save_matrix writes for this matrix."""
+    return _saved_bytes(save_matrix, a)
+
+
+def truncated(blob, cut):
+    """A BSLV file's bytes with the payload cut to its first `cut` bytes and
+    the CRC recomputed over what is left."""
+    return with_crc(bytes(blob[:8 + cut]) + bytes(4))
 
 
 def _double_trace(st):
@@ -160,6 +175,14 @@ def _overflowing_alpha(st):
     st.alpha = 1.7e308
 
 
+def _nan_energy(st):
+    st.symbol_energy = float("nan")
+
+
+def _negative_energy(st):
+    st.symbol_energy = -1.0
+
+
 # statistics a CRC-valid scenario file can carry that assemble_q rejects
 INVALID_STATISTICS = {
     "trace-2n": _double_trace,
@@ -167,6 +190,8 @@ INVALID_STATISTICS = {
     "alpha-0": _zero_alpha,
     "nan-covariance": _nan_covariance,
     "q-overflow": _overflowing_alpha,
+    "nan-symbol-energy": _nan_energy,
+    "negative-symbol-energy": _negative_energy,
 }
 
 

@@ -8,7 +8,8 @@ import helpers
 import ltbf
 import ltbf.cli as cli
 import ltbf.evaluation as evaluation
-from ltbf.beamspace import BeamspaceOperator, build_operator, from_beamspace
+from ltbf.beamspace import (BeamspaceOperator, build_operator, from_beamspace,
+                            to_beamspace)
 from ltbf.cg import CGConfig, NumericalBreakdownError, cg_inverse
 from ltbf.evaluation import (build_projectors, capacity, check_sinr_bound,
                              inverse_error)
@@ -379,8 +380,10 @@ class TestSweep:
         setups = {setup.name: setup for setup in cli._DEFAULT_SETUPS}
         for row in tables["capacity.csv"]:
             setup = setups[row["config_id"]]
-            system, precond = cli._build_pipeline(system_ant, setup, cfg.seed,
-                                                  operator)
+            system = system_ant
+            if setup.domain == "beamspace":
+                system = to_beamspace(operator, system_ant)
+            precond = cli._setup_preconditioner(system, setup, cfg.seed)
             state = cg_inverse(system, preconditioner=precond,
                                config=CGConfig(max_iters=int(row["iters"]),
                                                epsilon=1e-16))
@@ -430,16 +433,19 @@ class TestSweep:
     def test_bound_probe_iterates_equal_separate_runs(self):
         # one target sits where the recursive estimate lags the true
         # residual, so the first true residual below it is too early
-        stats, _ = generate_scenario(helpers.small_scenario_config())
+        cfg = helpers.small_scenario_config()
+        stats, channels = generate_scenario(cfg)
         system = assemble_q(stats)
         n = system.matrix.shape[0]
         _, eps = helpers.lagging_estimate_case(system)
         targets = (0.1, eps)
-        for target, x in zip(targets, cli._first_iterates_below(system, None,
-                                                                targets)):
+        _, probes = evaluation.capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, [], targets)
+        assert len(probes) == len(targets)
+        for target, probe in zip(targets, probes):
             alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                        epsilon=target))
-            assert np.array_equal(x, alone.x), target
+            assert np.array_equal(probe["x"], alone.x), target
 
     def test_array_below_bound_probe_rank_is_config_error(self, capsys,
                                                           tmp_path):
@@ -520,14 +526,35 @@ class TestReport:
 # statistics are invalid), 3 numerical failure, 4 file I/O problem.
 # {quiet} is a side-4 (N = 16) scenario, {tmp} a fresh directory holding
 # one {name}.bslv copy of it per edit in helpers.INVALID_STATISTICS.
+# the header-only tables of an empty sweep, and edits that report
+# cannot read: (table, its bytes)
+_SWEEP_HEADERS = {
+    "run_meta.csv": b"config_id,domain,precond,q,p,iters_to_eps,residual_fro,"
+                    b"residual_spectral,capacity\n",
+    "capacity.csv": b"config_id,iters,capacity\n",
+    "bound.csv": b"user,epsilon,gamma,bound_rhs,margin\n",
+    "sparsity.csv": b"domain,threshold,sparsity_ratio\n",
+}
+_BAD_TABLES = {
+    "missing-column": ("run_meta.csv",
+                       b"config_id,domain,precond\na,antenna,none\n"),
+    "not-a-number": ("capacity.csv", b"config_id,iters,capacity\na,2,x\n"),
+    "not-utf8": ("bound.csv", b"user,epsilon,gamma,bound_rhs,margin\n"
+                              b"\xff,0.1,1.0,1.0,0.0\n"),
+}
+
 _EXIT_CASES = [
     ("gen", ["gen", "{tmp}/ok.cfg", "{tmp}/g.bslv"], 0),
     ("invert", ["invert", "{quiet}", "--out", "{tmp}/x.inv"], 0),
     ("sweep", ["sweep", "{quiet}", "--iters", "0,1", "--out-dir", "{tmp}/r"], 0),
     ("report-empty", ["report", "{tmp}"], 0),
+    ("report-header-only", ["report", "{tmp}/headers"], 0),
     ("no-subcommand", [], 2),
     ("eps-not-a-number", ["invert", "{quiet}", "--eps", "abc"], 2),
     ("gen-unknown-key", ["gen", "{tmp}/bad.cfg", "{tmp}/g.bslv"], 2),
+    ("gen-not-utf8", ["gen", "{tmp}/latin1.cfg", "{tmp}/g.bslv"], 2),
+    ("gen-degenerate-geometry", ["gen", "{tmp}/colinear.cfg", "{tmp}/g.bslv"],
+     2),
     ("invert-q-0", ["invert", "{quiet}", "--q", "0"], 2),
     ("invert-eps-2", ["invert", "{quiet}", "--eps", "2"], 2),
     ("invert-eps-0", ["invert", "{quiet}", "--eps", "0"], 2),
@@ -552,6 +579,9 @@ _EXIT_CASES = [
                            "--out-dir", "{tmp}/r"], 2),
     ("sweep-config-p-0", ["sweep", "{quiet}", "--configs", "{tmp}/p0.sweep",
                           "--out-dir", "{tmp}/r"], 2),
+    ("sweep-configs-not-utf8", ["sweep", "{quiet}", "--configs",
+                                "{tmp}/latin1.sweep", "--out-dir", "{tmp}/r"],
+     2),
 ] + [
     ("%s-%s" % (command, name), [command, "{tmp}/%s.bslv" % name] + extra, 2)
     for name in helpers.INVALID_STATISTICS
@@ -567,6 +597,9 @@ _EXIT_CASES = [
     ("sweep-oversized-path-block", ["sweep", "{tmp}/oversized.bslv",
                                     "--out-dir", "{tmp}/r"], 4),
     ("report-missing-dir", ["report", "{tmp}/nowhere"], 4),
+] + [
+    ("report-%s" % name, ["report", "{tmp}/%s" % name], 4)
+    for name in _BAD_TABLES
 ]
 
 
@@ -576,6 +609,18 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
                             argv, code):
     (tmp_path / "ok.cfg").write_text("side = 4\nsubcarriers = 16\n")
     (tmp_path / "bad.cfg").write_text("side = 4\nantennas = 9\n")
+    (tmp_path / "colinear.cfg").write_text(
+        "side = 1\npaths_per_user = 2\nsubcarriers = 16\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"side = 4 # r\xe9seau\n")
+    (tmp_path / "latin1.sweep").write_bytes(b"a precond=none # r\xe9seau\n")
+    (tmp_path / "headers").mkdir()
+    for table, header in _SWEEP_HEADERS.items():
+        (tmp_path / "headers" / table).write_bytes(header)
+    for name, (bad_table, text) in _BAD_TABLES.items():
+        (tmp_path / name).mkdir()
+        for table, header in _SWEEP_HEADERS.items():
+            (tmp_path / name / table).write_bytes(
+                text if table == bad_table else header)
     for name, sketch in (("q0", "q=0"), ("q17", "q=17"), ("q65", "q=65"),
                          ("p0", "p=0")):
         (tmp_path / ("%s.sweep" % name)).write_text(

@@ -303,14 +303,15 @@ class TestCapacity:
 
     def test_zero_budget_checkpoint_has_zero_capacity(self, scene):
         cfg, stats, channels, system, _, _ = scene
-        rows = capacity_vs_iterations(system, stats, channels, cfg.noise_psd, [0])
+        rows, _ = capacity_vs_iterations(system, stats, channels,
+                                         cfg.noise_psd, [0], [])
         assert rows[0]["iterations"] == 0
         assert rows[0]["capacity"] == 0.0
 
     def test_converged_checkpoint_matches_exact(self, scene):
         cfg, stats, channels, system, _, g0 = scene
-        rows = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                      [2, 20])
+        rows, _ = capacity_vs_iterations(system, stats, channels,
+                                         cfg.noise_psd, [2, 20], [])
         exact = capacity(g0)
         assert rows[0]["requested"] == 2 and rows[0]["iterations"] == 2
         assert abs(rows[1]["capacity"] - exact) <= 0.01 * exact
@@ -343,9 +344,10 @@ class TestSingleRunCapacity:
     def test_rows_equal_restart_oracle(self, scene, pipelines, pipeline, budgets):
         cfg, stats, channels, _, _, _ = scene
         system, precond, back = pipelines[pipeline]
-        rows = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                      budgets, preconditioner=precond,
-                                      transform=back)
+        rows, _ = capacity_vs_iterations(system, stats, channels,
+                                         cfg.noise_psd, budgets, [],
+                                         preconditioner=precond,
+                                         transform=back)
         oracle = restart_capacity_oracle(system, stats, channels,
                                          cfg.noise_psd, budgets,
                                          preconditioner=precond, transform=back)
@@ -355,8 +357,8 @@ class TestSingleRunCapacity:
     def test_floor_stop_reports_iterations_reached(self):
         cfg, stats, channels, system = quiet_scene()
         budgets = [5, 1, 0, 3]
-        rows = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                      budgets)
+        rows, _ = capacity_vs_iterations(system, stats, channels,
+                                         cfg.noise_psd, budgets, [])
         assert [row["iterations"] for row in rows] == [1, 1, 0, 1]
         assert repr(rows) == repr(restart_capacity_oracle(
             system, stats, channels, cfg.noise_psd, budgets))
@@ -370,8 +372,8 @@ class TestSingleRunCapacity:
             cfg, stats, channels, system, _, _ = scene
         n = system.matrix.shape[0]
         budgets = [2, 4]
-        rows, converged = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, budgets, epsilon=eps)
+        rows, (converged,) = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, budgets, [eps])
         alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                    epsilon=eps))
         assert converged["iterations"] == alone.iterations
@@ -385,8 +387,8 @@ class TestSingleRunCapacity:
         cfg, stats, channels, system, _, _ = scene
         n = system.matrix.shape[0]
         k, eps = lagging_estimate_case(system)
-        _, converged = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, [1], epsilon=eps)
+        _, (converged,) = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, [1], [eps])
         alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                    epsilon=eps))
         assert converged["iterations"] == alone.iterations > k
@@ -400,8 +402,8 @@ class TestSingleRunCapacity:
         stats, channels = generate_scenario(cfg)
         system = assemble_q(stats)
         eps = 1e-15
-        _, converged = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, [1], epsilon=eps)
+        _, (converged,) = capacity_vs_iterations(
+            system, stats, channels, cfg.noise_psd, [1], [eps])
         n = system.matrix.shape[0]
         resid = np.eye(n) - system.matrix @ converged["x"]
         assert np.linalg.norm(resid) / np.sqrt(n) < eps
@@ -418,7 +420,7 @@ class TestSingleRunCapacity:
         cfg, stats, channels, system, _, _ = scene
         with pytest.raises(ValueError):
             capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                   budgets)
+                                   budgets, [])
 
 
 class TestSinrCDF:

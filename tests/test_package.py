@@ -1,4 +1,5 @@
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -32,3 +33,18 @@ def test_perfbench_smoke_runs():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert "smoke: ok" in done.stdout.splitlines(), done.stdout
+
+
+_DEMOS = sorted(path.name for path in (_ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS)
+def test_demo_runs(demo):
+    # the demos call the library as a user would; nothing else runs them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(_ROOT / "demos" / demo)],
+                          cwd=_ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -465,6 +465,10 @@ def _mutated(position, flip):
     return helpers.with_crc(blob)
 
 
+_MATRIX_BASE = helpers.matrix_bytes(
+    np.arange(6.0).reshape(2, 3) * (1.0 - 2.0j))
+
+
 class TestMutatedFiles:
     @settings(max_examples=300, deadline=None)
     @given(blob=st.builds(_mutated, st.integers(0, len(_MUTATED_BASE) - 5),
@@ -483,3 +487,24 @@ class TestMutatedFiles:
             assemble_q(stats, n_antennas=cfg.n_antennas)
         except (FileFormatError, ConfigError):
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, len(_MUTATED_BASE) - 13))
+    @example(cut=0)
+    @example(cut=52)
+    def test_truncated_scenario_raises_a_file_format_error(
+            self, tmp_path_factory, cut):
+        # the payload cut anywhere, CRC recomputed: only a FileFormatError
+        path = tmp_path_factory.mktemp("truncated") / "scenario.bslv"
+        path.write_bytes(helpers.truncated(_MUTATED_BASE, cut))
+        with pytest.raises(FileFormatError):
+            load_scenario(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cut=st.integers(0, len(_MATRIX_BASE) - 13))
+    def test_truncated_matrix_raises_a_file_format_error(
+            self, tmp_path_factory, cut):
+        path = tmp_path_factory.mktemp("truncated") / "matrix.bslv"
+        path.write_bytes(helpers.truncated(_MATRIX_BASE, cut))
+        with pytest.raises(FileFormatError):
+            load_matrix(path)
