@@ -314,6 +314,10 @@ def _cmd_sweep(args):
     print("out_dir=%s" % args.out_dir)
     print("configs=%d" % len(setups))
     print("budgets=%s" % ",".join(str(b) for b in budgets))
+    for name, _, _, _, _, iterations, fro, _, _ in meta_rows:
+        if fro >= args.eps:
+            print("warning=%s target %r not reached in %d iterations"
+                  % (name, args.eps, iterations))
     return _EXIT_OK
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cg import CGConfig, cg_inverse, residual_norm
+from .linalg import fro_norm
 
 __all__ = [
     "build_projector",
@@ -42,9 +43,18 @@ __all__ = [
     "write_csv",
 ]
 
-# residual floor of the truncated runs: a run stops early only once its
-# iterate is exact to working precision
+# cg's own epsilon in a run that scores budgets, so that the hook's test
+# of attained accuracy ends it: at the inverse the level below is at least
+# _LEVEL_C * u = 8.9e-16, since ||Q||_F ||Q^-1||_F >= N, so a true residual
+# below 1e-16 passes that test too
 _FLOOR_EPS = 1e-16
+# attainable-accuracy level c * u * ||Q||_F * ||X_k||_F / N of the true
+# residual (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997), unit roundoff
+# u of complex128
+_LEVEL_C = 8.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+# checks in a row that fail to halve the best earlier true residual
+_STAGNATION_CHECKS = 3
 
 
 def build_projector(covariance, rank):
@@ -209,23 +219,31 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     Through the cg_inverse iteration hook, the scenario is scored at each
     budget as the run reaches it, and each tolerance takes the iterate at
     which a separate cg_inverse(max_iters=10 N, tolerance) run would stop.
-    The run stops at the smallest tolerance (or 1e-16, when there are
-    checkpoints and it is smaller) after at most 10 N iterations, or at
-    the largest budget when there are no tolerances.  Each row equals that
-    of a separate run with max_iters=budget and epsilon 1e-16, so a run
-    that reaches that residual floor first reports the iteration where it
-    stopped.  Budgets may repeat and come in any order; 0 scores the zero
-    inverse.  transform maps a transformed-domain iterate back to the
-    antenna domain before it is scored or returned.  projectors are the
-    bases of build_projectors, built at rank 4 when omitted.
+
+    A run with budgets stops at its attainable accuracy, the first
+    iteration k at which its true residual cannot usefully fall further.
+    Each iteration k has the level c u ||Q||_F ||X_k||_F / N, with c = 8
+    and u = 2^-53.  Once the recorded residual is below the level, the
+    true residual is formed (a check).  The run has attained its accuracy
+    at the first check whose true residual is below the level, or that is
+    the third check in a row to fail to fall below half the best true
+    residual of the earlier checks (stagnation).  Each row equals that of
+    a separate run with max_iters=min(budget, k) and epsilon 1e-16, so a
+    budget at or past k reports k.  The run otherwise stops at the largest
+    budget, and no earlier than where every tolerance is met.  A tolerance
+    that is still unmet when the run stagnates takes the stagnated
+    iterate; one unmet at the 10 N cap takes the last iterate.  Budgets
+    may repeat and come in any order; 0 scores the zero inverse.
+    transform maps a transformed-domain iterate back to the antenna
+    domain before it is scored or returned.  projectors are the bases of
+    build_projectors, built at rank 4 when omitted.
 
     Returns (rows, converged), one dict per checkpoint and per tolerance
     in the given order: rows with keys requested, iterations, residual,
-    capacity; converged with keys iterations and x, the iterate at the
-    10 N cap for a tolerance the run never reaches.
+    capacity; converged with keys iterations and x.
 
     The iterate at the run's own tolerance equals a separate run's bit for
-    bit.  A larger tolerance, and the floor, match except where the
+    bit, up to stagnation.  A larger tolerance matches except where the
     recursive residual estimate passes it while the true residual is still
     above it: a separate run replaces its residual there, and its later
     iterates differ from this run's in the low bits.  The iterate taken is
@@ -246,7 +264,10 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     top = max(budgets, default=0)
     wanted = set(budgets)
     scores = {}  # iteration count -> (residual, capacity)
-    floor_at = None
+    level_scale = _LEVEL_C * _UNIT_ROUNDOFF * fro_norm(system.matrix) / n
+    attained_at = None
+    best = np.inf  # smallest true residual of the checks so far
+    failed = 0  # checks in a row that failed to halve best
     found = {}  # tolerance -> (iterations, x)
 
     def score(iterations, x, residual):
@@ -255,24 +276,32 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
         scores[iterations] = (float(residual), capacity(gam))
 
     def on_iteration(iterations, x, residual):
-        nonlocal floor_at
+        nonlocal attained_at, best, failed
         # residual is the recursive estimate unless cg formed the true one;
         # as in a run without a hook, a tolerance is reached where the
         # estimate and then the true residual are below it
-        scoring = bool(budgets) and floor_at is None
-        floor_check = scoring and residual < _FLOOR_EPS
+        scoring = bool(budgets) and attained_at is None
+        level = level_scale * fro_norm(x)
+        check = residual < level
         pending = [tol for tol in tolerances
                    if tol not in found and residual < tol]
         true = None
-        if floor_check or pending or (scoring and iterations in wanted):
+        if check or pending or (scoring and iterations in wanted):
             true = residual_norm(system, x)
-        if floor_check and true < _FLOOR_EPS:
-            floor_at = iterations
+        stagnated = False
+        if check:
+            failed = 0 if true < 0.5 * best else failed + 1
+            best = min(best, true)
+            stagnated = failed >= _STAGNATION_CHECKS
+            if attained_at is None and (true < level or stagnated):
+                attained_at = iterations
         if scoring and (iterations in wanted
-                        or (floor_at is not None and iterations < top)):
+                        or (attained_at is not None and iterations < top)):
             score(iterations, x, true)
-        found.update((tol, (iterations, x)) for tol in pending if true < tol)
-        budgets_done = iterations >= top or floor_at is not None
+        found.update((tol, (iterations, x)) for tol in tolerances
+                     if tol not in found
+                     and (stagnated or (tol in pending and true < tol)))
+        budgets_done = iterations >= top or attained_at is not None
         return budgets_done and all(tol in found for tol in tolerances)
 
     if 0 in wanted:
@@ -285,7 +314,7 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
                            on_iteration=on_iteration)
     rows = []
     for budget in budgets:
-        iterations = budget if floor_at is None else min(budget, floor_at)
+        iterations = budget if attained_at is None else min(budget, attained_at)
         residual, cap = scores[iterations]
         rows.append({"requested": budget, "iterations": iterations,
                      "residual": residual, "capacity": cap})

@@ -17,6 +17,7 @@ import tempfile
 import zlib
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
@@ -137,6 +138,32 @@ def _saved_bytes(save, *args):
             return fh.read()
 
 
+def parse_file(parse, data):
+    """parse(path) of a file holding data, bytes or text written as UTF-8."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "parsed.cfg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return parse(path)
+
+
+def config_text():
+    """Strategy for config-file bytes: raw bytes, or lines that join
+    scenario or sweep keys, or arbitrary text, around '=' separators."""
+    line = st.builds(
+        lambda key, sep, value: key + sep + value,
+        st.one_of(st.sampled_from(["side", "n_ue", "snr_db_low", "seed",
+                                   "noise_psd", "name", "q"]), st.text()),
+        st.sampled_from(["=", " = ", " ", "==", "#", " domain="]),
+        st.one_of(st.sampled_from(["0", "-1", "nan", "inf", "1e400", "4",
+                                   "lowrank", "beamspace", "p=1"]),
+                  st.text()))
+    return st.one_of(st.binary(max_size=200),
+                     st.lists(line, max_size=6).map("\n".join))
+
+
 def scenario_bytes(cfg, stats, channels):
     """The bytes save_scenario writes for these objects."""
     return _saved_bytes(save_scenario, cfg, stats, channels)
@@ -217,25 +244,94 @@ def oversized_path_block_bytes():
     return with_crc(b"BSLV" + struct.pack("<HH", 1, 1) + payload + bytes(4))
 
 
+def accuracy_stops(system, preconditioner=None, epsilon=1e-16,
+                   max_iters=None):
+    """Where a solver run attains its accuracy: (level_at, stagnated_at).
+
+    Forms the true residual at every iteration of a run at epsilon and
+    applies the stop rule documented in capacity_vs_iterations.  Iteration
+    k is a check when its recorded residual is below the level
+    8 u ||Q||_F ||X_k||_F / N, u = 2^-53.  level_at is the first check
+    whose true residual is below the level; stagnated_at is the first
+    check that ends three in a row, each not below half the smallest true
+    residual of all checks before it.  Either is None when the run ends
+    first; the run stops once both are known, or at max_iters (10 N when
+    None).
+    """
+    n = system.matrix.shape[0]
+    scale = 8.0 * 2.0 ** -53 * np.linalg.norm(system.matrix) / n
+    checks = []
+    stops = {}
+
+    def on_iteration(k, x, recorded):
+        true = residual_norm(system, x)
+        level = scale * np.linalg.norm(x)
+        if recorded >= level:
+            return False
+        checks.append(true)
+        if true < level:
+            stops.setdefault("level", k)
+        last = range(len(checks) - 3, len(checks))
+        if len(checks) > 3 and all(checks[i] >= 0.5 * min(checks[:i])
+                                   for i in last):
+            stops.setdefault("stagnation", k)
+        return len(stops) == 2
+
+    cfg = CGConfig(max_iters=10 * n if max_iters is None else max_iters,
+                   epsilon=epsilon)
+    if cfg.max_iters:
+        cg_inverse(system, preconditioner=preconditioner, config=cfg,
+                   on_iteration=on_iteration)
+    return stops.get("level"), stops.get("stagnation")
+
+
 def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
                             preconditioner=None, rank=4, transform=None):
     """Capacity rows by one fresh solver run per budget.
 
-    The route capacity_vs_iterations took before it consumed a single run
-    through the iteration hook; its rows must match this one exactly.
+    The attained iteration k comes from accuracy_stops, the earlier of its
+    two stops; each budget then gets a fresh run at epsilon 1e-16 with
+    max_iters=min(budget, k).  capacity_vs_iterations, which serves every
+    budget from one run through the iteration hook, must match it exactly.
     """
+    budgets = [int(b) for b in checkpoints]
+    stops = accuracy_stops(system, preconditioner=preconditioner,
+                           max_iters=max(budgets, default=0))
+    attained = min((k for k in stops if k is not None), default=None)
     rows = []
-    for budget in checkpoints:
-        cfg = CGConfig(max_iters=int(budget), epsilon=1e-16)
+    for budget in budgets:
+        iterations = budget if attained is None else min(budget, attained)
+        cfg = CGConfig(max_iters=iterations, epsilon=1e-16)
         state = cg_inverse(system, preconditioner=preconditioner, config=cfg)
         x = transform(state.x) if transform is not None else state.x
         gam = scenario_gammas(stats, channels, x, noise_psd, rank=rank)
         residual = state.residual_history[-1] if state.residual_history else float("nan")
-        rows.append({"requested": int(budget),
+        rows.append({"requested": budget,
                      "iterations": state.iterations,
                      "residual": float(residual),
                      "capacity": capacity(gam)})
     return rows
+
+
+def stagnating_case():
+    """A scenario whose solver run attains its accuracy only by stagnation.
+
+    Plain CG on a side-8 array with 8 users of 4 paths each, spread over
+    0 to 90 dB SNR: the loading spans nine decades, and the true residual
+    flattens near 6e-8, above the level of accuracy_stops at every check
+    of the 10 N run.  Returns (cfg, stats, channels, system, stagnated_at)
+    for the first seed from 421 where the level test never fires.
+    """
+    for seed in range(421, 441):
+        cfg = small_scenario_config(side=8, n_ue=8, paths_per_user=4,
+                                    snr_db_range=(0.0, 90.0), subcarriers=8,
+                                    seed=seed)
+        stats, channels = generate_scenario(cfg)
+        system = assemble_q(stats)
+        level_at, stagnated_at = accuracy_stops(system)
+        if level_at is None and stagnated_at is not None:
+            return cfg, stats, channels, system, stagnated_at
+    raise AssertionError("every seed attains the level")
 
 
 def lagging_estimate_case(system):

@@ -18,8 +18,8 @@ import ltbf.cli as cli
 from ltbf.beamspace import build_operator, from_beamspace, sparsity_ratio, to_beamspace
 from ltbf.cg import CGConfig, cg_inverse
 from ltbf.cholqr import cholesky_qr2
-from ltbf.evaluation import (capacity, check_sinr_bound, inverse_error,
-                             scenario_gammas, sinr_cdf)
+from ltbf.evaluation import (build_projectors, capacity, check_sinr_bound,
+                             inverse_error, scenario_gammas, sinr_cdf)
 from ltbf.linalg import (FlopCounter, cholesky, direct_inverse_oracle,
                          full_evd_oracle, gemm, trsm_right_upper_ct)
 from ltbf.precond import build_preconditioner, from_eigenpairs
@@ -224,9 +224,10 @@ def test_criterion_08_degradation_bound():
             cfg = ScenarioConfig(seed=seed)
             stats, channels = generate_scenario(cfg)
             system = assemble_q(stats)
+            projectors = build_projectors(stats, 4)
             xinv = direct_inverse_oracle(system.matrix)
             g_exact = scenario_gammas(stats, channels, xinv, cfg.noise_psd,
-                                      rank=4)
+                                      projectors=projectors)
             # one run of at most 40 iterations; for each target, the first
             # iterate whose spectral residual reaches it
             targets = (0.1, 0.01)
@@ -245,7 +246,7 @@ def test_criterion_08_degradation_bound():
                 assert target in first, (seed, target)
                 x, spec = first[target]
                 gam = scenario_gammas(stats, channels, x, cfg.noise_psd,
-                                      rank=4)
+                                      projectors=projectors)
                 outcome = check_sinr_bound(g_exact, gam, spec)
                 assert outcome.fraction_ok == 1.0, (seed, target)
 

@@ -1,8 +1,11 @@
 import csv
 import os
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import ltbf
@@ -14,8 +17,8 @@ from ltbf.cg import CGConfig, NumericalBreakdownError, cg_inverse
 from ltbf.evaluation import (build_projectors, capacity, check_sinr_bound,
                              inverse_error)
 from ltbf.linalg import direct_inverse_oracle, full_evd_oracle
-from ltbf.scenario import (assemble_q, generate_scenario, load_matrix,
-                           load_scenario)
+from ltbf.scenario import (ConfigError, assemble_q, generate_scenario,
+                           load_matrix, load_scenario)
 
 
 def run_capture(capsys, argv):
@@ -94,6 +97,44 @@ class TestParser:
             cli.run(["solve"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@st.composite
+def _sweep_setups(draw):
+    names = draw(st.lists(st.text(string.ascii_letters + string.digits + "_.-",
+                                  min_size=1), min_size=1, max_size=5,
+                          unique=True))
+    setups = []
+    for name in names:
+        fields = draw(st.fixed_dictionaries({}, optional={
+            "domain": st.sampled_from(["antenna", "beamspace"]),
+            "precond": st.sampled_from(["none", "lowrank"]),
+            "q": st.integers(-10 ** 6, 10 ** 6),
+            "p": st.integers(-10 ** 6, 10 ** 6)}))
+        setups.append(cli.SolverSetup(name, **fields))
+    return setups
+
+
+def _sweep_lines(setups):
+    return "".join("%s domain=%s precond=%s q=%d p=%d\n"
+                   % (s.name, s.domain, s.precond, s.q, s.p) for s in setups)
+
+
+class TestSweepConfigFile:
+    @settings(max_examples=100, deadline=None)
+    @given(setups=_sweep_setups())
+    def test_valid_setups_come_back_equal(self, setups):
+        parsed = helpers.parse_file(cli.read_sweep_configs, _sweep_lines(setups))
+        assert [vars(s) for s in parsed] == [vars(s) for s in setups]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=helpers.config_text())
+    def test_arbitrary_text_is_parsed_or_config_error(self, data):
+        try:
+            setups = helpers.parse_file(cli.read_sweep_configs, data)
+        except ConfigError:
+            return
+        assert setups and all(isinstance(s, cli.SolverSetup) for s in setups)
 
 
 class TestGen:
@@ -298,6 +339,34 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(float(row["residual_fro"]) < 1e-6 for row in rows)
+
+    def test_unreachable_eps_stops_at_attained_accuracy(self, capsys, tmp_path,
+                                                        single_path_scenario):
+        # run to the 10 N cap, an eps of 1e-20 drives these setups far past
+        # their floor (plain antenna to residual 6.1, low-rank beamspace to
+        # 1.6e-14); each one stops where it attains its accuracy instead and
+        # says that it missed eps
+        n = 16
+        out_dir = str(tmp_path / "run")
+        rc, stdout, _ = run_capture(capsys, ["sweep", single_path_scenario,
+                                             "--eps", "1e-20",
+                                             "--out-dir", out_dir])
+        assert rc == 0
+        with open(os.path.join(out_dir, "run_meta.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            assert int(row["iters_to_eps"]) < 10 * n / 4, row
+            assert float(row["residual_fro"]) < 1e-14, row
+        warnings = [line for line in stdout.splitlines()
+                    if line.startswith("warning=")]
+        assert warnings == [
+            "warning=%s target 1e-20 not reached in %s iterations"
+            % (row["config_id"], row["iters_to_eps"]) for row in rows]
+        rc, stdout, _ = run_capture(capsys, ["sweep", single_path_scenario,
+                                             "--out-dir", out_dir])
+        assert rc == 0
+        assert "warning" not in stdout
 
     def test_longer_power_iteration_never_hurts_capacity(self, capsys, tmp_path,
                                                          mid_scenario):

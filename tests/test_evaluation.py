@@ -22,9 +22,10 @@ from ltbf.precond import build_preconditioner
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
                            save_scenario, steering_vector)
 
-from helpers import (einsum_gammas_oracle, lagging_estimate_case,
-                     mmse_baseline_sinr, post_beamforming_sinr,
-                     restart_capacity_oracle, small_scenario_config)
+from helpers import (accuracy_stops, einsum_gammas_oracle,
+                     lagging_estimate_case, mmse_baseline_sinr,
+                     post_beamforming_sinr, restart_capacity_oracle,
+                     small_scenario_config, stagnating_case)
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +320,8 @@ class TestCapacity:
 
 
 def quiet_scene():
-    """Vanishing transmit power: Q is I to rounding, so CG reaches the
-    1e-16 residual floor after a single iteration."""
+    """Vanishing transmit power: Q is I to rounding, so CG attains its
+    accuracy after a single iteration."""
     cfg = small_scenario_config(snr_db_range=(-300.0, -300.0))
     stats, channels = generate_scenario(cfg)
     return cfg, stats, channels, assemble_q(stats)
@@ -374,9 +375,12 @@ class TestSingleRunCapacity:
         budgets = [2, 4]
         rows, (converged,) = capacity_vs_iterations(
             system, stats, channels, cfg.noise_psd, budgets, [eps])
-        alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
-                                                   epsilon=eps))
-        assert converged["iterations"] == alone.iterations
+        # a separate run at eps, cut where the single run stagnates: the
+        # tolerance it cannot reach (1e-300) takes the stagnated iterate
+        _, stagnated_at = accuracy_stops(system, epsilon=min(eps, 1e-16))
+        alone = cg_inverse(system, config=CGConfig(
+            max_iters=stagnated_at or 10 * n, epsilon=eps))
+        assert converged["iterations"] == alone.iterations < 10 * n
         assert np.array_equal(converged["x"], alone.x)
         assert repr(rows) == repr(restart_capacity_oracle(
             system, stats, channels, cfg.noise_psd, budgets))
@@ -407,6 +411,29 @@ class TestSingleRunCapacity:
         n = system.matrix.shape[0]
         resid = np.eye(n) - system.matrix @ converged["x"]
         assert np.linalg.norm(resid) / np.sqrt(n) < eps
+
+    def test_stagnation_stops_where_the_level_test_never_fires(self):
+        # the true residual flattens above the accuracy level, so only the
+        # stagnation test ends the budget run, and an unreachable tolerance
+        # takes the iterate where a run at it stagnates
+        cfg, stats, channels, system, stagnated_at = stagnating_case()
+        n = system.matrix.shape[0]
+        budgets = [stagnated_at - 1, 10 * n]
+        rows, _ = capacity_vs_iterations(system, stats, channels,
+                                         cfg.noise_psd, budgets, [])
+        assert [row["iterations"] for row in rows] == [stagnated_at - 1,
+                                                        stagnated_at]
+        assert repr(rows) == repr(restart_capacity_oracle(
+            system, stats, channels, cfg.noise_psd, budgets))
+        eps = 1e-20
+        _, (converged,) = capacity_vs_iterations(system, stats, channels,
+                                                 cfg.noise_psd, [], [eps])
+        level_at, stop = accuracy_stops(system, epsilon=eps)
+        alone = cg_inverse(system, config=CGConfig(max_iters=stop,
+                                                   epsilon=eps))
+        assert level_at is None
+        assert converged["iterations"] == alone.iterations < 10 * n
+        assert np.array_equal(converged["x"], alone.x)
 
     def test_prebuilt_projectors_give_identical_gammas(self, scene):
         cfg, stats, channels, _, xinv, g0 = scene

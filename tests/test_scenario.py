@@ -454,6 +454,48 @@ class TestConfigFile:
             read_config_file(path)
 
 
+def _config_lines(cfg):
+    """A ScenarioConfig as the key = value lines of a config file."""
+    low, high = cfg.snr_db_range
+    values = dict(side=cfg.side, n_ue=cfg.n_ue, n_streams=cfg.n_streams,
+                  paths_per_user=cfg.paths_per_user, snr_db_low=low,
+                  snr_db_high=high, noise_psd=cfg.noise_psd,
+                  subcarriers=cfg.subcarriers, seed=cfg.seed)
+    return "".join("%s = %r\n" % item for item in values.items())
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_configs(draw):
+    n_streams = draw(st.integers(1, 64))
+    paths = draw(st.integers(1, 64))
+    low, high = sorted([draw(_finite), draw(_finite)])
+    return ScenarioConfig(
+        side=draw(st.integers(1, 10 ** 6)), n_ue=draw(st.integers(1, 10 ** 6)),
+        n_streams=n_streams, paths_per_user=paths, snr_db_range=(low, high),
+        noise_psd=draw(_finite.filter(lambda v: v > 0.0)),
+        subcarriers=draw(st.integers(n_streams * paths, 10 ** 6)),
+        seed=draw(st.integers(0, 2 ** 64)))
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_valid_configs())
+    def test_valid_config_comes_back_equal(self, cfg):
+        assert helpers.parse_file(read_config_file, _config_lines(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=helpers.config_text())
+    def test_arbitrary_text_is_parsed_or_config_error(self, data):
+        try:
+            cfg = helpers.parse_file(read_config_file, data)
+        except ConfigError:
+            return
+        assert cfg.validate() is cfg
+
+
 _MUTATED_CONFIG = small_config(side=2, n_ue=2, paths_per_user=1, subcarriers=2)
 _MUTATED_BASE = helpers.scenario_bytes(_MUTATED_CONFIG,
                                        *generate_scenario(_MUTATED_CONFIG))
