@@ -6,34 +6,38 @@ Fletcher-Reeves beta_j, applied as diagonal column scalings of the shared
 direction block.
 
 Each iteration does one N x N product, S = Q P, and updates the residual
-recursively as R -= S diag(alpha).  In floating point that recursion
-drifts away from the true residual I - Q X, and downstream quality bounds
-are stated in terms of the true one, so the stop decision never rests on
-the recursive estimate alone.  When the estimate falls below epsilon the
-true residual is formed: below epsilon too, the run stops; otherwise it
-replaces the recursive residual and the run goes on (residual
-replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).  The
-true residual is also formed before every return, so a returned state
-holds the true residual of its iterate in r and residual_history[-1].
-
-Stopping is on the scaled Frobenius norm ||Q X - I||_F / sqrt(N), so a
-run that starts at X = 0 always starts at residual exactly 1.
+recursively as R -= S diag(alpha), which drifts away from the true
+residual I - Q X.  Downstream bounds are stated in the true residual's
+scaled norm ||Q X - I||_F / sqrt(N) (1 at X = 0), so one stop rule on it
+holds for every caller.  Iteration k forms it (a check) when the
+recursive estimate is below epsilon or the attainable-accuracy level
+c u ||Q||_F ||X_k||_F / N, c = 8, u = 2^-53 (Greenbaum, SIAM J. Matrix
+Anal. Appl. 18, 1997); every iteration after a check is a check too.
+The run stops at a check whose true residual is below epsilon
+("converged"), at the third check in a row that fails to fall below half
+the smallest true residual of the checks before it ("stagnated"), after
+max_iters iterations ("budget"), or when the hook returns true ("hook").
+The level alone never stops a run short of epsilon, and epsilon = 0 runs
+to the attainable accuracy.  Where the estimate is below epsilon and the
+run goes on, the true residual replaces the recursive one (residual
+replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
+CGState.stop records the cause; r and residual_history[-1] of a returned
+state hold the true residual of its last iterate.
 
 Callers that need several iterates of one run (a capacity curve over
 iteration budgets, the iterates where runs at several tolerances stop)
 pass an on_iteration(iterations, x, residual) hook instead of rerunning
 the solver per budget.  It is called once per iteration, after that
 iteration's residual is recorded and checked for breakdown, with the
-recorded value: the recursive estimate unless the true residual was
-formed.  A true return value stops the run there; the true residual is
-then formed and replaces that entry, as at any other return.  The hook
-touches neither the arithmetic nor the stopping rule, so the iterate it
-sees at k is bit-identical to the x of a run with max_iters=k, and a run
-the hook stops at k ends in the same state as that run.  A hook that
-needs a true residual forms it with residual_norm; a run at tolerance
-eps without a hook stops at the first iterate where the recorded value
-and then the true residual are below eps.  X is rebound to a fresh array
-every iteration, so the hook may keep a reference to it without copying.
+recorded value: the true residual at a check and at max_iters, the
+recursive estimate otherwise.  A true return value stops the run there;
+the true residual then replaces that entry, as at any other return.  The
+hook touches neither the arithmetic nor the stop rule, so the iterate it
+sees at k is bit-identical to the x of a run at the same epsilon with
+max_iters=k, and a run the hook stops at k ends in that run's state but
+for the stop cause.  residual_norm gives a hook the true residual, and
+accuracy_level_scale(system) * ||X_k||_F the level.  X is rebound to a
+fresh array every iteration, so the hook may keep a reference to it.
 
 residual_history is the only per-iteration record a run keeps;
 write_trajectory dumps it as the residual trace.
@@ -51,12 +55,18 @@ __all__ = [
     "CGConfig",
     "CGState",
     "NumericalBreakdownError",
+    "accuracy_level_scale",
     "cg_inverse",
     "residual_norm",
     "write_trajectory",
 ]
 
 _FREEZE_EPS = 1e-300
+# level c u ||Q||_F ||X_k||_F / N, u of complex128, and the failed checks
+# in a row that mean stagnation, as in the module docstring
+_LEVEL_C = 8.0
+_UNIT_ROUNDOFF = 2.0 ** -53
+_STAGNATION_CHECKS = 3
 
 
 class NumericalBreakdownError(ArithmeticError):
@@ -72,8 +82,8 @@ class CGConfig:
     """Iteration budget and stopping control.
 
     max_iters : hard iteration budget, 0 <= max_iters <= 10 * N.
-    epsilon : stopping threshold on ||Q X - I||_F / sqrt(N), in (0, 1); a
-        run stops on it only when the true residual is below it.
+    epsilon : tolerance on the true residual ||Q X - I||_F / sqrt(N), in
+        [0, 1); 0 runs to the attainable accuracy.
     """
 
     max_iters: int
@@ -82,11 +92,12 @@ class CGConfig:
 
 @dataclass
 class CGState:
-    """Iterate block and its true residual after the last iteration."""
+    """Last iterate, its true residual and the stop cause of a run."""
 
     x: np.ndarray
     r: np.ndarray
     iterations: int
+    stop: str
     residual_history: list = field(default_factory=list)
     frozen: np.ndarray | None = None
 
@@ -98,10 +109,16 @@ def _colwise_dot(a, b, counter):
 
 
 def _validate(config, n):
-    if not (0.0 < config.epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1), got %g" % config.epsilon)
+    if not (0.0 <= config.epsilon < 1.0):
+        raise ValueError("epsilon must lie in [0, 1), got %g" % config.epsilon)
     if not (0 <= config.max_iters <= 10 * n):
         raise ValueError("max_iters must lie in [0, %d], got %d" % (10 * n, config.max_iters))
+
+
+def accuracy_level_scale(system):
+    """c u ||Q||_F / N, which times ||X_k||_F is the level at iterate X_k."""
+    q = system.matrix
+    return _LEVEL_C * _UNIT_ROUNDOFF * fro_norm(q) / q.shape[0]
 
 
 def _true_residual(q, x, eye, out, counter):
@@ -134,12 +151,10 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
 
     Returns
     -------
-    CGState whose x field is the approximate inverse, whose r field is
-        the true residual I - Q X of that iterate, and whose
-        residual_history holds exactly one scaled residual per iteration
-        performed: the recursive estimate, except on iterations where the
-        estimate passed epsilon and the true residual was formed, and on
-        the last one, which always holds the true residual of x.
+    CGState with the last iterate x, its true residual I - Q X in r, the
+        stop cause, and one scaled residual per iteration performed in
+        residual_history: the true residual at checks and at the last
+        iteration, the recursive estimate otherwise.
     """
     q = system.matrix
     n = q.shape[0]
@@ -161,6 +176,11 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     s = None
     t = None  # true residual I - Q X, formed only when needed
     iterations = 0
+    scale = accuracy_level_scale(system)
+    checking = False  # once an iteration is a check, every later one is
+    best = np.inf  # smallest true residual of the checks so far
+    failed = 0  # checks in a row that failed to halve best
+    stop = "budget"  # a zero budget stops before the first iteration
 
     for it in range(config.max_iters):
         s = gemm(q, p, counter=counter, out=s)
@@ -175,21 +195,31 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         estimate = float(fro_norm(r) / np.sqrt(n))
         iterations = it + 1
         passed = estimate < config.epsilon
+        checking = checking or passed or estimate < scale * fro_norm(x)
         last = iterations == config.max_iters
         res = estimate
-        if passed or last:
+        if checking or last:
             t, res = _true_residual(q, x, eye, t, counter)
         history.append(res)
         if not (np.isfinite(estimate) and np.isfinite(res)
                 and np.all(np.isfinite(alpha))):
             raise NumericalBreakdownError(iterations, "(residual %r)" % res)
-        stop = on_iteration is not None and bool(on_iteration(iterations, x, res))
-        if stop and not (passed or last):
+        if checking:
+            failed = 0 if res < 0.5 * best else failed + 1
+            best = min(best, res)
+        # a later cause overrides an earlier one
+        stop = "budget" if last else None
+        if on_iteration is not None and on_iteration(iterations, x, res):
+            stop = "hook"
+        if failed == _STAGNATION_CHECKS:
+            stop = "stagnated"
+        if checking and res < config.epsilon:
+            stop = "converged"
+        if stop is not None and not (checking or last):
             t, history[-1] = _true_residual(q, x, eye, t, counter)
-        stop = stop or last or (passed and res < config.epsilon)
-        if stop or passed:
+        if stop is not None or passed:
             r, t = t, r  # the true residual replaces the recursive one
-        if stop:
+        if stop is not None:
             break
         if preconditioner is not None:
             z = preconditioner.apply(r, counter=counter)
@@ -207,8 +237,8 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             counter.add("col_scale", n * n, n * n)
         rz = rz_new
 
-    return CGState(x=x, r=r, iterations=iterations, residual_history=history,
-                   frozen=frozen)
+    return CGState(x=x, r=r, iterations=iterations, stop=stop,
+                   residual_history=history, frozen=frozen)
 
 
 def residual_norm(system, x, counter=None):

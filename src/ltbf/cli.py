@@ -210,8 +210,8 @@ def _cmd_invert(args):
     print("complex_mults=%d" % counter.mults)
     print("complex_adds=%d" % counter.adds)
     if residual >= args.eps:
-        print("warning=target %r not reached in %d iterations"
-              % (args.eps, state.iterations))
+        print("warning=target %r not reached in %d iterations (%s)"
+              % (args.eps, state.iterations, state.stop))
     return _EXIT_OK
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cg import CGConfig, cg_inverse, residual_norm
+from .cg import CGConfig, accuracy_level_scale, cg_inverse, residual_norm
 from .linalg import fro_norm
 
 __all__ = [
@@ -42,19 +42,6 @@ __all__ = [
     "sinr_cdf",
     "write_csv",
 ]
-
-# cg's own epsilon in a run that scores budgets, so that the hook's test
-# of attained accuracy ends it: at the inverse the level below is at least
-# _LEVEL_C * u = 8.9e-16, since ||Q||_F ||Q^-1||_F >= N, so a true residual
-# below 1e-16 passes that test too
-_FLOOR_EPS = 1e-16
-# attainable-accuracy level c * u * ||Q||_F * ||X_k||_F / N of the true
-# residual (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997), unit roundoff
-# u of complex128
-_LEVEL_C = 8.0
-_UNIT_ROUNDOFF = 2.0 ** -53
-# checks in a row that fail to halve the best earlier true residual
-_STAGNATION_CHECKS = 3
 
 
 def build_projector(covariance, rank):
@@ -219,36 +206,29 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     Through the cg_inverse iteration hook, the scenario is scored at each
     budget as the run reaches it, and each tolerance takes the iterate at
     which a separate cg_inverse(max_iters=10 N, tolerance) run would stop.
-
-    A run with budgets stops at its attainable accuracy, the first
-    iteration k at which its true residual cannot usefully fall further.
-    Each iteration k has the level c u ||Q||_F ||X_k||_F / N, with c = 8
-    and u = 2^-53.  Once the recorded residual is below the level, the
-    true residual is formed (a check).  The run has attained its accuracy
-    at the first check whose true residual is below the level, or that is
-    the third check in a row to fail to fall below half the best true
-    residual of the earlier checks (stagnation).  Each row equals that of
-    a separate run with max_iters=min(budget, k) and epsilon 1e-16, so a
-    budget at or past k reports k.  The run otherwise stops at the largest
-    budget, and no earlier than where every tolerance is met.  A tolerance
-    that is still unmet when the run stagnates takes the stagnated
-    iterate; one unmet at the 10 N cap takes the last iterate.  Budgets
-    may repeat and come in any order; 0 scores the zero inverse.
-    transform maps a transformed-domain iterate back to the antenna
-    domain before it is scored or returned.  projectors are the bases of
-    build_projectors, built at rank 4 when omitted.
+    A run with budgets goes at epsilon 0, so cg's stop rule ends it at its
+    attainable accuracy; one without goes at the smallest tolerance.
+    Scoring ends at the first iterate k whose recorded residual is below
+    cg's accuracy level, or where the run stagnates, so a budget at or
+    past k reports k, as a separate epsilon-0 run with
+    max_iters=min(budget, k) would.  Budgets may repeat and come in any
+    order; 0 scores the zero inverse.  The run ends once the budgets are
+    scored and every tolerance is met; a tolerance still unmet where cg
+    stops takes the last iterate.  transform maps a transformed-domain
+    iterate back to the antenna domain before it is scored or returned.
+    projectors are the bases of build_projectors, built at rank 4 when
+    omitted.
 
     Returns (rows, converged), one dict per checkpoint and per tolerance
-    in the given order: rows with keys requested, iterations, residual,
-    capacity; converged with keys iterations and x.
+    in the given order: rows with keys requested, iterations, capacity;
+    converged with keys iterations and x.
 
-    The iterate at the run's own tolerance equals a separate run's bit for
-    bit, up to stagnation.  A larger tolerance matches except where the
-    recursive residual estimate passes it while the true residual is still
-    above it: a separate run replaces its residual there, and its later
-    iterates differ from this run's in the low bits.  The iterate taken is
-    then the first later one whose estimate and true residual are both
-    below it.
+    A tolerance's iterate equals a separate run's bit for bit, except
+    where the recursive residual estimate passes the tolerance while the
+    true residual is still above it: a separate run replaces its residual
+    there, and its later iterates differ from this run's in the low bits.
+    The iterate taken is then the first later one whose estimate and true
+    residual are both below it.
     """
     n = system.matrix.shape[0]
     budgets = [int(b) for b in checkpoints]
@@ -263,64 +243,54 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     back = transform if transform is not None else (lambda x: x)
     top = max(budgets, default=0)
     wanted = set(budgets)
-    scores = {}  # iteration count -> (residual, capacity)
-    level_scale = _LEVEL_C * _UNIT_ROUNDOFF * fro_norm(system.matrix) / n
-    attained_at = None
-    best = np.inf  # smallest true residual of the checks so far
-    failed = 0  # checks in a row that failed to halve best
+    scores = {}  # iteration count -> capacity
+    level_scale = accuracy_level_scale(system)
+    attained_at = None  # where scoring ends short of the top budget
     found = {}  # tolerance -> (iterations, x)
 
-    def score(iterations, x, residual):
+    def score(iterations, x):
         gam = scenario_gammas(stats, channels, back(x), noise_psd,
                               projectors=projectors)
-        scores[iterations] = (float(residual), capacity(gam))
+        scores[iterations] = capacity(gam)
 
     def on_iteration(iterations, x, residual):
-        nonlocal attained_at, best, failed
-        # residual is the recursive estimate unless cg formed the true one;
-        # as in a run without a hook, a tolerance is reached where the
-        # estimate and then the true residual are below it
-        scoring = bool(budgets) and attained_at is None
-        level = level_scale * fro_norm(x)
-        check = residual < level
+        nonlocal attained_at
+        if iterations <= top and attained_at is None:
+            if residual < level_scale * fro_norm(x):
+                attained_at = iterations
+            if iterations in wanted or attained_at is not None:
+                score(iterations, x)
+        # as in a separate run, a tolerance is met where the recorded and
+        # then the true residual are below it
         pending = [tol for tol in tolerances
                    if tol not in found and residual < tol]
-        true = None
-        if check or pending or (scoring and iterations in wanted):
+        if pending:
             true = residual_norm(system, x)
-        stagnated = False
-        if check:
-            failed = 0 if true < 0.5 * best else failed + 1
-            best = min(best, true)
-            stagnated = failed >= _STAGNATION_CHECKS
-            if attained_at is None and (true < level or stagnated):
-                attained_at = iterations
-        if scoring and (iterations in wanted
-                        or (attained_at is not None and iterations < top)):
-            score(iterations, x, true)
-        found.update((tol, (iterations, x)) for tol in tolerances
-                     if tol not in found
-                     and (stagnated or (tol in pending and true < tol)))
+            found.update((tol, (iterations, x)) for tol in pending
+                         if true < tol)
         budgets_done = iterations >= top or attained_at is not None
         return budgets_done and all(tol in found for tol in tolerances)
 
     if 0 in wanted:
-        score(0, np.zeros((n, n), dtype=np.complex128), float("nan"))
+        score(0, np.zeros((n, n), dtype=np.complex128))
     max_iters = 10 * n if tolerances else top
     if max_iters:
-        floor = [_FLOOR_EPS] if budgets else []
-        cfg = CGConfig(max_iters=max_iters, epsilon=min(tolerances + floor))
+        cfg = CGConfig(max_iters=max_iters,
+                       epsilon=0.0 if budgets else min(tolerances))
         state = cg_inverse(system, preconditioner=preconditioner, config=cfg,
                            on_iteration=on_iteration)
+        if (state.stop == "stagnated" and attained_at is None
+                and state.iterations < top):
+            attained_at = state.iterations
+            score(attained_at, state.x)
     rows = []
     for budget in budgets:
         iterations = budget if attained_at is None else min(budget, attained_at)
-        residual, cap = scores[iterations]
         rows.append({"requested": budget, "iterations": iterations,
-                     "residual": residual, "capacity": cap})
+                     "capacity": scores[iterations]})
     converged = []
     for tol in tolerances:
-        # a tolerance the 10 N cap stops short of gets the last iterate
+        # a tolerance unmet where the run stops gets its last iterate
         iterations, x = found.get(tol, (state.iterations, state.x))
         converged.append({"iterations": iterations, "x": back(x)})
     return rows, converged

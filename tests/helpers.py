@@ -244,45 +244,49 @@ def oversized_path_block_bytes():
     return with_crc(b"BSLV" + struct.pack("<HH", 1, 1) + payload + bytes(4))
 
 
-def accuracy_stops(system, preconditioner=None, epsilon=1e-16,
+def accuracy_stops(system, preconditioner=None, epsilon=0.0,
                    max_iters=None):
     """Where a solver run attains its accuracy: (level_at, stagnated_at).
 
     Forms the true residual at every iteration of a run at epsilon and
-    applies the stop rule documented in capacity_vs_iterations.  Iteration
-    k is a check when its recorded residual is below the level
-    8 u ||Q||_F ||X_k||_F / N, u = 2^-53.  level_at is the first check
-    whose true residual is below the level; stagnated_at is the first
-    check that ends three in a row, each not below half the smallest true
-    residual of all checks before it.  Either is None when the run ends
-    first; the run stops once both are known, or at max_iters (10 N when
-    None).
+    applies the stop rule documented in ltbf.cg to it.  The solver starts
+    its checks on its recursive estimate, which the hook no longer sees
+    once the true residual takes its place; since every iteration from the
+    first check on is a check, the checks are the trailing iterations whose
+    recorded residual is the true one.  No earlier recorded residual may
+    lie below epsilon or the level 8 u ||Q||_F ||X_k||_F / N, u = 2^-53.
+    level_at is the first check whose true residual is below the level;
+    stagnated_at is the first check that ends three in a row, each not
+    below half the smallest true residual of all checks before it.  Either
+    is None when the run ends first; the run goes to max_iters (10 N when
+    None) unless the solver stops it.
     """
     n = system.matrix.shape[0]
     scale = 8.0 * 2.0 ** -53 * np.linalg.norm(system.matrix) / n
-    checks = []
-    stops = {}
+    seen = []  # (recorded, true, level) per iteration
 
     def on_iteration(k, x, recorded):
-        true = residual_norm(system, x)
-        level = scale * np.linalg.norm(x)
-        if recorded >= level:
-            return False
-        checks.append(true)
-        if true < level:
-            stops.setdefault("level", k)
-        last = range(len(checks) - 3, len(checks))
-        if len(checks) > 3 and all(checks[i] >= 0.5 * min(checks[:i])
-                                   for i in last):
-            stops.setdefault("stagnation", k)
-        return len(stops) == 2
+        seen.append((recorded, residual_norm(system, x),
+                     scale * np.linalg.norm(x)))
 
     cfg = CGConfig(max_iters=10 * n if max_iters is None else max_iters,
                    epsilon=epsilon)
     if cfg.max_iters:
         cg_inverse(system, preconditioner=preconditioner, config=cfg,
                    on_iteration=on_iteration)
-    return stops.get("level"), stops.get("stagnation")
+    first = len(seen)
+    while first and seen[first - 1][0] == seen[first - 1][1]:
+        first -= 1
+    for k, (recorded, _, level) in enumerate(seen[:first], start=1):
+        assert recorded >= epsilon and recorded >= level, "unchecked %d" % k
+    checks = [true for _, true, _ in seen[first:]]
+    level_at = next((first + i for i, (_, true, level)
+                     in enumerate(seen[first:], start=1) if true < level),
+                    None)
+    stagnated_at = next((first + i + 1 for i in range(3, len(checks))
+                         if all(checks[j] >= 0.5 * min(checks[:j])
+                                for j in range(i - 2, i + 1))), None)
+    return level_at, stagnated_at
 
 
 def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
@@ -290,7 +294,7 @@ def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
     """Capacity rows by one fresh solver run per budget.
 
     The attained iteration k comes from accuracy_stops, the earlier of its
-    two stops; each budget then gets a fresh run at epsilon 1e-16 with
+    two stops; each budget then gets a fresh run at epsilon 0 with
     max_iters=min(budget, k).  capacity_vs_iterations, which serves every
     budget from one run through the iteration hook, must match it exactly.
     """
@@ -301,14 +305,12 @@ def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
     rows = []
     for budget in budgets:
         iterations = budget if attained is None else min(budget, attained)
-        cfg = CGConfig(max_iters=iterations, epsilon=1e-16)
+        cfg = CGConfig(max_iters=iterations, epsilon=0.0)
         state = cg_inverse(system, preconditioner=preconditioner, config=cfg)
         x = transform(state.x) if transform is not None else state.x
         gam = scenario_gammas(stats, channels, x, noise_psd, rank=rank)
-        residual = state.residual_history[-1] if state.residual_history else float("nan")
         rows.append({"requested": budget,
                      "iterations": state.iterations,
-                     "residual": float(residual),
                      "capacity": capacity(gam)})
     return rows
 
@@ -318,9 +320,10 @@ def stagnating_case():
 
     Plain CG on a side-8 array with 8 users of 4 paths each, spread over
     0 to 90 dB SNR: the loading spans nine decades, and the true residual
-    flattens near 6e-8, above the level of accuracy_stops at every check
-    of the 10 N run.  Returns (cfg, stats, channels, system, stagnated_at)
-    for the first seed from 421 where the level test never fires.
+    flattens near 1e-7, above the level of accuracy_stops at every check
+    until the run stagnates.  Returns (cfg, stats, channels, system,
+    stagnated_at) for the first seed from 421 where the level test never
+    fires.
     """
     for seed in range(421, 441):
         cfg = small_scenario_config(side=8, n_ue=8, paths_per_user=4,

@@ -10,6 +10,7 @@ from ltbf.cg import (
     CGConfig,
     CGState,
     NumericalBreakdownError,
+    accuracy_level_scale,
     cg_inverse,
     residual_norm,
     write_trajectory,
@@ -196,6 +197,27 @@ class TestStateAndStopping:
         assert np.array_equal(hooked.x, plain.x)
         assert numpy_residual(system.matrix, plain.x) < eps
 
+    def test_checks_go_on_after_the_estimate_dips_below_the_level(self):
+        # the estimate dips below the accuracy level at iterations 5-6 and
+        # then grows tenfold or more per iteration; a run that checked only
+        # below the level would never check again and end its 80 iterations
+        # at a residual of 2e81
+        vals = np.linspace(1.118, 1.0, 8)
+        a, u = helpers.synthetic_hermitian(vals, 2)
+        system = dense_system(a)
+        precond = from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+        scale = accuracy_level_scale(system)
+        levels = []
+        state = cg_inverse(system, preconditioner=precond,
+                           config=CGConfig(max_iters=80, epsilon=1.28e-17),
+                           on_iteration=lambda k, x, r: levels.append(
+                               scale * fro_norm(x)))
+        history = state.residual_history
+        assert history[4] < levels[4] and history[5] < levels[5]
+        assert history[5] < history[6] < history[7] and history[7] > 100 * history[5]
+        assert (state.iterations, state.stop) == (8, "stagnated")
+        assert numpy_residual(a, state.x) < 1e-13
+
     def test_bitwise_reproducible(self):
         system = scenario_system(3318, side=4)
         cfg = CGConfig(max_iters=6, epsilon=1e-12)
@@ -228,7 +250,8 @@ class TestIterationHook:
     def test_iterate_at_k_equals_truncated_run(self):
         system = scenario_system(3301)
         precond = build_preconditioner(system, rank=8, power_iters=4, seed=3301)
-        budgets = {1, 2, 5, 9, 14}
+        # the run at 1e-16 stagnates at 13, the last iterate it reaches
+        budgets = {1, 2, 5, 9, 13}
         seen = {}
 
         def keep(iterations, x, residual):
@@ -274,7 +297,7 @@ class TestIterationHook:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("eps", [-1e-300, 1.0, -0.5, 2.0])
     def test_epsilon_range(self, eps):
         with pytest.raises(ValueError):
             cg_inverse(dense_system(np.eye(4)),
@@ -313,6 +336,13 @@ class TestResidualNorm:
         x = helpers.random_complex((3, 3), 305)
         naive = np.linalg.norm(a @ x - np.eye(3)) / np.sqrt(3.0)
         assert abs(residual_norm(system, x) - naive) <= 1e-14
+
+
+class TestAccuracyLevel:
+    def test_scale_is_8u_times_the_frobenius_norm_over_n(self):
+        a, _ = helpers.synthetic_hermitian([5.0, 3.0, 2.0], 306)
+        expect = 8.0 * 2.0 ** -53 * np.linalg.norm(a) / 3.0
+        assert accuracy_level_scale(dense_system(a)) == pytest.approx(expect, rel=1e-15)
 
 
 class TestIterationBound:
@@ -373,6 +403,42 @@ class TestAgainstDirectInverse:
         # X - Q^-1 = Q^-1 (Q X - I), so ||X - Q^-1||_F <= sqrt(n) res / lambda_min
         err = fro_norm(state.x - direct_inverse_oracle(a))
         assert err <= np.sqrt(n) * res / vals[-1] * (1.0 + 1e-6) + 1e-10
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(2, 24), log_kappa=st.floats(0.0, 4.0),
+           eps=st.one_of(st.just(0.0),
+                         st.floats(-20.0, -3.0).map(lambda e: 10.0 ** e)),
+           preconditioned=st.booleans(), rank=st.integers(1, 24),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stop_cause_matches_the_returned_state(
+            self, n, log_kappa, eps, preconditioned, rank, seed):
+        rng = np.random.default_rng(seed)
+        kappa = 10.0 ** log_kappa
+        inner = 10.0 ** rng.uniform(0.0, log_kappa, n - 2)
+        vals = np.sort(np.concatenate([[kappa, 1.0], inner]))[::-1]
+        a, u = helpers.synthetic_hermitian(vals, seed)
+        system = dense_system(a)
+        precond = None
+        if preconditioned:  # exact top eigenpairs
+            k = min(rank, n)
+            precond = from_eigenpairs(u[:, :k], vals[:k], system.sigma2)
+        max_iters = 10 * n
+        state = cg_inverse(system, preconditioner=precond,
+                           config=CGConfig(max_iters=max_iters, epsilon=eps))
+        res = numpy_residual(a, state.x)
+        assert state.stop in ("converged", "stagnated", "budget")
+        if state.stop == "converged":
+            # the solver's own true residual is below eps; numpy forms the
+            # same residual with other roundings, bounded by 4 n u ||Q|| ||X||
+            assert fro_norm(state.r) / np.sqrt(n) < eps
+            rounding = 4 * n * 2.0 ** -53 * fro_norm(a) * fro_norm(state.x)
+            assert res < eps + rounding / np.sqrt(n)
+        else:
+            # a tolerance out of reach still ends at the attainable accuracy
+            assert res <= 1e-10
+        if state.stop == "budget":
+            assert state.iterations == max_iters
 
 
 class TestKappaGrowth:

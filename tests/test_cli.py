@@ -271,9 +271,27 @@ class TestInvert:
         assert fields["iterations"] == "0"
         # X = 0 leaves the residual I, of scaled norm exactly 1
         assert float(fields["residual"]) == 1.0
-        assert fields["warning"].startswith("target 1e-06 not reached")
+        assert fields["warning"] == "target 1e-06 not reached in 0 iterations (budget)"
         assert not np.any(load_matrix(out))
         assert open(trace).read() == "iter,residual,config_id\n"
+
+    def test_unreachable_eps_stops_at_attained_accuracy(self, capsys, tmp_path,
+                                                        single_path_scenario):
+        # run to the 10 N cap, plain CG at eps 1e-20 ends this scenario at
+        # residual 6.1, worse than the zero inverse; it stops where its
+        # true residual stagnates instead and says why it missed eps
+        n = 16
+        rc, stdout, _ = run_capture(capsys, ["invert", single_path_scenario,
+                                             "--precond", "none",
+                                             "--eps", "1e-20",
+                                             "--out", str(tmp_path / "x.inv")])
+        assert rc == 0
+        fields = stdout_fields(stdout)
+        iterations = int(fields["iterations"])
+        assert iterations < 10 * n
+        assert float(fields["residual"]) < 1e-14
+        assert fields["warning"] == ("target 1e-20 not reached in %d "
+                                     "iterations (stagnated)" % iterations)
 
     @pytest.mark.parametrize("flags", [["--q", "0"], ["--q", "65"],
                                        ["--p", "0"]])
@@ -367,6 +385,29 @@ class TestSweep:
                                              "--out-dir", out_dir])
         assert rc == 0
         assert "warning" not in stdout
+
+    def test_stop_iterations_stated_in_readme(self, capsys, tmp_path):
+        # side 16, seed 101: the budget runs stop after 20, 11, 20 and 10
+        # iterations and the runs at an unreachable eps after 23, 14, 23
+        # and 13; a check the level starts keeps the recursive residual,
+        # and replacing it there would stop two of them one later
+        cfg_path = write_config(tmp_path / "s.cfg", "side = 16\nseed = 101\n")
+        scen = str(tmp_path / "s.bslv")
+        out_dir = str(tmp_path / "run")
+        assert cli.run(["gen", cfg_path, scen]) == 0
+        assert cli.run(["sweep", scen, "--eps", "1e-20",
+                        "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        with open(os.path.join(out_dir, "capacity.csv")) as fh:
+            stops = {}
+            for row in csv.DictReader(fh):
+                stops[row["config_id"]] = max(stops.get(row["config_id"], 0),
+                                              int(row["iters"]))
+        with open(os.path.join(out_dir, "run_meta.csv")) as fh:
+            meta = list(csv.DictReader(fh))
+        names = [row["config_id"] for row in meta]
+        assert [stops[name] for name in names] == [20, 11, 20, 10]
+        assert [int(row["iters_to_eps"]) for row in meta] == [23, 14, 23, 13]
 
     def test_longer_power_iteration_never_hurts_capacity(self, capsys, tmp_path,
                                                          mid_scenario):

@@ -316,7 +316,9 @@ class TestCapacity:
         exact = capacity(g0)
         assert rows[0]["requested"] == 2 and rows[0]["iterations"] == 2
         assert abs(rows[1]["capacity"] - exact) <= 0.01 * exact
-        assert rows[1]["residual"] <= 1e-10
+        alone = cg_inverse(system, config=CGConfig(
+            max_iters=rows[1]["iterations"], epsilon=0.0))
+        assert residual_norm(system, alone.x) <= 1e-10
 
 
 def quiet_scene():
@@ -352,7 +354,7 @@ class TestSingleRunCapacity:
         oracle = restart_capacity_oracle(system, stats, channels,
                                          cfg.noise_psd, budgets,
                                          preconditioner=precond, transform=back)
-        # repr: exact float digits, and a nan residual equals itself
+        # repr: exact float digits
         assert repr(rows) == repr(oracle)
 
     def test_floor_stop_reports_iterations_reached(self):
@@ -375,11 +377,10 @@ class TestSingleRunCapacity:
         budgets = [2, 4]
         rows, (converged,) = capacity_vs_iterations(
             system, stats, channels, cfg.noise_psd, budgets, [eps])
-        # a separate run at eps, cut where the single run stagnates: the
-        # tolerance it cannot reach (1e-300) takes the stagnated iterate
-        _, stagnated_at = accuracy_stops(system, epsilon=min(eps, 1e-16))
-        alone = cg_inverse(system, config=CGConfig(
-            max_iters=stagnated_at or 10 * n, epsilon=eps))
+        # a separate run at eps; where eps is out of reach (1e-300) both
+        # runs stagnate, and the tolerance takes the stagnated iterate
+        alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
+                                                   epsilon=eps))
         assert converged["iterations"] == alone.iterations < 10 * n
         assert np.array_equal(converged["x"], alone.x)
         assert repr(rows) == repr(restart_capacity_oracle(
@@ -429,10 +430,11 @@ class TestSingleRunCapacity:
         _, (converged,) = capacity_vs_iterations(system, stats, channels,
                                                  cfg.noise_psd, [], [eps])
         level_at, stop = accuracy_stops(system, epsilon=eps)
-        alone = cg_inverse(system, config=CGConfig(max_iters=stop,
+        alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                    epsilon=eps))
         assert level_at is None
-        assert converged["iterations"] == alone.iterations < 10 * n
+        assert alone.stop == "stagnated"
+        assert converged["iterations"] == alone.iterations == stop < 10 * n
         assert np.array_equal(converged["x"], alone.x)
 
     def test_prebuilt_projectors_give_identical_gammas(self, scene):
