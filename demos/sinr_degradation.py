@@ -13,7 +13,6 @@ import numpy as np
 from ltbf.cg import CGConfig, cg_inverse
 from ltbf.evaluation import (build_projectors, capacity, capacity_vs_iterations,
                              check_sinr_bound, inverse_error, scenario_gammas)
-from ltbf.linalg import direct_inverse_oracle
 from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
@@ -28,7 +27,7 @@ def main():
     cfg = ScenarioConfig(seed=args.seed)
     stats, channels = generate_scenario(cfg)
     system = assemble_q(stats)
-    x_exact = direct_inverse_oracle(system.matrix)
+    x_exact = np.linalg.inv(system.matrix)
     g_exact = scenario_gammas(stats, channels, x_exact, cfg.noise_psd,
                               rank=args.rank)
     cap_exact = capacity(g_exact)

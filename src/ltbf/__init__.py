@@ -4,10 +4,7 @@ beamforming studies.
 The package is organized around the inversion pipeline of a multi-user
 system matrix Q = I + sum_i alpha_i * Rbar_i:
 
-- linalg: dense complex kernels on BLAS/LAPACK with operation counting,
-  plus the loop oracles they are tested against (cyclic Jacobi EVD, column
-  Cholesky, substitution, direct Cholesky inverse), which the pipeline
-  does not call.
+- linalg: dense complex kernels on BLAS/LAPACK with operation counting.
 - cholqr: CholeskyQR2 orthogonalization of tall-skinny blocks.
 - randevd: randomized low-rank eigendecomposition by power iteration.
 - precond: the Woodbury-form low-rank preconditioner built from it.

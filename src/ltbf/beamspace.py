@@ -7,12 +7,12 @@ concentrates quasi-plane-wave channel energy into few beams and makes the
 transformed matrix numerically sparse.  Solvers run unchanged on Q_b and
 the solution maps back as F^H X_b F.
 
-The production path (method="fft", the default) factors the Kronecker
-structure through numpy's FFT and never forms F.  The dense path
-multiplies the explicit DFT matrix with counted products and is kept only
-as the correctness reference; F is built on demand for it (16.8 MB at
-N = 1024), never stored on the operator.  Both paths must agree to 1e-11
-and the tests hold them to that.
+Both directions factor the Kronecker structure through numpy's FFT and
+never form F, so they charge nothing to a FlopCounter; their cost is
+N^2 log N scalar multiplies against the 2 N^3 of the two dense products.
+The operator stores only the T x T axis DFT.  Its `f` property builds the
+dense N x N F on access (16.8 MB at N = 1024) for the tests' dense
+reference route, which the FFT path must match to 1e-11.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, gemm
+from .linalg import DimensionMismatchError
 from .scenario import SystemMatrix
 
 __all__ = ["BeamspaceOperator", "build_operator", "to_beamspace",
@@ -41,7 +41,8 @@ class BeamspaceOperator:
 
     @property
     def f(self):
-        """(N, N) matrix F_x kron F_y, built per access for the dense path."""
+        """(N, N) matrix F_x kron F_y, built per access; the pipeline never
+        reads it."""
         return np.kron(self.axis_dft, self.axis_dft)
 
 
@@ -62,52 +63,37 @@ def _as_grid(a, side):
     return a.reshape(side, side, side, side)
 
 
-def _forward_similarity(op, a, method, counter):
-    """F a F^H by the requested path."""
-    if method == "dense":
-        f = op.f
-        return gemm(gemm(f, a, counter=counter), f, conj_b=True, counter=counter)
-    if method == "fft":
-        grid = _as_grid(a, op.side)
-        out = np.fft.ifft2(np.fft.fft2(grid, axes=(0, 1)), axes=(2, 3))
-        return np.ascontiguousarray(out.reshape(a.shape))
-    raise ValueError("unknown method %r, expected 'dense' or 'fft'" % method)
+def _check_method(method):
+    # the one path; the keyword stays for callers that name it
+    if method != "fft":
+        raise ValueError("unknown method %r, expected 'fft'" % method)
 
 
-def _inverse_similarity(op, a, method, counter):
-    """F^H a F by the requested path."""
-    if method == "dense":
-        f = op.f
-        return gemm(gemm(f, a, conj_a=True, counter=counter), f, counter=counter)
-    if method == "fft":
-        grid = _as_grid(a, op.side)
-        out = np.fft.fft2(np.fft.ifft2(grid, axes=(0, 1)), axes=(2, 3))
-        return np.ascontiguousarray(out.reshape(a.shape))
-    raise ValueError("unknown method %r, expected 'dense' or 'fft'" % method)
-
-
-def to_beamspace(op, system, method="fft", counter=None):
-    """Transform an antenna-domain system matrix into beamspace.
+def to_beamspace(op, system, method="fft"):
+    """Transform an antenna-domain system matrix into beamspace, F Q F^H.
 
     The result is tagged with the beamspace domain; SystemMatrix keeps its
     Hermitian part, which removes the round-off drift of the transform,
     and raises NotFiniteError if the transform overflowed.  Trace and
     spectrum are preserved.
-
-    The fft path charges nothing to the counter; its asymptotic cost is
-    N^2 log N scalar multiplies against the dense path's 2 N^3.
     """
+    _check_method(method)
     if system.domain != "antenna":
         raise ValueError("to_beamspace expects an antenna-domain system, got %r"
                          % system.domain)
+    grid = _as_grid(system.matrix, op.side)
     with np.errstate(over="ignore", invalid="ignore"):  # SystemMatrix rejects it
-        qb = _forward_similarity(op, system.matrix, method, counter)
-    return SystemMatrix(qb, "beamspace")
+        qb = np.fft.ifft2(np.fft.fft2(grid, axes=(0, 1)), axes=(2, 3))
+    return SystemMatrix(np.ascontiguousarray(qb.reshape(system.matrix.shape)),
+                        "beamspace")
 
 
-def from_beamspace(op, x_b, method="fft", counter=None):
-    """Map a beamspace solution block back to the antenna domain."""
-    return _inverse_similarity(op, x_b, method, counter)
+def from_beamspace(op, x_b, method="fft"):
+    """Map a beamspace solution block back to the antenna domain, F^H X_b F."""
+    _check_method(method)
+    grid = _as_grid(x_b, op.side)
+    out = np.fft.fft2(np.fft.ifft2(grid, axes=(0, 1)), axes=(2, 3))
+    return np.ascontiguousarray(out.reshape(x_b.shape))
 
 
 def sparsity_ratio(a, threshold=0.005):

@@ -159,10 +159,10 @@ def _check_eps(eps):
 
 
 def _check_sketch(q, p, n, where=""):
-    """Sketch rank q in [1, min(64, N)] and power iterations p >= 1."""
-    if not 1 <= q <= min(64, n):
+    """Sketch rank q in [1, N] and power iterations p >= 1."""
+    if not 1 <= q <= n:
         raise ConfigError("%ssketch rank q must lie in [1, %d], got %d"
-                          % (where, min(64, n), q))
+                          % (where, n, q))
     if p < 1:
         raise ConfigError("%spower iteration count p must be >= 1, got %d"
                           % (where, p))

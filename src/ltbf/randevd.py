@@ -30,20 +30,16 @@ _MAX_REDRAWS = 3
 
 @dataclass
 class EVDResult:
-    """Rank-limited eigenpairs plus the knobs that produced them.
+    """Rank-limited eigenpairs.
 
     eigvecs : (n, rank) orthonormal columns.
     eigvals : (rank,) real, descending.  Values within -1e-12 of zero are
         clamped to exactly zero so downstream reciprocals never divide by a
         negative round-off residue.
-    rank, power_iters, seed : the sketch parameters.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    rank: int
-    power_iters: int
-    seed: int
 
 
 def gaussian_start_block(n, cols, seed):
@@ -59,8 +55,7 @@ def gaussian_start_block(n, cols, seed):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
-                   shift=0.0):
+def randomized_evd(a, rank, power_iters, seed, counter=None, shift=0.0):
     """Top eigenpairs of a Hermitian matrix by randomized subspace iteration.
 
     Parameters
@@ -69,7 +64,7 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
         and guaranteed by the SystemMatrix build_preconditioner passes.
         hermitian_evd_small still rejects a compressed block far from it.
     rank : int
-        Number of eigenpairs, 1 <= rank <= min(n, 64).
+        Number of eigenpairs, 1 <= rank <= n.
     power_iters : int
         Power iterations, >= 1.  Each one multiplies by a and
         re-orthonormalizes with CholeskyQR2.
@@ -77,9 +72,6 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
         Seed for the start block.  On a rank-deficient sketch the block is
         redrawn with seed+1, seed+2, ... at most three times.
     counter : FlopCounter, optional.
-    start_block : (n, rank) complex ndarray, optional
-        Explicit start block overriding the seeded draw, used by
-        equivariance tests.  Redraws still derive from `seed`.
     shift : float
         Each power iteration multiplies by a - shift * I, applied to the
         thin block as a q - shift q, so no shifted n x n copy is made.  The
@@ -95,23 +87,13 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
     n = a.shape[0]
     if not (1 <= rank <= n):
         raise DimensionMismatchError("rank must lie in [1, %d], got %d" % (n, rank))
-    if rank > 64:
-        raise DimensionMismatchError(
-            "rank is limited to 64 by the small-EVD kernel, got %d" % rank)
     if power_iters < 1:
         raise ValueError("power_iters must be >= 1")
 
     last_err = None
     for redraw in range(_MAX_REDRAWS + 1):
-        if redraw == 0 and start_block is not None:
-            block = np.array(start_block, dtype=np.complex128)
-            if block.shape != (n, rank):
-                raise DimensionMismatchError(
-                    "start_block must be (%d, %d), got %s" % (n, rank, block.shape))
-        else:
-            block = gaussian_start_block(n, rank, seed + redraw)
         try:
-            q_cur = block
+            q_cur = gaussian_start_block(n, rank, seed + redraw)
             for _ in range(power_iters):
                 y = gemm(a, q_cur, counter=counter)
                 if shift:
@@ -124,8 +106,7 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, start_block=None,
             vals, vecs = hermitian_evd_small(b, counter=counter)
             u = gemm(q_cur, vecs, counter=counter)
             vals = np.where((vals < 0.0) & (vals >= -1e-12), 0.0, vals)
-            return EVDResult(eigvecs=u, eigvals=vals, rank=rank,
-                             power_iters=power_iters, seed=seed)
+            return EVDResult(eigvecs=u, eigvals=vals)
         except RankDeficiencyError as err:
             last_err = err
             continue

@@ -20,8 +20,7 @@ from ltbf.cg import CGConfig, cg_inverse
 from ltbf.cholqr import cholesky_qr2
 from ltbf.evaluation import (build_projectors, capacity, check_sinr_bound,
                              inverse_error, scenario_gammas, sinr_cdf)
-from ltbf.linalg import (FlopCounter, cholesky, direct_inverse_oracle,
-                         full_evd_oracle, gemm, trsm_right_upper_ct)
+from ltbf.linalg import FlopCounter, cholesky, gemm, trsm_right_upper_ct
 from ltbf.precond import build_preconditioner, from_eigenpairs
 from ltbf.randevd import randomized_evd
 from ltbf.scenario import (ScenarioConfig, UserStats, assemble_q,
@@ -30,6 +29,7 @@ from ltbf.scenario import (ScenarioConfig, UserStats, assemble_q,
 from helpers import (benchmark_q_system, conditioned_block, principal_angles,
                      random_complex, random_unitary_columns,
                      synthetic_hermitian, triple_loop_gemm)
+from oracles import direct_inverse_oracle, full_evd_oracle
 
 
 def fro_rel(delta, reference):

@@ -15,9 +15,10 @@ from ltbf.cg import (
     residual_norm,
     write_trajectory,
 )
-from ltbf.linalg import FlopCounter, direct_inverse_oracle, fro_norm, full_evd_oracle
+from ltbf.linalg import FlopCounter, fro_norm
 from ltbf.precond import build_preconditioner, from_eigenpairs
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
+from oracles import direct_inverse_oracle, full_evd_oracle
 
 
 def dense_system(matrix):

@@ -17,7 +17,6 @@ from ltbf.evaluation import (
     write_csv,
 )
 from ltbf.beamspace import build_operator, from_beamspace, to_beamspace
-from ltbf.linalg import direct_inverse_oracle
 from ltbf.precond import build_preconditioner
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
                            save_scenario, steering_vector)
@@ -26,6 +25,7 @@ from helpers import (accuracy_stops, einsum_gammas_oracle,
                      lagging_estimate_case, mmse_baseline_sinr,
                      post_beamforming_sinr, restart_capacity_oracle,
                      small_scenario_config, stagnating_case)
+from oracles import direct_inverse_oracle
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -15,14 +15,16 @@ from ltbf.linalg import (
     SingularTriangularError,
     as_cmatrix,
     cholesky,
-    cholesky_oracle,
-    direct_inverse_oracle,
     fro_norm,
-    full_evd_oracle,
     gemm,
     hermitian_evd_small,
-    hermitian_evd_small_oracle,
     trsm_right_upper_ct,
+)
+from oracles import (
+    cholesky_oracle,
+    direct_inverse_oracle,
+    full_evd_oracle,
+    hermitian_evd_small_oracle,
     trsm_right_upper_ct_oracle,
 )
 
@@ -193,9 +195,11 @@ class TestJacobiEVD:
         assert np.max(np.abs(vals_small - vals_full)) <= 1e-11 * fro_norm(a)
 
     def test_dimension_caps(self):
-        with pytest.raises(DimensionMismatchError):
-            hermitian_evd_small(np.eye(65, dtype=np.complex128))
-        full_evd_oracle(np.eye(65, dtype=np.complex128))  # oracle admits more
+        # no cap: past the Jacobi oracle's 64 the kernel still matches LAPACK
+        a = hermitian(65, 49)
+        vals, _ = hermitian_evd_small(a)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(a)[::-1])) \
+            <= 1e-12 * fro_norm(a)
 
     def test_rejects_non_hermitian(self):
         a = helpers.random_complex((8, 8), 44)
@@ -333,6 +337,35 @@ class TestEdgeCases:
         assert exc.value.index == 1
         assert exc.value.pivot == pytest.approx(1e-17)
 
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1, 16), seed=st.integers(0, 2 ** 31),
+           rank=st.integers(0, 16), indefinite=st.booleans())
+    def test_lapack_rejection_index_matches_the_oracle(self, q, seed, rank,
+                                                        indefinite):
+        # bisection over the leading blocks finds the loop's breakdown
+        # column and pivot; a pivot at round-off level may fall either
+        # side of zero on the two routes, so there only its size is held
+        v = helpers.random_complex((q, min(rank, q)), seed)
+        signs = np.where(np.arange(v.shape[1]) % 2 & indefinite, -1.0, 1.0)
+        w = (v * signs) @ v.conj().T
+        try:
+            np.linalg.cholesky(w)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            assume(False)
+        with pytest.raises(CholeskyBreakdownError) as got:
+            cholesky(w)
+        tol = 1e-10 * np.max(np.abs(w))
+        try:
+            cholesky_oracle(w)
+        except CholeskyBreakdownError as ref:
+            if abs(ref.pivot) > tol:
+                assert got.value.index == ref.index
+                assert abs(got.value.pivot - ref.pivot) <= tol
+                return
+        assert got.value.pivot <= tol
+
     def test_lapack_rejection_reports_the_oracle_index(self):
         w = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128)
         with pytest.raises(CholeskyBreakdownError) as exc:
@@ -360,9 +393,28 @@ class TestEdgeCases:
         l[2, 0] = np.inf
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(l)
-        with np.errstate(all="ignore"):
-            z = trsm_right_upper_ct(helpers.random_complex((4, 3), 93), l)
-        assert z.shape == (4, 3)
+        with pytest.raises(NotFiniteError):
+            trsm_right_upper_ct(helpers.random_complex((4, 3), 93), l)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(1, 0), (1, 1)])
+    def test_nonfinite_factor_raises_not_finite(self, special, at):
+        # LAPACK inverts a NaN factor to NaN and an infinite diagonal
+        # entry to a zero column, without an error
+        l = np.eye(3, dtype=np.complex128)
+        l[at] = special
+        with pytest.raises(NotFiniteError):
+            trsm_right_upper_ct(helpers.random_complex((4, 3), 94), l)
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", [cholesky, hermitian_evd_small])
+    def test_nonfinite_gram_raises_not_finite(self, kernel, special):
+        # LAPACK turns a NaN Gram into an all-NaN factor and NaN eigenvalues
+        # without an error; an inf Gram read as a breakdown at pivot 0
+        w = hpd(4, 95)
+        w[0, 0] = special
+        with pytest.raises(NotFiniteError):
+            kernel(w)
 
     @settings(max_examples=60, deadline=None)
     @given(q=st.integers(1, 8), seed=st.integers(0, 2 ** 31),
@@ -376,7 +428,8 @@ class TestEdgeCases:
         w = (v * signs) @ v.conj().T
         w[0, 0] = special
         documented = (CholeskyBreakdownError, NotHermitianError,
-                      SingularTriangularError, JacobiConvergenceError)
+                      SingularTriangularError, JacobiConvergenceError,
+                      NotFiniteError)
         for kernel in (cholesky, hermitian_evd_small,
                        lambda m: trsm_right_upper_ct(np.ones((2, q)), np.tril(m))):
             try:

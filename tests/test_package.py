@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pathlib
@@ -21,6 +22,35 @@ def test_all_names_resolve(name):
     missing = [export for export in exports if not hasattr(module, export)]
     assert not missing, missing
     assert len(set(exports)) == len(exports)
+
+
+def _bound_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).rsplit(".", 1)[-1]
+        elif isinstance(node, ast.arg):
+            yield node.arg
+
+
+def test_package_holds_no_oracle():
+    # the slow reference routes live in tests/oracles.py; no module of the
+    # package defines, imports or binds one, so no production path can
+    # fall back into a loop
+    paths = sorted((_ROOT / "src" / "ltbf").glob("*.py"))
+    assert paths
+    for path in paths:
+        module = importlib.import_module(
+            "ltbf" if path.stem == "__init__" else "ltbf." + path.stem)
+        names = set(vars(module)) | set(_bound_names(
+            ast.parse(path.read_text(), str(path))))
+        bad = sorted(n for n in names
+                     if n.endswith("_oracle") or n.startswith("_jacobi"))
+        assert not bad, (path.name, bad)
 
 
 def test_perfbench_smoke_runs():

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 import helpers
 from ltbf.beamspace import build_operator, to_beamspace
 from ltbf.cg import CGConfig, cg_inverse
-from ltbf.linalg import (
-    DimensionMismatchError,
-    FlopCounter,
-    direct_inverse_oracle,
-    fro_norm,
-)
+from ltbf.linalg import DimensionMismatchError, FlopCounter, fro_norm
 from ltbf.precond import (
     InvalidSpectrumError,
     LowRankPreconditioner,
@@ -20,6 +15,7 @@ from ltbf.precond import (
 )
 from ltbf.randevd import randomized_evd
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
+from oracles import direct_inverse_oracle
 
 
 def sketch_shift(system):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import helpers
-from ltbf import cholqr, linalg, randevd
+from ltbf import cholqr, randevd
 from ltbf.cholqr import RankDeficiencyError
 from ltbf.linalg import (DimensionMismatchError, FlopCounter, NotHermitianError,
-                         fro_norm, full_evd_oracle)
-from ltbf.randevd import EVDResult, gaussian_start_block, randomized_evd
+                         fro_norm)
+from ltbf.randevd import gaussian_start_block, randomized_evd
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
+from oracles import (cholesky_oracle, full_evd_oracle, hermitian_evd_small_oracle,
+                     trsm_right_upper_ct_oracle)
 
 
 def clustered_matrix(n, top_vals, seed):
@@ -61,6 +63,13 @@ class TestRecovery:
         res = randomized_evd(a, 8, 4, seed=103)
         assert np.max(np.abs(res.eigvals - vals[:8]) / vals[:8]) <= 1e-4
         assert np.max(helpers.principal_angles(res.eigvecs, u[:, :8])) <= 1e-3
+
+    def test_rank_above_64(self):
+        # no cap on the width since the small EVD runs on LAPACK
+        a, u, vals = clustered_matrix(96, np.linspace(40.0, 20.0, 66), 105)
+        res = randomized_evd(a, 66, 4, seed=106)
+        assert np.max(np.abs(res.eigvals - vals[:66]) / vals[:66]) <= 1e-6
+        assert np.max(helpers.principal_angles(res.eigvecs, u[:, :66])) <= 1e-3
 
     def test_strongly_loaded_system_matrix(self):
         # eight well separated rank-one terms on top of the identity give a
@@ -145,21 +154,16 @@ class TestDeterminismAndEquivariance:
         assert np.array_equal(r1.eigvals, r2.eigvals)
         assert np.array_equal(r1.eigvecs, r2.eigvecs)
 
-    def test_rotation_equivariant_spectrum(self):
+    def test_rotation_equivariant_spectrum(self, monkeypatch):
         a, _, _ = clustered_matrix(24, [9.0, 5.0, 2.0], 122)
         w = helpers.random_unitary_columns(24, 24, 123)
-        block = gaussian_start_block(24, 3, 124)
-        res_a = randomized_evd(a, 3, 3, seed=124, start_block=block)
-        res_b = randomized_evd(w @ a @ w.conj().T, 3, 3, seed=124,
-                               start_block=w @ block)
+        res_a = randomized_evd(a, 3, 3, seed=124)
+        # the rotated matrix starts from the rotated block
+        monkeypatch.setattr(randevd, "gaussian_start_block",
+                            lambda n, cols, seed: w @ gaussian_start_block(n, cols, seed))
+        res_b = randomized_evd(w @ a @ w.conj().T, 3, 3, seed=124)
         assert np.max(np.abs(res_a.eigvals - res_b.eigvals)
                       / np.abs(res_a.eigvals)) <= 1e-9
-
-    def test_result_carries_parameters(self):
-        a, _, _ = clustered_matrix(16, [4.0], 125)
-        res = randomized_evd(a, 1, 2, seed=126)
-        assert isinstance(res, EVDResult)
-        assert (res.rank, res.power_iters, res.seed) == (1, 2, 126)
 
 
 class TestFailureModes:
@@ -185,37 +189,25 @@ class TestFailureModes:
         with pytest.raises(NotHermitianError):
             randomized_evd(a + 10.0, 2, 1, seed=1)
 
-    def test_start_block_shape_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            randomized_evd(np.eye(8, dtype=complex), 2, 1, seed=1,
-                           start_block=np.ones((8, 3), dtype=complex))
-
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             randomized_evd(np.ones((4, 5), dtype=complex), 2, 1, seed=1)
 
 
 class TestProductionKernels:
-    """The sketch runs on the LAPACK kernels, never on their loop oracles."""
+    """The sketch on the LAPACK kernels matches it on their loop oracles."""
 
     def sketch(self):
         a, _, _ = clustered_matrix(48, np.linspace(30.0, 2.0, 16), 140)
         return randomized_evd(a, 16, 4, seed=141, shift=0.9)
 
-    def test_sketch_reaches_no_loop_oracle(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the sketch reached a loop oracle")
-        for name in ("cholesky_oracle", "trsm_right_upper_ct_oracle", "_jacobi_evd"):
-            monkeypatch.setattr(linalg, name, forbidden)
-        assert np.all(np.isfinite(self.sketch().eigvals))
-
     def test_matches_sketch_on_oracle_kernels(self, monkeypatch):
         res = self.sketch()
-        monkeypatch.setattr(cholqr, "cholesky", linalg.cholesky_oracle)
+        monkeypatch.setattr(cholqr, "cholesky", cholesky_oracle)
         monkeypatch.setattr(cholqr, "trsm_right_upper_ct",
-                            linalg.trsm_right_upper_ct_oracle)
+                            trsm_right_upper_ct_oracle)
         monkeypatch.setattr(randevd, "hermitian_evd_small",
-                            linalg.hermitian_evd_small_oracle)
+                            hermitian_evd_small_oracle)
         ref = self.sketch()
         assert np.max(np.abs(res.eigvals - ref.eigvals)) <= 1e-12 * ref.eigvals[0]
         assert np.max(helpers.principal_angles(res.eigvecs, ref.eigvecs)) <= 1e-8
