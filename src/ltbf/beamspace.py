@@ -84,8 +84,7 @@ def to_beamspace(op, system, method="fft"):
     grid = _as_grid(system.matrix, op.side)
     with np.errstate(over="ignore", invalid="ignore"):  # SystemMatrix rejects it
         qb = np.fft.ifft2(np.fft.fft2(grid, axes=(0, 1)), axes=(2, 3))
-    return SystemMatrix(np.ascontiguousarray(qb.reshape(system.matrix.shape)),
-                        "beamspace")
+    return SystemMatrix(qb.reshape(system.matrix.shape), "beamspace")
 
 
 def from_beamspace(op, x_b, method="fft"):

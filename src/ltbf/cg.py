@@ -11,8 +11,9 @@ residual I - Q X.  Downstream bounds are stated in the true residual's
 scaled norm ||Q X - I||_F / sqrt(N) (1 at X = 0), so one stop rule on it
 holds for every caller.  Iteration k forms it (a check) when the
 recursive estimate is below epsilon or the attainable-accuracy level
-c u ||Q||_F ||X_k||_F / N, c = 8, u = 2^-53 (Greenbaum, SIAM J. Matrix
-Anal. Appl. 18, 1997); every iteration after a check is a check too.
+c u ||Q||_F ||X_k||_F / N, c = 8, u the unit roundoff of the working
+precision (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997); every
+iteration after a check is a check too.
 The run stops at a check whose true residual is below epsilon
 ("converged"), at the third check in a row that fails to fall below half
 the smallest true residual of the checks before it ("stagnated"), after
@@ -24,13 +25,34 @@ replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
 CGState.stop records the cause; r and residual_history[-1] of a returned
 state hold the true residual of its last iterate.
 
+The working precision follows from epsilon alone.  Below _C64_EPS,
+epsilon = 0 included, the run is complex128 throughout, u = 2^-53.  At or
+above it the iteration runs in complex64, u = 2^-24, as iterative
+refinement does (Carson & Higham, SIAM J. Sci. Comput. 40, 2018): the
+S = Q P product takes a complex64 copy of Q made once per run, R, P, S
+and Z are complex64 and so is the preconditioner apply, while column
+dots and norms accumulate in complex128 and float64.  X, every check
+and every stop stay complex128, so a check costs one complex128 product.
+complex64 holds the true residual down to a floor of 0.1-0.3 u kappa(Q)
+on the generator's loadings: 2-4e-7 at its default -6..14 dB, rising
+tenfold per 10 dB of spread.  In the complex64 phase every iteration counts
+toward stagnation on its recorded residual, checked or not, since a
+loading whose floor lies far above epsilon may never bring the estimate
+down to a check.  A complex64 phase that stagnates with budget left and
+no hook stop goes on in complex128 from the iterate of its smallest
+recorded residual, restarting from that iterate's true residual under
+the complex128 rule; both phases share one budget, one
+residual_history and the stop causes above.  The two phases run the
+same loop body on different dtypes.
+
 Callers that need several iterates of one run (a capacity curve over
 iteration budgets, the iterates where runs at several tolerances stop)
 pass an on_iteration(iterations, x, residual) hook instead of rerunning
 the solver per budget.  It is called once per iteration, after that
 iteration's residual is recorded and checked for breakdown, with the
 recorded value: the true residual at a check and at max_iters, the
-recursive estimate otherwise.  A true return value stops the run there;
+recursive estimate otherwise; x is complex128 in either precision.  A
+true return value stops the run there;
 the true residual then replaces that entry, as at any other return.  The
 hook touches neither the arithmetic nor the stop rule, so the iterate it
 sees at k is bit-identical to the x of a run at the same epsilon with
@@ -61,11 +83,16 @@ __all__ = [
     "write_trajectory",
 ]
 
+# epsilon at and above which the iteration runs in complex64 (module
+# docstring).  The complex64 floor of the beamspace low-rank pipeline over
+# side-8 loadings up to 14 dB sits 3x or more below it.
+_C64_EPS = 1e-6
+# a column whose p^H Q p or r^H z falls below this, scaled from complex128
+# to the working dtype by the ratio of smallest normal numbers, freezes
 _FREEZE_EPS = 1e-300
-# level c u ||Q||_F ||X_k||_F / N, u of complex128, and the failed checks
-# in a row that mean stagnation, as in the module docstring
+# level c u ||Q||_F ||X_k||_F / N, and the failed checks in a row (every
+# iteration in complex64) that mean stagnation
 _LEVEL_C = 8.0
-_UNIT_ROUNDOFF = 2.0 ** -53
 _STAGNATION_CHECKS = 3
 
 
@@ -83,7 +110,8 @@ class CGConfig:
 
     max_iters : hard iteration budget, 0 <= max_iters <= 10 * N.
     epsilon : tolerance on the true residual ||Q X - I||_F / sqrt(N), in
-        [0, 1); 0 runs to the attainable accuracy.
+        [0, 1); 0 runs to the attainable accuracy.  It also sets the
+        working precision, as in the module docstring.
     """
 
     max_iters: int
@@ -92,7 +120,10 @@ class CGConfig:
 
 @dataclass
 class CGState:
-    """Last iterate, its true residual and the stop cause of a run."""
+    """Last iterate, its true residual and the stop cause of a run.
+
+    x and r are complex128 whatever the working precision.
+    """
 
     x: np.ndarray
     r: np.ndarray
@@ -103,9 +134,20 @@ class CGState:
 
 
 def _colwise_dot(a, b, counter):
+    """Column dots a_j^H b_j, accumulated in complex128."""
     if counter is not None:
         counter.add("colwise_dot", a.size, a.size - a.shape[1])
-    return np.einsum("ij,ij->j", a.conj(), b)
+    if a.dtype == np.complex128:
+        return np.einsum("ij,ij->j", a.conj(), b)
+    return np.sum(a.conj() * b, axis=0, dtype=np.complex128)
+
+
+def _norm(a):
+    """Frobenius norm of a complex block, accumulated in float64."""
+    if a.dtype == np.complex128:
+        return fro_norm(a)
+    v = a.view(a.real.dtype)
+    return float(np.sqrt(np.einsum("ij,ij->", v, v, dtype=np.float64)))
 
 
 def _validate(config, n):
@@ -115,10 +157,15 @@ def _validate(config, n):
         raise ValueError("max_iters must lie in [0, %d], got %d" % (10 * n, config.max_iters))
 
 
+def _level_scale(q, dtype):
+    unit_roundoff = float(np.finfo(dtype).eps) / 2
+    return _LEVEL_C * unit_roundoff * fro_norm(q) / q.shape[0]
+
+
 def accuracy_level_scale(system):
-    """c u ||Q||_F / N, which times ||X_k||_F is the level at iterate X_k."""
-    q = system.matrix
-    return _LEVEL_C * _UNIT_ROUNDOFF * fro_norm(q) / q.shape[0]
+    """c u ||Q||_F / N, u of complex128, which times ||X_k||_F is the level
+    at iterate X_k of a complex128 iteration."""
+    return _level_scale(system.matrix, np.complex128)
 
 
 def _true_residual(q, x, eye, out, counter):
@@ -139,14 +186,14 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     preconditioner : object with apply(block, counter), optional
         Typically a LowRankPreconditioner.  None runs plain CG, which is
         identical to preconditioning with any positive multiple of the
-        identity.
+        identity.  A complex64 phase passes it complex64 blocks.
     config : CGConfig, optional
         Defaults to the full 10N iteration budget at epsilon 1e-6.
     counter : FlopCounter, optional.
     on_iteration : callable(iterations, x, residual), optional
         Called after every iteration with the iteration count, the
-        iterate and the scaled residual recorded for it; a true return
-        value stops the run after that iteration.  See the module
+        complex128 iterate and the scaled residual recorded for it; a true
+        return value stops the run after that iteration.  See the module
         docstring.
 
     Returns
@@ -164,80 +211,100 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
 
     eye = np.eye(n, dtype=np.complex128)
     x = np.zeros((n, n), dtype=np.complex128)
-    r = eye.copy()
-    if preconditioner is not None:
-        z = preconditioner.apply(r, counter=counter)
-    else:
-        z = r
-    p = z.copy()
-    rz = _colwise_dot(r, z, counter)
-    frozen = np.zeros(n, dtype=bool)
+    t = None  # true residual I - Q X, formed at checks
     history = []
-    s = None
-    t = None  # true residual I - Q X, formed only when needed
     iterations = 0
-    scale = accuracy_level_scale(system)
-    checking = False  # once an iteration is a check, every later one is
-    best = np.inf  # smallest true residual of the checks so far
-    failed = 0  # checks in a row that failed to halve best
+    best = np.inf  # smallest residual counted toward stagnation so far
+    best_x = None  # its iterate, in a complex64 phase
     stop = "budget"  # a zero budget stops before the first iteration
+    dtype = np.dtype(np.complex64 if config.epsilon >= _C64_EPS else np.complex128)
 
-    for it in range(config.max_iters):
-        s = gemm(q, p, counter=counter, out=s)
-        ps = _colwise_dot(p, s, counter)
-        frozen |= np.abs(ps) < _FREEZE_EPS
-        denom = np.where(frozen, 1.0, ps)
-        alpha = np.where(frozen, 0.0, rz / denom)
-        x = x + p * alpha[None, :]
-        r -= s * alpha[None, :]
-        if counter is not None:
-            counter.add("col_scale", 2 * n * n, 2 * n * n)
-        estimate = float(fro_norm(r) / np.sqrt(n))
-        iterations = it + 1
-        passed = estimate < config.epsilon
-        checking = checking or passed or estimate < scale * fro_norm(x)
-        last = iterations == config.max_iters
-        res = estimate
-        if checking or last:
-            t, res = _true_residual(q, x, eye, t, counter)
-        history.append(res)
-        if not (np.isfinite(estimate) and np.isfinite(res)
-                and np.all(np.isfinite(alpha))):
-            raise NumericalBreakdownError(iterations, "(residual %r)" % res)
-        if checking:
-            failed = 0 if res < 0.5 * best else failed + 1
-            best = min(best, res)
-        # a later cause overrides an earlier one
-        stop = "budget" if last else None
-        if on_iteration is not None and on_iteration(iterations, x, res):
-            stop = "hook"
-        if failed == _STAGNATION_CHECKS:
-            stop = "stagnated"
-        if checking and res < config.epsilon:
-            stop = "converged"
-        if stop is not None and not (checking or last):
-            t, history[-1] = _true_residual(q, x, eye, t, counter)
-        if stop is not None or passed:
-            r, t = t, r  # the true residual replaces the recursive one
-        if stop is not None:
-            break
+    while True:  # one pass per working precision, complex64 first
+        qw = q.astype(dtype, copy=False)
+        guard = _FREEZE_EPS * float(np.finfo(dtype).tiny / np.finfo(np.float64).tiny)
+        scale = _level_scale(q, dtype)
+        r = (eye if t is None else t).astype(dtype)
         if preconditioner is not None:
             z = preconditioner.apply(r, counter=counter)
         else:
             z = r
-        rz_new = _colwise_dot(r, z, counter)
-        frozen |= np.abs(rz) < _FREEZE_EPS
-        denom = np.where(frozen, 1.0, rz)
-        beta = np.where(frozen, 0.0, rz_new / denom)
-        if np.any(frozen):
-            z = np.where(frozen[None, :], 0.0, z)
-        p *= beta[None, :]
-        p += z
-        if counter is not None:
-            counter.add("col_scale", n * n, n * n)
-        rz = rz_new
+        p = z.astype(dtype)
+        rz = _colwise_dot(r, z, counter)
+        frozen = np.zeros(n, dtype=bool)
+        s = None
+        checking = False  # once an iteration is a check, every later one is
+        failed = 0  # counted iterations in a row that failed to halve best
+        hooked = switch = False
 
-    return CGState(x=x, r=r, iterations=iterations, stop=stop,
+        for it in range(iterations, config.max_iters):
+            s = gemm(qw, p, counter=counter, out=s)
+            ps = _colwise_dot(p, s, counter)
+            frozen |= np.abs(ps) < guard
+            denom = np.where(frozen, 1.0, ps)
+            alpha = np.where(frozen, 0.0, rz / denom)
+            x = x + p * alpha[None, :]
+            r -= s * alpha.astype(dtype)[None, :]
+            if counter is not None:
+                counter.add("col_scale", 2 * n * n, 2 * n * n)
+            estimate = float(_norm(r) / np.sqrt(n))
+            iterations = it + 1
+            passed = estimate < config.epsilon
+            checking = checking or passed or estimate < scale * fro_norm(x)
+            last = iterations == config.max_iters
+            res = estimate
+            if checking or last:
+                t, res = _true_residual(q, x, eye, t, counter)
+            history.append(res)
+            if not (np.isfinite(estimate) and np.isfinite(res)
+                    and np.all(np.isfinite(alpha))):
+                raise NumericalBreakdownError(iterations, "(residual %r)" % res)
+            if checking or dtype == np.complex64:
+                failed = 0 if res < 0.5 * best else failed + 1
+                if res < best:
+                    best = res
+                    if dtype == np.complex64:  # where a switch restarts
+                        best_x = x
+            # a later cause overrides an earlier one
+            stop = "budget" if last else None
+            if on_iteration is not None and on_iteration(iterations, x, res):
+                stop, hooked = "hook", True
+            if failed == _STAGNATION_CHECKS:
+                stop = "stagnated"
+            if checking and res < config.epsilon:
+                stop = "converged"
+            switch = (stop == "stagnated" and dtype == np.complex64
+                      and not (last or hooked))
+            if stop is not None and not (checking or last or switch):
+                t, history[-1] = _true_residual(q, x, eye, t, counter)
+            if stop is not None:
+                break
+            if passed:
+                r[...] = t  # the true residual replaces the recursive one
+            if preconditioner is not None:
+                z = preconditioner.apply(r, counter=counter)
+            else:
+                z = r
+            rz_new = _colwise_dot(r, z, counter)
+            frozen |= np.abs(rz) < guard
+            denom = np.where(frozen, 1.0, rz)
+            beta = np.where(frozen, 0.0, rz_new / denom)
+            if np.any(frozen):
+                z = np.where(frozen[None, :], 0.0, z)
+            p *= beta.astype(dtype)[None, :]
+            p += z
+            if counter is not None:
+                counter.add("col_scale", n * n, n * n)
+            rz = rz_new
+
+        if not switch:
+            break
+        dtype = np.dtype(np.complex128)
+        x = best_x
+        t, best = _true_residual(q, x, eye, t, counter)
+
+    if t is None:  # a zero budget: the residual of X = 0
+        t = eye.copy()
+    return CGState(x=x, r=t, iterations=iterations, stop=stop,
                    residual_history=history, frozen=frozen)
 
 

@@ -175,17 +175,18 @@ def _check_iterations(what, count, n):
 
 
 def _cmd_invert(args):
-    cfg, stats, _ = load_scenario(args.scenario)
+    cfg, stats = load_scenario(args.scenario)[:2]
     _check_sketch(args.q, args.p, cfg.n_antennas)
     _check_eps(args.eps)
     if args.max_iters is not None:
         _check_iterations("--max-iters", args.max_iters, cfg.n_antennas)
     system = assemble_q(stats, n_antennas=cfg.n_antennas)
+    del stats  # the covariances are not needed past Q
     operator = build_operator(cfg.side)
     setup = SolverSetup("invert", domain=args.domain, precond=args.precond,
                         q=args.q, p=args.p)
     if setup.domain == "beamspace":
-        system = to_beamspace(operator, system)
+        system = to_beamspace(operator, system)  # drops the antenna Q
     counter = FlopCounter()
     precond = _setup_preconditioner(system, setup, cfg.seed, counter=counter)
     n = system.matrix.shape[0]

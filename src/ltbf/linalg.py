@@ -1,9 +1,8 @@
 """Dense complex linear-algebra kernels with nominal operation counting.
 
-Everything here works on numpy complex128 arrays in row-major layout.
-as_cmatrix makes such an array at a construction boundary (scenario's
-SystemMatrix runs every system matrix through it); the kernels are pure
-functions of their input.  The only bookkeeping is an
+Everything here works on numpy complex128 arrays in row-major layout,
+which scenario's SystemMatrix makes of every system matrix; the kernels
+are pure functions of their input.  The only bookkeeping is an
 optional FlopCounter that the caller threads through a pipeline to meter
 how many complex multiplies a given algorithm performed.  Counts follow the
 textbook operation model of each kernel (a matrix product of an m x k by a
@@ -34,7 +33,6 @@ __all__ = [
     "CholeskyBreakdownError",
     "SingularTriangularError",
     "JacobiConvergenceError",
-    "as_cmatrix",
     "fro_norm",
     "gemm",
     "cholesky",
@@ -111,17 +109,6 @@ class FlopCounter:
     def __repr__(self):
         return "FlopCounter(mults=%d, adds=%d, kernels=%s)" % (
             self.mults, self.adds, sorted(self.per_kernel))
-
-
-def as_cmatrix(a):
-    """Coerce input to a 2-D row-major complex128 array, rejecting non-finite
-    entries.  Used at construction boundaries, such as SystemMatrix;
-    kernels assume clean input."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
-    if m.ndim != 2:
-        raise DimensionMismatchError("expected a 2-D array, got ndim=%d" % m.ndim)
-    _check_finite(m.view(np.float64), "matrix")
-    return m
 
 
 def _check_finite(a, what):

@@ -27,6 +27,7 @@ eigenpairs would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,19 +57,29 @@ class LowRankPreconditioner:
     sigma2: float
     weights: np.ndarray
 
+    @cached_property
+    def _c64(self):
+        """(eigvecs, weights) cast once to complex64 and float32."""
+        return self.eigvecs.astype(np.complex64), self.weights.astype(np.float32)
+
     def apply(self, block, counter=None):
         """Apply the preconditioner to an (n, m) block.
 
         Never forms the dense operator; two thin products and a diagonal
-        scaling, charged to the counter under "precond_apply".
+        scaling, charged to the counter under "precond_apply".  A
+        complex64 block is worked on in complex64 throughout.
         """
         if block.ndim != 2 or block.shape[0] != self.eigvecs.shape[0]:
             raise DimensionMismatchError(
                 "block must have %d rows, got shape %s"
                 % (self.eigvecs.shape[0], (block.shape,)))
-        proj = np.matmul(self.eigvecs.conj().T, block)
-        out = block / self.sigma2
-        out -= np.matmul(self.eigvecs, self.weights[:, None] * proj)
+        if block.dtype == np.complex64:
+            eigvecs, weights = self._c64
+        else:
+            eigvecs, weights = self.eigvecs, self.weights
+        proj = np.matmul(eigvecs.conj().T, block)
+        out = block * (1.0 / self.sigma2)
+        out -= np.matmul(eigvecs, weights[:, None] * proj)
         if counter is not None:
             n, m = block.shape
             rank = self.eigvals.shape[0]

@@ -42,13 +42,14 @@ snr_db_high), '#' starts a comment.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NotFiniteError, as_cmatrix
+from .linalg import DimensionMismatchError, NotFiniteError, fro_norm
 
 __all__ = [
     "ConfigError",
@@ -79,6 +80,9 @@ _KIND_MATRIX = 2
 # one 36-byte path record, per stream, per path
 _PATH = np.dtype([("power", "<f8"), ("azimuth", "<f8"), ("elevation", "<f8"),
                   ("phase", "<f8"), ("tap", "<u4")])
+# rows per panel of the N x N passes below: a panel and its column
+# counterpart stay in cache while each entry is read once
+_PANEL = 64
 
 
 class ConfigError(ValueError):
@@ -191,11 +195,12 @@ class SystemMatrix:
     """A system matrix tagged with its domain and cluster level.
 
     The one place that makes a system matrix valid, so that solvers and
-    sketches take it as Hermitian unchecked.  Construction runs the input
-    through as_cmatrix (2-D, complex128, finite), rejects an empty or
-    non-square one with DimensionMismatchError and stores its Hermitian
-    part 0.5 (m + m^H); a NotFiniteError follows if that or its trace
-    overflows.  Positive definiteness is left to the solvers.
+    sketches take it as Hermitian unchecked.  Construction reads the input
+    as complex128, rejects one that is not 2-D, square and non-empty with
+    DimensionMismatchError and stores its Hermitian part 0.5 (m + m^H),
+    formed panel by panel into one new array; a NotFiniteError follows if
+    that holds a non-finite entry (a non-finite input, or an overflow) or
+    its trace overflows.  Positive definiteness is left to the solvers.
 
     matrix : (N, N) Hermitian.
     domain : "antenna" or "beamspace".
@@ -208,16 +213,24 @@ class SystemMatrix:
     sigma2: float = field(init=False)
 
     def __post_init__(self):
-        m = as_cmatrix(self.matrix)
-        n = m.shape[0]
-        if n == 0 or m.shape[1] != n:
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] != m.shape[0]:
             raise DimensionMismatchError(
                 "system matrix must be square and non-empty, got %s" % (m.shape,))
+        n = m.shape[0]
+        h = np.empty((n, n), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.matrix = as_cmatrix(0.5 * (m + m.conj().T))
-            self.sigma2 = float(np.real(np.trace(self.matrix))) / n
+            for i in range(0, n, _PANEL):
+                rows = h[i:i + _PANEL]
+                np.conjugate(m[:, i:i + _PANEL].T, out=rows)
+                rows += m[i:i + _PANEL]
+                rows *= 0.5
+                if not np.isfinite(rows).all():
+                    raise NotFiniteError("system matrix has non-finite entries")
+            self.sigma2 = float(np.real(np.trace(h))) / n
         if not np.isfinite(self.sigma2):
             raise NotFiniteError("system matrix trace overflows")
+        self.matrix = h
 
 
 def steering_vector(side, azimuth, elevation):
@@ -322,15 +335,28 @@ def generate_scenario(cfg):
     return stats, channels
 
 
+def _add_checked(q, c, alpha):
+    """Add alpha c into q in place and return (||c||_F, ||c - c^H||_F), all
+    in one pass over the row panels of c and their column counterparts."""
+    squares = skew_squares = 0.0
+    for i in range(0, c.shape[0], _PANEL):
+        rows = c[i:i + _PANEL]
+        squares += fro_norm(rows) ** 2
+        skew_squares += fro_norm(rows - c[:, i:i + _PANEL].conj().T) ** 2
+        q[i:i + _PANEL] += alpha * rows
+    return float(np.sqrt(squares)), float(np.sqrt(skew_squares))
+
+
 def assemble_q(stats, n_antennas=None):
     """Assemble the system matrix Q = I + sum_i alpha_i covariance_i.
 
     With no users the result is the identity; n_antennas is then required
     to fix the dimension.  Covariances must be finite and Hermitian with
-    trace N, each alpha and symbol_energy positive and finite, and Q
-    finite; otherwise a
-    ConfigError, as for an invalid config, since a CRC-valid scenario
-    file can carry such statistics.  NaN fails every check.
+    trace N (||C - C^H||_F <= 1e-12 ||C||_F), each alpha and symbol_energy
+    positive and finite, and Q finite; otherwise a ConfigError, as for an
+    invalid config, since a CRC-valid scenario file can carry such
+    statistics.  NaN fails every check.  One panel pass over each
+    covariance checks it and adds it into Q in place.
     """
     if not stats:
         if n_antennas is None:
@@ -347,8 +373,7 @@ def assemble_q(stats, n_antennas=None):
             if not abs(trace - n) <= 1e-9 * n:
                 raise ConfigError("covariance trace %r deviates from N=%d"
                                   % (trace, n))
-            scale = float(np.linalg.norm(cov))
-            skew = float(np.linalg.norm(cov - cov.conj().T))
+            scale, skew = _add_checked(q, cov, st.alpha)
             if not (np.isfinite(scale) and skew <= 1e-12 * scale):
                 raise ConfigError("covariance is not finite and Hermitian")
             if not (st.alpha > 0.0 and np.isfinite(st.alpha)):
@@ -357,7 +382,6 @@ def assemble_q(stats, n_antennas=None):
             if not (st.symbol_energy > 0.0 and np.isfinite(st.symbol_energy)):
                 raise ConfigError("symbol_energy must be positive and finite, "
                                   "got %r" % st.symbol_energy)
-            q = q + st.alpha * cov
     try:
         return SystemMatrix(q, "antenna")
     except NotFiniteError as err:
@@ -449,9 +473,11 @@ def _write_container(path, kind, parts):
 
 
 def _read_container(path, expect_kind):
-    """The CRC-checked payload of a container, as a view of the file bytes."""
+    """The CRC-checked payload of a container, as a view of the file bytes,
+    read into one uninitialised buffer of the file's size."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        blob = memoryview(buf)[:fh.readinto(buf)]
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise MalformedHeaderError("%s: not a BSLV container" % path)
     version, kind = struct.unpack_from("<HH", blob, 4)
@@ -460,7 +486,7 @@ def _read_container(path, expect_kind):
     if kind != expect_kind:
         raise MalformedHeaderError("%s: record kind %d, expected %d"
                                    % (path, kind, expect_kind))
-    payload = memoryview(blob)[8:-4]
+    payload = blob[8:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ChecksumError("%s: payload CRC mismatch" % path)

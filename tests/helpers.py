@@ -17,8 +17,10 @@ import tempfile
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from ltbf import cg
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
@@ -342,8 +344,8 @@ def lagging_estimate_case(system):
 
     Returns (k, epsilon): at iteration k the true residual is below every
     earlier residual, true or estimated, and below epsilon, while epsilon is
-    the estimate at k.  So a run at that epsilon does not stop at k, and k
-    is the first iterate whose true residual is below epsilon.
+    the estimate at k.  So a complex128 run at that epsilon does not stop
+    at k, and k is the first iterate whose true residual is below epsilon.
     """
     n = system.matrix.shape[0]
     trues = []
@@ -354,6 +356,48 @@ def lagging_estimate_case(system):
         if true < estimate <= min(trues[:k] + estimates[:k], default=1.0):
             return k + 1, estimate
     raise AssertionError("the estimate never lags the true residual")
+
+
+class DtypeLog:
+    """A preconditioner that notes the dtype of every block it is given.
+
+    cg_inverse applies it once before the first iteration, after every
+    iteration that does not stop the run, and once more where a complex64
+    phase hands over to complex128; so dtypes[k] for k >= 1 is the working
+    precision at the end of iteration k.  Without an inner preconditioner
+    it returns the block itself, as plain CG uses it.
+    """
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.dtypes = []
+
+    def apply(self, block, counter=None):
+        self.dtypes.append(block.dtype)
+        if self.inner is None:
+            return block
+        return self.inner.apply(block, counter=counter)
+
+
+def complex64_floor(system, preconditioner=None):
+    """(floor, m) of a run that starts in complex64 whatever its epsilon.
+
+    With cg._C64_EPS patched to 0, a run at epsilon 1e-12 iterates in
+    complex64 until its true residual stagnates, then goes on in
+    complex128.  m is the last complex64 iteration and floor the smallest
+    true residual of the iterates 1..m.
+    """
+    n = system.matrix.shape[0]
+    log = DtypeLog(preconditioner)
+    trues = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cg, "_C64_EPS", 0.0)
+        cg_inverse(system, preconditioner=log,
+                   config=CGConfig(max_iters=10 * n, epsilon=1e-12),
+                   on_iteration=lambda k, x, r: trues.append(residual_norm(system, x)))
+    m = log.dtypes.index(np.dtype(np.complex128))
+    assert set(log.dtypes[:m]) == {np.dtype(np.complex64)}
+    return min(trues[:m]), m
 
 
 def _stacked_channels(channels):

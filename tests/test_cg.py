@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from ltbf import cg
 from ltbf.cg import (
     CGConfig,
     CGState,
@@ -15,6 +16,7 @@ from ltbf.cg import (
     residual_norm,
     write_trajectory,
 )
+from ltbf.beamspace import build_operator, to_beamspace
 from ltbf.linalg import FlopCounter, fro_norm
 from ltbf.precond import build_preconditioner, from_eigenpairs
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
@@ -39,6 +41,21 @@ class ScaledIdentityPrecond:
 
     def apply(self, block, counter=None):
         return block / self.scale
+
+
+class PoisonedPrecond:
+    """Identity preconditioner whose call number `at` returns one NaN."""
+
+    def __init__(self, at):
+        self.at = at
+        self.calls = 0
+
+    def apply(self, block, counter=None):
+        self.calls += 1
+        out = block.copy()
+        if self.calls == self.at:
+            out[0, 0] = np.nan
+        return out
 
 
 class CheckLog(FlopCounter):
@@ -180,9 +197,12 @@ class TestStateAndStopping:
         assert numpy_residual(system.matrix, state.x) < eps
         assert counter.kernel_mults("gemm") > (state.iterations + 1) * n ** 3
 
-    def test_stop_waits_for_the_recursive_estimate(self):
+    def test_stop_waits_for_the_recursive_estimate(self, monkeypatch):
         # at k the true residual is below eps and the estimate is not: the
-        # run goes on, and a hook that forms every true residual agrees
+        # run goes on, and a hook that forms every true residual agrees.
+        # The lag is found in a complex128 run, so the runs at its eps
+        # (2.3e-4) are held to complex128.
+        monkeypatch.setattr(cg, "_C64_EPS", 1.0)
         system = scenario_system(3307, side=4)
         n = system.matrix.shape[0]
         k, eps = helpers.lagging_estimate_case(system)
@@ -237,12 +257,130 @@ class TestStateAndStopping:
         assert not state.frozen[:2].any()
         assert fro_norm(state.x - direct_inverse_oracle(q)) <= 1e-12
 
+    def test_converged_column_freezes_in_complex64(self):
+        # the matrix above at an eps that iterates in complex64, whose
+        # breakdown guard is scaled to the complex64 range
+        q = np.zeros((3, 3), dtype=np.complex128)
+        q[:2, :2] = np.array([[2.0, 1.0], [1.0, 2.0]])
+        q[2, 2] = 5.0
+        eps = 1e-5
+        assert eps >= cg._C64_EPS
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            state = cg_inverse(dense_system(q),
+                               config=CGConfig(max_iters=30, epsilon=eps))
+        assert bool(state.frozen[2]) and not state.frozen[:2].any()
+        assert state.stop == "converged"
+        res = numpy_residual(q, state.x)
+        assert res < eps
+        # ||X - Q^-1||_F <= sqrt(n) res / lambda_min, lambda_min = 1
+        err = fro_norm(state.x - direct_inverse_oracle(q))
+        assert err <= np.sqrt(3) * res + 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-12])
+    def test_nan_from_the_preconditioner_breaks_down_where_it_is_used(self, eps):
+        # the third apply follows iteration 2, so iteration 3 takes the NaN
+        system = scenario_system(3325, side=4)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalBreakdownError) as err:
+                cg_inverse(system, preconditioner=PoisonedPrecond(3),
+                           config=CGConfig(max_iters=160, epsilon=eps))
+        assert err.value.iteration == 3
+
     def test_counter_sees_gemm_work(self):
         system = scenario_system(3320, side=4)
         counter = FlopCounter()
         cg_inverse(system, config=CGConfig(max_iters=2, epsilon=1e-12),
                    counter=counter)
         assert counter.kernel_mults("gemm") > 0
+
+
+def hard_loading(seed=1):
+    """Beamspace side-8 system over -10..40 dB with its q=16 p=4 sketch: its
+    complex64 floor, near 5e-5, sits above cg._C64_EPS."""
+    cfg = ScenarioConfig(side=8, n_ue=8, snr_db_range=(-10.0, 40.0),
+                         subcarriers=64, seed=seed)
+    stats, _ = generate_scenario(cfg)
+    system = to_beamspace(build_operator(8), assemble_q(stats))
+    return system, build_preconditioner(system, rank=16, power_iters=4, seed=seed)
+
+
+class TestWorkingPrecision:
+    """complex64 iterations with complex128 checks at eps >= cg._C64_EPS."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 9.99e-7, 1e-9])
+    def test_precision_follows_eps_and_iterates_stay_complex128(self, eps):
+        system = scenario_system(3324)
+        log = helpers.DtypeLog()
+        seen = []
+        state = cg_inverse(system, preconditioner=log,
+                           config=CGConfig(max_iters=640, epsilon=eps),
+                           on_iteration=lambda k, x, r: seen.append(x.dtype))
+        working = np.complex64 if eps >= cg._C64_EPS else np.complex128
+        assert set(log.dtypes) == {np.dtype(working)}
+        assert state.x.dtype == state.r.dtype == np.complex128
+        assert set(seen) == {np.dtype(np.complex128)}
+        assert state.stop == "converged"
+        assert numpy_residual(system.matrix, state.x) < eps
+
+    @pytest.mark.parametrize("snr", [(-6.0, 14.0), (-10.0, 10.0), (0.0, 10.0)])
+    def test_complex64_floor_sits_3x_below_the_switch(self, snr):
+        # the beamspace low-rank pipeline at the sketch widths of invert and
+        # of the drops benchmark; the floor grows with the loading's spread
+        for seed in (1, 2, 3, 4):
+            cfg = ScenarioConfig(side=8, n_ue=8, snr_db_range=snr,
+                                 subcarriers=64, seed=seed)
+            stats, _ = generate_scenario(cfg)
+            system = to_beamspace(build_operator(8), assemble_q(stats))
+            for rank in (8, 16):
+                precond = build_preconditioner(system, rank=rank,
+                                               power_iters=4, seed=seed)
+                floor, _ = helpers.complex64_floor(system, precond)
+                assert 3.0 * floor <= cg._C64_EPS, (seed, rank, floor)
+
+    @pytest.mark.parametrize("case", ["loading", "spectrum"])
+    def test_floor_above_eps_converges_through_complex128(self, case):
+        if case == "loading":
+            system, precond = hard_loading()
+        else:  # condition number 1e6, exact top eigenpairs
+            vals = np.geomspace(1e6, 1.0, 32)
+            a, u = helpers.synthetic_hermitian(vals, 7)
+            system = dense_system(a)
+            precond = from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+        n = system.matrix.shape[0]
+        eps = cg._C64_EPS
+        floor, _ = helpers.complex64_floor(system, precond)
+        assert floor > eps
+        log = helpers.DtypeLog(precond)
+        state = cg_inverse(system, preconditioner=log,
+                           config=CGConfig(max_iters=10 * n, epsilon=eps))
+        switch = log.dtypes.index(np.dtype(np.complex128))
+        assert set(log.dtypes[:switch]) == {np.dtype(np.complex64)}
+        assert set(log.dtypes[switch:]) == {np.dtype(np.complex128)}
+        assert switch < state.iterations
+        assert state.stop == "converged"
+        assert numpy_residual(system.matrix, state.x) < eps
+
+    def test_hook_iterate_equals_truncated_run_across_the_switch(self):
+        system, precond = hard_loading()
+        n = system.matrix.shape[0]
+        eps = cg._C64_EPS
+        log = helpers.DtypeLog(precond)
+        seen = {}
+        recorded = []
+
+        def keep(k, x, r):
+            seen[k] = x
+            recorded.append(r)
+
+        state = cg_inverse(system, preconditioner=log,
+                           config=CGConfig(max_iters=10 * n, epsilon=eps),
+                           on_iteration=keep)
+        assert recorded == state.residual_history
+        switch = log.dtypes.index(np.dtype(np.complex128))
+        for k in (switch - 1, switch, switch + 1, state.iterations):
+            alone = cg_inverse(system, preconditioner=precond,
+                               config=CGConfig(max_iters=k, epsilon=eps))
+            assert np.array_equal(seen[k], alone.x), k
 
 
 class TestIterationHook:

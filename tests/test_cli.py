@@ -218,6 +218,24 @@ class TestInvert:
         assert lines[1].split(",")[0] == "1"
         assert lines[1].endswith("antenna_none")
 
+    @pytest.mark.parametrize("domain", ["antenna", "beamspace"])
+    def test_reaches_eps_in_either_working_precision(self, capsys, tmp_path,
+                                                        mid_scenario, domain):
+        # 1e-10 iterates in complex128 from the start; 1e-6 in complex64
+        for eps in (1e-10, 1e-6):
+            out = str(tmp_path / "x.inv")
+            rc, stdout, _ = run_capture(capsys, ["invert", mid_scenario,
+                                                 "--domain", domain,
+                                                 "--eps", repr(eps),
+                                                 "--out", out])
+            assert rc == 0
+            fields = stdout_fields(stdout)
+            assert float(fields["residual"]) < eps and "warning" not in fields
+            _, stats, _ = load_scenario(mid_scenario)
+            q = assemble_q(stats).matrix
+            resid = np.eye(64) - q @ load_matrix(out)
+            assert np.linalg.norm(resid) / 8.0 < eps
+
     def test_joint_pipeline_needs_fewest_iterations(self, capsys, tmp_path,
                                                     mid_scenario):
         counts = {}

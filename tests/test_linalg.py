@@ -13,7 +13,6 @@ from ltbf.linalg import (
     NotFiniteError,
     NotHermitianError,
     SingularTriangularError,
-    as_cmatrix,
     cholesky,
     fro_norm,
     gemm,
@@ -98,15 +97,6 @@ class TestGemm:
 
 
 class TestMatrixGuards:
-    def test_as_cmatrix_rejects_nonfinite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NotFiniteError):
-            as_cmatrix(bad)
-
-    def test_as_cmatrix_rejects_wrong_ndim(self):
-        with pytest.raises(DimensionMismatchError):
-            as_cmatrix(np.ones(4))
-
     def test_fro_norm(self):
         assert fro_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
 

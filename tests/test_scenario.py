@@ -25,6 +25,8 @@ from ltbf.scenario import (
     read_config_file,
     save_matrix,
     save_scenario,
+    _PANEL,
+    _add_checked,
     steering_vector,
 )
 
@@ -260,6 +262,48 @@ class TestSystemMatrix:
     def test_trace_overflow_rejected(self):
         with pytest.raises(NotFiniteError):
             SystemMatrix(np.diag([1e308, 1e308]), "antenna")
+
+
+class TestPanelPasses:
+    """SystemMatrix and assemble_q read N x N operands panel by panel."""
+
+    sizes = st.sampled_from([1, _PANEL - 1, _PANEL, _PANEL + 1, 200])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=sizes, log_scale=st.integers(-150, 150),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hermitian_part_is_bit_identical_to_the_dense_form(
+            self, n, log_scale, seed):
+        m = helpers.random_complex((n, n), seed) * 10.0 ** log_scale
+        dense = 0.5 * (m + m.conj().T)
+        assert SystemMatrix(m, "antenna").matrix.tobytes() == dense.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=sizes, log_skew=st.integers(-16, 0), seed=st.integers(0, 2**32 - 1))
+    def test_panel_norms_match_the_dense_norms(self, n, log_skew, seed):
+        a = helpers.random_complex((n, n), seed)
+        c = 0.5 * (a + a.conj().T) + 10.0 ** log_skew * helpers.random_complex(
+            (n, n), seed + 1)
+        q = np.eye(n, dtype=np.complex128)
+        scale, skew = _add_checked(q, c, 0.3)
+        dense = np.linalg.norm(c - c.conj().T)
+        assert abs(skew - dense) <= 1e-12 * dense
+        assert abs(scale - np.linalg.norm(c)) <= 1e-12 * np.linalg.norm(c)
+        assert q.tobytes() == (np.eye(n) + 0.3 * c).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=sizes, data=st.data())
+    def test_skew_in_the_last_panel_is_rejected(self, n, data):
+        a = helpers.random_complex((n, 4), data.draw(st.integers(0, 2**32 - 1)))
+        cov = a @ a.conj().T
+        cov *= n / np.real(np.trace(cov))
+        user = UserStats(covariance=cov, alpha=1.0, symbol_energy=1.0)
+        assemble_q([user])
+        i = data.draw(st.integers(_PANEL * ((n - 1) // _PANEL), n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        cov[i, j] += 1e-9j * np.linalg.norm(cov)
+        with pytest.raises(ConfigError):
+            assemble_q([user])
 
 
 class TestPersistence:
