@@ -11,6 +11,7 @@ full eigendecomposition of Q by the same small-EVD kernel.
 import numpy as np
 
 from ltbf.linalg import FlopCounter, hermitian_evd_small
+from ltbf.precond import SKETCH_SHIFT
 from ltbf.randevd import randomized_evd
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
@@ -33,8 +34,8 @@ def main():
     system = assemble_q(stats)
     a = system.matrix
     n = a.shape[0]
-    # the rule of build_preconditioner: delta = 1e-3 * max(tr(Q - I), 1)
-    shift = 1.0 - 1e-3 * max(n * (system.sigma2 - 1.0), 1.0)
+    # the rule of build_preconditioner: delta = SKETCH_SHIFT * max(tr(Q - I), 1)
+    shift = 1.0 - SKETCH_SHIFT * max(n * (system.sigma2 - 1.0), 1.0)
 
     counter = FlopCounter()
     ref_vals, _ = hermitian_evd_small(a, counter=counter)

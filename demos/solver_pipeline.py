@@ -14,8 +14,8 @@ from ltbf.linalg import FlopCounter
 from ltbf.precond import build_preconditioner
 from ltbf.scenario import ScenarioConfig, assemble_q, generate_scenario
 
-SKETCH_RANK = 8
-POWER_ITERS = 4
+SKETCH_RANK = None  # the default width, min(32, N)
+POWER_ITERS = 2
 
 
 def run_config(name, system, precond, eps):

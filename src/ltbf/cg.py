@@ -22,8 +22,11 @@ The level alone never stops a run short of epsilon, and epsilon = 0 runs
 to the attainable accuracy.  Where the estimate is below epsilon and the
 run goes on, the true residual replaces the recursive one (residual
 replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
-CGState.stop records the cause; r and residual_history[-1] of a returned
-state hold the true residual of its last iterate.
+CGState.stop records the cause.  A run returns its last iterate, except
+at a "stagnated" stop, where it returns the iterate of the smallest true
+residual any check of the run formed (X is rebound every iteration, so
+keeping it costs a reference, not a copy).  r holds the true residual of
+the returned iterate, and residual_history[-1] that of the last one.
 
 The working precision follows from epsilon alone.  Below _C64_EPS,
 epsilon = 0 included, the run is complex128 throughout, u = 2^-53.  At or
@@ -56,8 +59,10 @@ true return value stops the run there;
 the true residual then replaces that entry, as at any other return.  The
 hook touches neither the arithmetic nor the stop rule, so the iterate it
 sees at k is bit-identical to the x of a run at the same epsilon with
-max_iters=k, and a run the hook stops at k ends in that run's state but
-for the stop cause.  residual_norm gives a hook the true residual, and
+max_iters=k whose stop is "budget", "converged" or "hook" (a run that
+stagnates at k returns its best checked iterate instead), and a run the
+hook stops at k ends in that run's state but for the stop cause.
+residual_norm gives a hook the true residual, and
 accuracy_level_scale(system) * ||X_k||_F the level.  X is rebound to a
 fresh array every iteration, so the hook may keep a reference to it.
 
@@ -120,8 +125,9 @@ class CGConfig:
 
 @dataclass
 class CGState:
-    """Last iterate, its true residual and the stop cause of a run.
+    """Returned iterate, its true residual and the stop cause of a run.
 
+    x is the last iterate, or the best checked one at a "stagnated" stop;
     x and r are complex128 whatever the working precision.
     """
 
@@ -198,10 +204,12 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
 
     Returns
     -------
-    CGState with the last iterate x, its true residual I - Q X in r, the
-        stop cause, and one scaled residual per iteration performed in
-        residual_history: the true residual at checks and at the last
-        iteration, the recursive estimate otherwise.
+    CGState with the iterate x (the last one, or at a "stagnated" stop the
+        one of the smallest checked true residual), its true residual
+        I - Q X in r, the stop cause, and one scaled residual per
+        iteration performed in residual_history: the true residual at
+        checks and at the last iteration, the recursive estimate
+        otherwise.
     """
     q = system.matrix
     n = q.shape[0]
@@ -216,6 +224,7 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     iterations = 0
     best = np.inf  # smallest residual counted toward stagnation so far
     best_x = None  # its iterate, in a complex64 phase
+    kept, kept_x = np.inf, None  # smallest checked true residual, its iterate
     stop = "budget"  # a zero budget stops before the first iteration
     dtype = np.dtype(np.complex64 if config.epsilon >= _C64_EPS else np.complex128)
 
@@ -254,6 +263,8 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             res = estimate
             if checking or last:
                 t, res = _true_residual(q, x, eye, t, counter)
+                if res < kept:
+                    kept, kept_x = res, x
             history.append(res)
             if not (np.isfinite(estimate) and np.isfinite(res)
                     and np.all(np.isfinite(alpha))):
@@ -276,6 +287,8 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
                       and not (last or hooked))
             if stop is not None and not (checking or last or switch):
                 t, history[-1] = _true_residual(q, x, eye, t, counter)
+                if history[-1] < kept:
+                    kept, kept_x = history[-1], x
             if stop is not None:
                 break
             if passed:
@@ -301,7 +314,12 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         dtype = np.dtype(np.complex128)
         x = best_x
         t, best = _true_residual(q, x, eye, t, counter)
+        if best < kept:
+            kept, kept_x = best, x
 
+    if stop == "stagnated" and kept_x is not x:
+        x = kept_x
+        t, _ = _true_residual(q, x, eye, t, counter)
     if t is None:  # a zero budget: the residual of X = 0
         t = eye.copy()
     return CGState(x=x, r=t, iterations=iterations, stop=stop,

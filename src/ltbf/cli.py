@@ -13,7 +13,9 @@ external tooling.  Exit codes: 0 success, 2 configuration problem,
 
 The sweep config file holds one solver configuration per line:
 
-    NAME domain=antenna|beamspace precond=none|lowrank [q=8] [p=4]
+    NAME domain=antenna|beamspace precond=none|lowrank [q=Q] [p=2]
+
+q, the sketch width, defaults to min(32, N).
 
 '#' starts a comment.  Without a config file the four standard
 combinations (antenna/beamspace crossed with plain/low-rank) are run.
@@ -38,7 +40,7 @@ from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
 from .linalg import (CholeskyBreakdownError, FlopCounter,
                      JacobiConvergenceError, NotFiniteError,
                      SingularTriangularError, fro_norm)
-from .precond import InvalidSpectrumError, build_preconditioner
+from .precond import InvalidSpectrumError, build_preconditioner, sketch_width
 from .scenario import (ConfigError, FileFormatError, assemble_q,
                        generate_scenario, load_scenario, read_config_file,
                        read_config_lines, save_matrix, save_scenario)
@@ -58,9 +60,10 @@ _BOUND_EPSILONS = (0.1, 0.01)
 
 
 class SolverSetup:
-    """One named solver configuration of a sweep run."""
+    """One named solver configuration of a sweep run; q None is the
+    default sketch width, resolved where N is known."""
 
-    def __init__(self, name, domain="antenna", precond="none", q=8, p=4):
+    def __init__(self, name, domain="antenna", precond="none", q=None, p=2):
         if domain not in ("antenna", "beamspace"):
             raise ConfigError("config %s: unknown domain %r" % (name, domain))
         if precond not in ("none", "lowrank"):
@@ -68,7 +71,7 @@ class SolverSetup:
         self.name = name
         self.domain = domain
         self.precond = precond
-        self.q = int(q)
+        self.q = None if q is None else int(q)
         self.p = int(p)
 
 
@@ -159,8 +162,9 @@ def _check_eps(eps):
 
 
 def _check_sketch(q, p, n, where=""):
-    """Sketch rank q in [1, N] and power iterations p >= 1."""
-    if not 1 <= q <= n:
+    """Sketch rank q in [1, N] (None: the default width) and power
+    iterations p >= 1."""
+    if q is not None and not 1 <= q <= n:
         raise ConfigError("%ssketch rank q must lie in [1, %d], got %d"
                           % (where, n, q))
     if p < 1:
@@ -250,7 +254,8 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
         for db, pr in zip(*sinr_cdf(gam)):
             cdf_rows.append((db, pr, setup.name))
         fro, spec = inverse_error(system_ant, converged["x"])
-        meta_rows.append((setup.name, setup.domain, setup.precond, setup.q,
+        meta_rows.append((setup.name, setup.domain, setup.precond,
+                          sketch_width(setup.q, system.matrix.shape[0]),
                           setup.p, converged["iterations"], fro, spec,
                           capacity(gam)))
     for db, pr in zip(*sinr_cdf(gam_exact)):
@@ -413,10 +418,10 @@ def build_parser():
     inv.add_argument("--domain", choices=("antenna", "beamspace"),
                      default="antenna")
     inv.add_argument("--precond", choices=("none", "lowrank"), default="lowrank")
-    inv.add_argument("--q", type=int, default=8,
-                     help="preconditioner rank (default 8)")
-    inv.add_argument("--p", type=int, default=4,
-                     help="power iterations of the sketch (default 4)")
+    inv.add_argument("--q", type=int, default=None,
+                     help="preconditioner rank (default min(32, N))")
+    inv.add_argument("--p", type=int, default=2,
+                     help="power iterations of the sketch (default 2)")
     inv.add_argument("--eps", type=float, default=1e-6,
                      help="relative residual target (default 1e-6)")
     inv.add_argument("--max-iters", type=int, default=None,

@@ -212,13 +212,14 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     when there are budgets, even for a tolerance at which cg_inverse
     itself would iterate in complex64.
     Scoring ends at the first iterate k whose recorded residual is below
-    cg's accuracy level, or where the run stagnates, so a budget at or
-    past k reports k, as a separate epsilon-0 run with
-    max_iters=min(budget, k) would.  Budgets may repeat and come in any
-    order; 0 scores the zero inverse.  The run ends once the budgets are
-    scored and every tolerance is met; a tolerance still unmet where cg
-    stops takes the last iterate.  transform maps a transformed-domain
-    iterate back to the antenna domain before it is scored or returned.
+    cg's accuracy level, or where the run stagnates (scored at the best
+    checked iterate cg returns there), so a budget at or past k reports
+    k, as a separate epsilon-0 run with max_iters=min(budget, k) would.
+    Budgets may repeat and come in any order; 0 scores the zero inverse.
+    The run ends once the budgets are scored and every tolerance is met;
+    a tolerance still unmet where cg stops takes the iterate cg returns.
+    transform maps a transformed-domain iterate back to the antenna
+    domain before it is scored or returned.
     projectors are the bases of build_projectors, built at rank 4 when
     omitted.
 
@@ -293,7 +294,7 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
                      "capacity": scores[iterations]})
     converged = []
     for tol in tolerances:
-        # a tolerance unmet where the run stops gets its last iterate
+        # a tolerance unmet where the run stops gets the returned iterate
         iterations, x = found.get(tol, (state.iterations, state.x))
         converged.append({"iterations": iterations, "x": back(x)})
     return rows, converged

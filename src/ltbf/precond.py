@@ -1,17 +1,16 @@
 """Low-rank Woodbury preconditioner for clustered-spectrum systems.
 
 The system matrices handled here are an identity plus a positive
-semidefinite update, so all but a handful of eigenvalues sit in a tight
-cluster.  Approximating the matrix by
+semidefinite loading, Q = I + L, so all but a handful of eigenvalues sit in
+a cluster at exactly one.  Approximating the matrix by
 
-    qhat = sigma2 * I + U (Lambda - sigma2 I) U^H
+    qhat = c I + U (Lambda - c I) U^H
 
-with (U, Lambda) the top eigenpairs and sigma2 the mean diagonal level
-makes qhat invertible in closed form by the Woodbury identity.  The
-preconditioner is exactly that inverse, and it is only ever applied
-implicitly:
+with (U, Lambda) the top eigenpairs and c the cluster level makes qhat
+invertible in closed form by the Woodbury identity.  The preconditioner is
+exactly that inverse, and it is only ever applied implicitly:
 
-    M R = R / sigma2 - U (w * (U^H R)),   w_k = 1/sigma2 - 1/lambda_k
+    M R = R / c - U (w * (U^H R)),   w_k = 1/c - 1/lambda_k
 
 evaluated strictly right to left so the cost stays at two thin products
 per application instead of an n^2 rebuild.
@@ -20,8 +19,11 @@ build_preconditioner finds (U, Lambda) by sketching the loading Q - I plus
 a small shift rather than Q, as randomized Nystrom preconditioning does
 (Frangella, Tropp & Udell, SIAM J. Matrix Anal. Appl. 44, 2023): the power
 iterations then separate the weak modes from a cluster near zero instead
-of one at one, and the sketch needs about as many CG iterations as exact
-eigenpairs would.
+of one at one.  It wraps them at level c = 1, the exact cluster of I + L
+in either domain (the beamspace transform is unitary), so the surrogate
+I + U (Lambda - I) U^H equals Q whenever the sketch holds all of L, and
+CG then needs a single iteration.  from_eigenpairs takes any level, for
+callers with a known spectrum.
 """
 
 from __future__ import annotations
@@ -34,8 +36,16 @@ import numpy as np
 from .linalg import DimensionMismatchError
 from .randevd import randomized_evd
 
-__all__ = ["InvalidSpectrumError", "LowRankPreconditioner", "build_preconditioner",
-           "from_eigenpairs"]
+__all__ = ["DEFAULT_WIDTH", "InvalidSpectrumError", "LowRankPreconditioner",
+           "SKETCH_SHIFT", "build_preconditioner", "from_eigenpairs",
+           "sketch_width"]
+
+# the sketch runs on L + delta I, delta = SKETCH_SHIFT * max(tr L, 1), so
+# each power step has a condition number of at most about 1e6, inside
+# CholeskyQR2's range of about 1e8
+SKETCH_SHIFT = 1e-6
+# the sketch width when none is given: min(DEFAULT_WIDTH, N)
+DEFAULT_WIDTH = 32
 
 
 class InvalidSpectrumError(ArithmeticError):
@@ -48,13 +58,13 @@ class LowRankPreconditioner:
 
     eigvecs : (n, rank) orthonormal columns of the sketched eigenbasis.
     eigvals : (rank,) positive sketched eigenvalues, descending.
-    sigma2 : the cluster level, mean diagonal of the source matrix.
-    weights : (rank,) real, 1/sigma2 - 1/eigvals, precomputed once.
+    level : the cluster level c, 1 for a sketched Q = I + L.
+    weights : (rank,) real, 1/level - 1/eigvals, precomputed once.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    sigma2: float
+    level: float
     weights: np.ndarray
 
     @cached_property
@@ -78,7 +88,7 @@ class LowRankPreconditioner:
         else:
             eigvecs, weights = self.eigvecs, self.weights
         proj = np.matmul(eigvecs.conj().T, block)
-        out = block * (1.0 / self.sigma2)
+        out = block * (1.0 / self.level)
         out -= np.matmul(eigvecs, weights[:, None] * proj)
         if counter is not None:
             n, m = block.shape
@@ -89,8 +99,8 @@ class LowRankPreconditioner:
         return out
 
 
-def from_eigenpairs(eigvecs, eigvals, sigma2):
-    """Wrap already-known eigenpairs without sketching.
+def from_eigenpairs(eigvecs, eigvals, level):
+    """Wrap already-known eigenpairs about a cluster level, without sketching.
 
     Useful when the low-rank structure is known exactly, e.g. matrices
     assembled from a prescribed spectrum.  With exact eigenpairs the
@@ -99,41 +109,48 @@ def from_eigenpairs(eigvecs, eigvals, sigma2):
     Raises
     ------
     InvalidSpectrumError
-        If sigma2 or any supplied eigenvalue is non-positive.
+        If the level or any supplied eigenvalue is non-positive.
     """
     eigvals = np.asarray(eigvals, dtype=np.float64)
-    sigma2 = float(sigma2)
-    if sigma2 <= 0.0:
-        raise InvalidSpectrumError("cluster level sigma2 must be positive, got %g" % sigma2)
+    level = float(level)
+    if level <= 0.0:
+        raise InvalidSpectrumError("cluster level must be positive, got %g" % level)
     if eigvals.size and float(np.min(eigvals)) <= 0.0:
         raise InvalidSpectrumError(
             "eigenvalue %.3e is not positive" % float(np.min(eigvals)))
-    weights = 1.0 / sigma2 - 1.0 / eigvals
+    weights = 1.0 / level - 1.0 / eigvals
     return LowRankPreconditioner(eigvecs=np.asarray(eigvecs, dtype=np.complex128),
-                                 eigvals=eigvals, sigma2=sigma2, weights=weights)
+                                 eigvals=eigvals, level=level, weights=weights)
+
+
+def sketch_width(rank, n):
+    """The sketch width for an n x n system: rank, or min(DEFAULT_WIDTH, n)
+    when rank is None."""
+    return min(DEFAULT_WIDTH, n) if rank is None else rank
 
 
 def build_preconditioner(system, rank, power_iters, seed, counter=None):
-    """Sketch the top eigenpairs of a system matrix and wrap them.
+    """Sketch the top eigenpairs of a system matrix and wrap them at level 1.
 
     The system is expected to be an identity plus a positive semidefinite
     loading, Q = I + L, which assemble_q and to_beamspace always produce.
     The power iterations then run on L + delta I = Q - (1 - delta) I
     rather than on Q: each loaded mode 1 + mu of Q shows up as mu + delta,
     far from the unit cluster, which drops to delta.  The Ritz values are
-    still those of Q.  The small shift delta keeps the sketch full rank
-    when L has fewer than `rank` modes, and is taken relative to the
-    loading,
+    still those of Q, and the surrogate is I + U (Lambda - I) U^H.  The
+    small shift delta keeps the sketch full rank when L has fewer than
+    `rank` modes, and is taken relative to the loading,
 
-        delta = 1e-3 * max(tr(L), 1),   tr(L) = N (sigma2 - 1),
+        delta = SKETCH_SHIFT * max(tr(L), 1),   tr(L) = N (sigma2 - 1),
 
     so that each power step multiplies by a matrix of condition number at
-    most 1 + 1e3.  The floor at 1, the level of the identity, keeps delta
-    positive where tr(L) rounds to zero or below (the identity, a nearly
-    unloaded Q).  Any other Hermitian positive definite system still gets
-    a valid preconditioner, one sketched about the level 1 - delta: the
-    power iterations then favour the eigenvalues farthest from it on
-    either side.
+    most 1 + 1e6, inside CholeskyQR2's range, while delta stays below the
+    weak users' modes even on wide SNR ranges.  The floor at 1, the level
+    of the identity, keeps delta positive where tr(L) rounds to zero or
+    below (the identity, a nearly unloaded Q).  Any other Hermitian
+    positive definite system still gets a valid preconditioner, one
+    sketched about the level 1 - delta: the power iterations then favour
+    the eigenvalues farthest from it on either side.
 
     Parameters
     ----------
@@ -141,17 +158,19 @@ def build_preconditioner(system, rank, power_iters, seed, counter=None):
         Hermitian positive definite system in either domain.  When the
         solve runs in beamspace, pass the transformed system so the
         preconditioner lives in the same coordinates as the iteration.
-    rank, power_iters, seed : sketch parameters for randomized_evd.
+    rank : int or None
+        Sketch width, 1 <= rank <= N; None takes min(DEFAULT_WIDTH, N).
+    power_iters, seed : sketch parameters for randomized_evd.
     counter : FlopCounter, optional.
 
     Raises
     ------
     InvalidSpectrumError
-        If the sketched spectrum has a non-positive eigenvalue or the
-        cluster level is non-positive; reciprocals would be meaningless.
+        If the sketched spectrum has a non-positive eigenvalue; reciprocals
+        would be meaningless.
     """
     n = system.matrix.shape[0]
-    delta = 1e-3 * max(n * (system.sigma2 - 1.0), 1.0)
-    sketch = randomized_evd(system.matrix, rank, power_iters, seed,
-                            counter=counter, shift=1.0 - delta)
-    return from_eigenpairs(sketch.eigvecs, sketch.eigvals, system.sigma2)
+    delta = SKETCH_SHIFT * max(n * (system.sigma2 - 1.0), 1.0)
+    sketch = randomized_evd(system.matrix, sketch_width(rank, n), power_iters,
+                            seed, counter=counter, shift=1.0 - delta)
+    return from_eigenpairs(sketch.eigvecs, sketch.eigvals, 1.0)

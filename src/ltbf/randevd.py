@@ -10,8 +10,9 @@ is an identity plus a positive semidefinite loading has its weak modes at
 1 + mu with mu of about 0.1 to 1, next to a unit cluster: on the matrix
 itself they separate at 1/(1 + mu) per step, which is slow.  The `shift`
 keyword runs the power steps on a - shift * I instead, and
-build_preconditioner shifts by nearly one, which leaves mu against a
-cluster near zero; the Rayleigh-Ritz step still uses a itself.
+build_preconditioner shifts by 1 - delta, delta = 1e-6 max(tr(a - I), 1),
+which leaves mu + delta against a cluster at delta; the Rayleigh-Ritz
+step still uses a itself.
 """
 
 from __future__ import annotations

@@ -239,6 +239,27 @@ class TestStateAndStopping:
         assert (state.iterations, state.stop) == (8, "stagnated")
         assert numpy_residual(a, state.x) < 1e-13
 
+    def test_stagnated_run_returns_its_best_checked_iterate(self):
+        # the case above: the checks of iterations 5-8 read 1.4e-16,
+        # 1.6e-16, 1.4e-15 and 3.3e-14, and the run returns iteration 5's
+        # iterate, not the last one, 240x worse
+        vals = np.linspace(1.118, 1.0, 8)
+        a, u = helpers.synthetic_hermitian(vals, 2)
+        system = dense_system(a)
+        precond = from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+        seen = {}
+        state = cg_inverse(system, preconditioner=precond,
+                           config=CGConfig(max_iters=80, epsilon=1.28e-17),
+                           on_iteration=lambda k, x, r: seen.update({k: x}))
+        history = state.residual_history
+        assert (state.iterations, state.stop) == (8, "stagnated")
+        best = int(np.argmin(history)) + 1
+        assert best == 5 and history[-1] > 100 * history[best - 1]
+        assert np.array_equal(state.x, seen[best])
+        assert fro_norm(state.r) / np.sqrt(8) == history[best - 1] < 2e-16
+        assert numpy_residual(a, state.x) < 1e-15
+        assert len(history) == state.iterations
+
     def test_bitwise_reproducible(self):
         system = scenario_system(3318, side=4)
         cfg = CGConfig(max_iters=6, epsilon=1e-12)
@@ -324,16 +345,19 @@ class TestWorkingPrecision:
 
     @pytest.mark.parametrize("snr", [(-6.0, 14.0), (-10.0, 10.0), (0.0, 10.0)])
     def test_complex64_floor_sits_3x_below_the_switch(self, snr):
-        # the beamspace low-rank pipeline at the sketch widths of invert and
-        # of the drops benchmark; the floor grows with the loading's spread
+        # the beamspace low-rank pipeline at the default sketch of invert
+        # (width min(32, N), p = 2), at q = 16, p = 4 of the drops
+        # benchmark and at q = 8, p = 4; the floor grows with the loading's
+        # spread
         for seed in (1, 2, 3, 4):
             cfg = ScenarioConfig(side=8, n_ue=8, snr_db_range=snr,
                                  subcarriers=64, seed=seed)
             stats, _ = generate_scenario(cfg)
             system = to_beamspace(build_operator(8), assemble_q(stats))
-            for rank in (8, 16):
+            for rank, power_iters in ((None, 2), (8, 4), (16, 4)):
                 precond = build_preconditioner(system, rank=rank,
-                                               power_iters=4, seed=seed)
+                                               power_iters=power_iters,
+                                               seed=seed)
                 floor, _ = helpers.complex64_floor(system, precond)
                 assert 3.0 * floor <= cg._C64_EPS, (seed, rank, floor)
 
@@ -388,8 +412,10 @@ class TestIterationHook:
 
     def test_iterate_at_k_equals_truncated_run(self):
         system = scenario_system(3301)
-        precond = build_preconditioner(system, rank=8, power_iters=4, seed=3301)
-        # the run at 1e-16 stagnates at 13, the last iterate it reaches
+        # a narrow surrogate, the exact top two eigenpairs: the run at 1e-16
+        # stagnates at 18, past every budget
+        vals, vecs = np.linalg.eigh(system.matrix)
+        precond = from_eigenpairs(vecs[:, :-3:-1], vals[:-3:-1], system.sigma2)
         budgets = {1, 2, 5, 9, 13}
         seen = {}
 
@@ -404,6 +430,7 @@ class TestIterationHook:
         for k in budgets:
             alone = cg_inverse(system, preconditioner=precond,
                                config=CGConfig(max_iters=k, epsilon=1e-16))
+            assert alone.stop == "budget"
             assert np.array_equal(seen[k], alone.x), k
 
     def test_fires_once_per_iteration_with_history_values(self):

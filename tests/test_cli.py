@@ -1,6 +1,8 @@
 import csv
 import os
+import pathlib
 import string
+import tempfile
 
 import numpy as np
 import pytest
@@ -115,8 +117,11 @@ def _sweep_setups(draw):
 
 
 def _sweep_lines(setups):
-    return "".join("%s domain=%s precond=%s q=%d p=%d\n"
-                   % (s.name, s.domain, s.precond, s.q, s.p) for s in setups)
+    # a setup without a width gets no q token, never q=None
+    return "".join("%s domain=%s precond=%s%s p=%d\n"
+                   % (s.name, s.domain, s.precond,
+                      "" if s.q is None else " q=%d" % s.q, s.p)
+                   for s in setups)
 
 
 class TestSweepConfigFile:
@@ -350,6 +355,50 @@ class TestInvert:
         assert "iteration 3" in stderr
 
 
+class TestDefaultSketchWidth:
+    """The sketch width defaults to min(32, N), resolved where N is known."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(side=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+    def test_default_fits_every_array_and_an_explicit_excess_does_not(
+            self, side, seed):
+        n = side * side
+        with tempfile.TemporaryDirectory() as root:
+            root = pathlib.Path(root)
+            cfg = write_config(root / "s.cfg",
+                               "side = %d\nn_ue = 1\npaths_per_user = 1\n"
+                               "subcarriers = 16\nseed = %d\n" % (side, seed))
+            scen = str(root / "s.bslv")
+            assert cli.run(["gen", cfg, scen]) == 0
+            invert = ["invert", scen, "--out", str(root / "x.inv")]
+            sweep = ["sweep", scen, "--iters", "1", "--eval-rank", "1",
+                     "--out-dir", str(root / "run")]
+            assert cli.run(invert) == 0
+            assert cli.run(sweep) == 0
+            with open(root / "run" / "run_meta.csv") as fh:
+                assert {row["q"] for row in csv.DictReader(fh)} == {str(n)}
+            assert cli.run(invert + ["--q", str(n + 1)]) == 2
+            wide = write_config(root / "wide.sweep",
+                                "a precond=lowrank q=%d\n" % (n + 1))
+            assert cli.run(sweep + ["--configs", wide]) == 2
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_beamspace_default_converges_in_two_iterations(self, capsys,
+                                                           tmp_path, seed):
+        # side 16, default loading: the width-32 sketch holds all of the
+        # loading, so the surrogate is Q itself up to the sketch's accuracy
+        cfg = write_config(tmp_path / "s.cfg", "side = 16\nseed = %d\n" % seed)
+        scen = str(tmp_path / "s.bslv")
+        assert cli.run(["gen", cfg, scen]) == 0
+        rc, stdout, _ = run_capture(capsys, ["invert", scen, "--domain",
+                                             "beamspace",
+                                             "--out", str(tmp_path / "x.inv")])
+        assert rc == 0
+        fields = stdout_fields(stdout)
+        assert int(fields["iterations"]) <= 2
+        assert float(fields["residual"]) < 1e-6 and "warning" not in fields
+
+
 class TestSweep:
     def test_empty_budget_list_leaves_empty_tables(self, capsys, tmp_path,
                                                    mid_scenario):
@@ -418,10 +467,9 @@ class TestSweep:
         assert "warning" not in stdout
 
     def test_stop_iterations_stated_in_readme(self, capsys, tmp_path):
-        # side 16, seed 101: the budget runs stop after 20, 11, 20 and 10
-        # iterations and the runs at an unreachable eps after 23, 14, 23
-        # and 13; a check the level starts keeps the recursive residual,
-        # and replacing it there would stop two of them one later
+        # side 16, seed 101: the budget runs stop after 20, 3, 20 and 3
+        # iterations and the runs at an unreachable eps after 23, 6, 23
+        # and 6
         cfg_path = write_config(tmp_path / "s.cfg", "side = 16\nseed = 101\n")
         scen = str(tmp_path / "s.bslv")
         out_dir = str(tmp_path / "run")
@@ -437,8 +485,8 @@ class TestSweep:
         with open(os.path.join(out_dir, "run_meta.csv")) as fh:
             meta = list(csv.DictReader(fh))
         names = [row["config_id"] for row in meta]
-        assert [stops[name] for name in names] == [20, 11, 20, 10]
-        assert [int(row["iters_to_eps"]) for row in meta] == [23, 14, 23, 13]
+        assert [stops[name] for name in names] == [20, 3, 20, 3]
+        assert [int(row["iters_to_eps"]) for row in meta] == [23, 6, 23, 6]
 
     def test_longer_power_iteration_never_hurts_capacity(self, capsys, tmp_path,
                                                          mid_scenario):
@@ -588,18 +636,20 @@ class TestSweep:
                                                        epsilon=target))
             assert np.array_equal(probe["x"], alone.x), target
 
-    def test_array_below_bound_probe_rank_is_config_error(self, capsys,
-                                                          tmp_path):
-        # N = 4 admits the config line, not the q = 8 sketch of the
-        # built-in bound probe
+    def test_sketch_wider_than_the_array_is_config_error(self, capsys,
+                                                         tmp_path):
+        # at N = 4 the built-in bound probe takes the default width 4; a
+        # config line that asks for 5 is rejected by name
         cfg = write_config(tmp_path / "tiny.cfg", "side = 2\nsubcarriers = 16\n")
         scen = str(tmp_path / "tiny.bslv")
         assert cli.run(["gen", cfg, scen]) == 0
+        argv = ["sweep", scen, "--iters", "2", "--out-dir", str(tmp_path / "r")]
         configs = write_config(tmp_path / "plain.cfg", "a precond=none q=4\n")
-        rc, _, stderr = run_capture(capsys, ["sweep", scen, "--configs", configs,
-                                             "--iters", "2",
-                                             "--out-dir", str(tmp_path / "r")])
-        assert rc == 2 and "bound_probe" in stderr
+        rc, _, _ = run_capture(capsys, argv + ["--configs", configs])
+        assert rc == 0
+        configs = write_config(tmp_path / "wide.cfg", "a precond=lowrank q=5\n")
+        rc, _, stderr = run_capture(capsys, argv + ["--configs", configs])
+        assert rc == 2 and "config a:" in stderr and "[1, 4]" in stderr
 
     def test_bad_config_entries_rejected(self, capsys, tmp_path, mid_scenario):
         bad_domain = write_config(tmp_path / "bad1.cfg", "a domain=fourier\n")

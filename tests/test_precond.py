@@ -8,11 +8,14 @@ from ltbf.beamspace import build_operator, to_beamspace
 from ltbf.cg import CGConfig, cg_inverse
 from ltbf.linalg import DimensionMismatchError, FlopCounter, fro_norm
 from ltbf.precond import (
+    DEFAULT_WIDTH,
+    SKETCH_SHIFT,
     InvalidSpectrumError,
     LowRankPreconditioner,
     build_preconditioner,
     from_eigenpairs,
 )
+from ltbf import randevd
 from ltbf.randevd import randomized_evd
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
 from oracles import direct_inverse_oracle
@@ -21,7 +24,7 @@ from oracles import direct_inverse_oracle
 def sketch_shift(system):
     """The shift build_preconditioner sketches about: 1 - delta."""
     n = system.matrix.shape[0]
-    return 1.0 - 1e-3 * max(n * (system.sigma2 - 1.0), 1.0)
+    return 1.0 - SKETCH_SHIFT * max(n * (system.sigma2 - 1.0), 1.0)
 
 
 def numpy_residual(matrix, x):
@@ -106,7 +109,7 @@ class TestApply:
         u = helpers.random_unitary_columns(96, 6, 220)
         m = from_eigenpairs(u, np.linspace(8.0, 1.5, 6), 1.3)
         r = helpers.random_complex((96, 96), 221)
-        expected = r / m.sigma2 - u @ (m.weights[:, None] * (u.conj().T @ r))
+        expected = r / m.level - u @ (m.weights[:, None] * (u.conj().T @ r))
         assert np.array_equal(m.apply(r), expected)
 
     def test_identity_block_gives_explicit_matrix(self):
@@ -151,13 +154,15 @@ class TestBuildFromSystem:
         oracle = direct_inverse_oracle(helpers.surrogate_matrix(m))
         assert fro_norm(helpers.explicit_matrix(m) - oracle) <= 1e-9
 
-    def test_sigma2_taken_from_system(self):
+    def test_level_is_the_unit_cluster(self):
+        # the cluster of I + L is exactly 1, whatever the mean diagonal
         cfg = ScenarioConfig(side=4, n_ue=2, paths_per_user=2,
                              subcarriers=16, seed=3311)
         stats, _ = generate_scenario(cfg)
         system = assemble_q(stats)
         m = build_preconditioner(system, rank=4, power_iters=2, seed=78)
-        assert m.sigma2 == float(system.sigma2)
+        assert system.sigma2 > 1.0
+        assert m.level == 1.0
         assert m.eigvals.shape == (4,)
         assert np.all(np.diff(m.eigvals) <= 1e-12)
 
@@ -179,13 +184,14 @@ class TestBuildFromSystem:
         m = build_preconditioner(system, rank=4, power_iters=2, seed=82)
         sketch = randomized_evd(system.matrix, 4, 2, 82,
                                 shift=sketch_shift(system))
-        ref = from_eigenpairs(sketch.eigvecs, sketch.eigvals, system.sigma2)
+        ref = from_eigenpairs(sketch.eigvecs, sketch.eigvals, 1.0)
         for field in ("eigvecs", "eigvals", "weights"):
             assert np.array_equal(getattr(m, field), getattr(ref, field)), field
-        assert m.sigma2 == ref.sigma2
+        assert m.level == ref.level
 
     def test_non_positive_sigma2_rejected(self):
-        # sigma2 = Re tr / N = -1
+        # sigma2 = Re tr / N = -1; the level is 1 whatever sigma2, and the
+        # sketched eigenvalues, all -1, are what is rejected
         bad = SystemMatrix(-np.eye(8), "antenna")
         with pytest.raises(InvalidSpectrumError):
             build_preconditioner(bad, rank=2, power_iters=1, seed=80)
@@ -255,6 +261,35 @@ class TestShiftedSketch:
                            config=CGConfig(max_iters=10 * n, epsilon=eps))
         if state.iterations < 10 * n:
             assert numpy_residual(a, state.x) < eps
+
+
+class TestDefaultSketch:
+    """Shift SKETCH_SHIFT tr(L), level 1 and width min(DEFAULT_WIDTH, N)."""
+
+    @pytest.mark.parametrize("side", [1, 2, 4, 8])
+    def test_default_width_is_capped_at_n(self, side):
+        n = side * side
+        m = build_preconditioner(assemble_q([], n_antennas=n), rank=None,
+                                 power_iters=2, seed=84)
+        assert m.eigvals.shape == (min(DEFAULT_WIDTH, n),)
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_wide_range_loading_sketches_without_a_redraw(self, monkeypatch,
+                                                          seed):
+        # 8 users x 8 paths over -10..40 dB: L has rank 64 = N and spans
+        # five decades, yet no power step of any width breaks CholeskyQR2
+        # (a RankDeficiencyError, with no redraw left)
+        monkeypatch.setattr(randevd, "_MAX_REDRAWS", 0)
+        cfg = ScenarioConfig(side=8, n_ue=8, paths_per_user=8,
+                             snr_db_range=(-10.0, 40.0), subcarriers=64,
+                             seed=seed)
+        stats, _ = generate_scenario(cfg)
+        system = assemble_q(stats)
+        for system in (system, to_beamspace(build_operator(8), system)):
+            for rank in (8, 16, 32, 64):
+                m = build_preconditioner(system, rank=rank, power_iters=2,
+                                         seed=seed)
+                assert np.all(m.eigvals >= 1.0 - 1e-9)
 
 
 class TestSpectrumValidation:
