@@ -338,9 +338,5 @@ def write_trajectory(path, state, config_id):
     lines = ["iter,residual,config_id"]
     for i, res in enumerate(state.residual_history):
         lines.append("%d,%s,%s" % (i + 1, repr(float(res)), config_id))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -7,14 +7,12 @@ orthonormal block and pushes the defect down to round-off.  The algorithm
 is attractive here because every heavy step is a matrix product, which is
 exactly what the operation counters and the target hardware like.
 
-The composite triangular factor comes out upper triangular and satisfies
-q @ r == a: if the first pass gives a = q1 @ l1^H and the second gives
-q1 = q @ l2^H, then r = l2^H @ l1^H.
+Only the orthonormal block is returned, the whole output the randomized
+eigensolver reads.  A caller that wants the triangular factor r with
+q @ r == a forms it as q^H a.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,42 +24,24 @@ from .linalg import (
     trsm_right_upper_ct,
 )
 
-__all__ = ["CholQRResult", "RankDeficiencyError", "cholesky_qr2"]
+__all__ = ["RankDeficiencyError", "cholesky_qr2"]
 
 
 class RankDeficiencyError(ArithmeticError):
     """The block is numerically rank deficient even after a shifted retry."""
 
 
-@dataclass
-class CholQRResult:
-    """Orthonormal factor, composite triangular factor, and diagnostics.
-
-    q : (n, k) block with orthonormal columns.
-    r : (k, k) upper triangular, q @ r reconstructs the input.
-    first_factor, second_factor : the lower Cholesky factors of the two
-        Gram passes, kept for diagnostics.
-    shift : diagonal shift applied on the single Cholesky retry (0.0 when
-        both factorizations succeeded directly).
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    first_factor: np.ndarray
-    second_factor: np.ndarray
-    shift: float
-
-
 def _chol_with_retry(w, counter, retry_allowed):
     """Cholesky with at most one diagonal-shift retry before giving up.
 
+    Returns the lower factor and whether the shifted retry was taken.
     The retry budget is shared by both passes of cholesky_qr2: a genuinely
     rank-deficient block breaks down again on the second Gram even after a
     shifted first pass, and that second breakdown must surface as an error
     instead of silently returning a block with dead columns.
     """
     try:
-        return cholesky(w, counter=counter), 0.0
+        return cholesky(w, counter=counter), False
     except CholeskyBreakdownError as first:
         if not retry_allowed:
             raise RankDeficiencyError(
@@ -70,7 +50,7 @@ def _chol_with_retry(w, counter, retry_allowed):
         shift = 1e-12 * float(np.real(np.trace(w))) / w.shape[0]
         try:
             shifted = w + shift * np.eye(w.shape[0], dtype=np.complex128)
-            return cholesky(shifted, counter=counter), shift
+            return cholesky(shifted, counter=counter), True
         except CholeskyBreakdownError as second:
             raise RankDeficiencyError(
                 "gram matrix is not positive definite (pivot %d after shift %.3e)"
@@ -85,12 +65,12 @@ def cholesky_qr2(a, counter=None):
     a : (n, k) complex ndarray with n >= k >= 1.  Must have numerically
         full column rank; condition numbers up to roughly 1e7 are fine.
     counter : FlopCounter, optional
-        Charged through the four matrix products, two Cholesky
+        Charged through the two Gram products, two Cholesky
         factorizations and two triangular solves.
 
     Returns
     -------
-    CholQRResult
+    q : (n, k) complex ndarray with orthonormal columns spanning those of a.
 
     Raises
     ------
@@ -107,14 +87,10 @@ def cholesky_qr2(a, counter=None):
         raise DimensionMismatchError(
             "need n >= k >= 1 for a tall-skinny block, got %s" % ((n, k),))
 
-    w = gemm(a, a, conj_a=True, counter=counter)
-    l1, s1 = _chol_with_retry(w, counter, retry_allowed=True)
-    q1 = trsm_right_upper_ct(a, l1, counter=counter)
-
-    w2 = gemm(q1, q1, conj_a=True, counter=counter)
-    l2, s2 = _chol_with_retry(w2, counter, retry_allowed=s1 == 0.0)
-    q2 = trsm_right_upper_ct(q1, l2, counter=counter)
-
-    r = gemm(l2, l1, conj_a=True, conj_b=True, counter=counter)
-    return CholQRResult(q=q2, r=r, first_factor=l1, second_factor=l2,
-                        shift=s1 + s2)
+    q, retry_allowed = a, True
+    for _ in range(2):
+        w = gemm(q, q, conj_a=True, counter=counter)
+        l, shifted = _chol_with_retry(w, counter, retry_allowed)
+        retry_allowed = not shifted  # read by the second pass only
+        q = trsm_right_upper_ct(q, l, counter=counter)
+    return q

@@ -82,9 +82,6 @@ _DEFAULT_SETUPS = (
     SolverSetup("beamspace_precond", "beamspace", "lowrank"),
 )
 
-# the sweep's loose solves for bound.csv
-_BOUND_SETUP = SolverSetup("bound_probe", "antenna", "lowrank")
-
 
 def read_sweep_configs(path):
     """Parse the sweep config file into SolverSetup objects."""
@@ -262,12 +259,12 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
         cdf_rows.append((db, pr, "exact"))
 
     # bound rows come from deliberately loose solves at the probe
-    # tolerances, all read off one run
+    # tolerances, all read off one plain antenna run: a preconditioned
+    # one can meet both at its first iterate and probe a single eps
     bound_rows = []
-    precond = _setup_preconditioner(system_ant, _BOUND_SETUP, cfg.seed)
     _, probes = capacity_vs_iterations(
         system_ant, stats, channels, cfg.noise_psd, [], _BOUND_EPSILONS,
-        preconditioner=precond, projectors=projectors)
+        projectors=projectors)
     for probe in probes:
         _, spec = inverse_error(system_ant, probe["x"])
         gam = gammas(probe["x"])
@@ -293,7 +290,7 @@ def _cmd_sweep(args):
         raise ConfigError("--iters must be a comma list of integers, got %r"
                           % args.iters) from err
     n = cfg.n_antennas
-    for setup in setups + [_BOUND_SETUP]:
+    for setup in setups:
         _check_sketch(setup.q, setup.p, n, "config %s: " % setup.name)
     for budget in budgets:
         _check_iterations("iteration budget", budget, n)

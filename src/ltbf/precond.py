@@ -29,7 +29,6 @@ callers with a known spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,26 +66,20 @@ class LowRankPreconditioner:
     level: float
     weights: np.ndarray
 
-    @cached_property
-    def _c64(self):
-        """(eigvecs, weights) cast once to complex64 and float32."""
-        return self.eigvecs.astype(np.complex64), self.weights.astype(np.float32)
-
     def apply(self, block, counter=None):
         """Apply the preconditioner to an (n, m) block.
 
         Never forms the dense operator; two thin products and a diagonal
-        scaling, charged to the counter under "precond_apply".  A
-        complex64 block is worked on in complex64 throughout.
+        scaling, charged to the counter under "precond_apply".  The
+        eigenpairs are cast to the block's precision, so a complex64
+        block is worked on in complex64 throughout.
         """
         if block.ndim != 2 or block.shape[0] != self.eigvecs.shape[0]:
             raise DimensionMismatchError(
                 "block must have %d rows, got shape %s"
                 % (self.eigvecs.shape[0], (block.shape,)))
-        if block.dtype == np.complex64:
-            eigvecs, weights = self._c64
-        else:
-            eigvecs, weights = self.eigvecs, self.weights
+        eigvecs = self.eigvecs.astype(block.dtype, copy=False)
+        weights = self.weights.astype(block.real.dtype, copy=False)
         proj = np.matmul(eigvecs.conj().T, block)
         out = block * (1.0 / self.level)
         out -= np.matmul(eigvecs, weights[:, None] * proj)

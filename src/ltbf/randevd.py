@@ -101,7 +101,7 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, shift=0.0):
                     y -= shift * q_cur
                     if counter is not None:
                         counter.add("col_scale", y.size, y.size)
-                q_cur = cholesky_qr2(y, counter=counter).q
+                q_cur = cholesky_qr2(y, counter=counter)
             t = gemm(a, q_cur, counter=counter)
             b = gemm(q_cur, t, conj_a=True, counter=counter)
             vals, vecs = hermitian_evd_small(b, counter=counter)

@@ -181,7 +181,6 @@ class InstantChannel:
     taps : (n_streams, paths) integer tap delays on the subcarrier grid.
     """
 
-    user: int
     h: np.ndarray
     powers: np.ndarray
     azimuths: np.ndarray
@@ -192,7 +191,7 @@ class InstantChannel:
 
 @dataclass
 class SystemMatrix:
-    """A system matrix tagged with its domain and cluster level.
+    """A system matrix tagged with its domain and mean diagonal level.
 
     The one place that makes a system matrix valid, so that solvers and
     sketches take it as Hermitian unchecked.  Construction reads the input
@@ -204,8 +203,9 @@ class SystemMatrix:
 
     matrix : (N, N) Hermitian.
     domain : "antenna" or "beamspace".
-    sigma2 : derived mean diagonal level Re(trace)/N, the cluster
-        estimate the preconditioner shrinks toward.
+    sigma2 : derived mean diagonal level Re(trace)/N.  For Q = I + L it
+        gives tr(L) = N (sigma2 - 1), which sets the sketch shift of
+        build_preconditioner; gen prints it.
     """
 
     matrix: np.ndarray
@@ -328,7 +328,7 @@ def generate_scenario(cfg):
 
         stats.append(UserStats(covariance=cov, alpha=float(alpha),
                                symbol_energy=float(energy)))
-        channels.append(InstantChannel(user=user, h=np.ascontiguousarray(h),
+        channels.append(InstantChannel(h=np.ascontiguousarray(h),
                                        powers=powers, azimuths=azimuths,
                                        elevations=elevations, phases=phases,
                                        taps=taps))
@@ -537,7 +537,7 @@ def load_scenario(path):
     offset = 52
     stats = []
     channels = []
-    for user in range(n_ue):
+    for _ in range(n_ue):
         if offset + 16 > len(payload):
             raise ChecksumError("%s: truncated user block" % path)
         alpha, energy = struct.unpack_from("<2d", payload, offset)
@@ -553,7 +553,7 @@ def load_scenario(path):
         h_flat, offset = _unpack_complex(payload, offset, subc * n * n_streams)
         h = h_flat.reshape(subc, n, n_streams)
         stats.append(UserStats(covariance=cov, alpha=alpha, symbol_energy=energy))
-        channels.append(InstantChannel(user=user, h=h, powers=powers,
+        channels.append(InstantChannel(h=h, powers=powers,
                                        azimuths=azimuths, elevations=elevations,
                                        phases=phases, taps=taps))
     if offset != len(payload):

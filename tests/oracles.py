@@ -206,13 +206,13 @@ def direct_inverse_oracle(q_mat, counter=None):
     l = cholesky_oracle(q_mat, counter=counter)
     eye = np.eye(n, dtype=np.complex128)
     z = trsm_right_upper_ct_oracle(eye, l, counter=counter)
-    return gemm(z, z, conj_b=True, counter=counter)
+    return gemm(z, z.conj().T, counter=counter)
 
 
 def dense_to_beamspace(op, a, counter=None):
     """F a F^H with the explicit DFT matrix, two counted products."""
     f = op.f
-    return gemm(gemm(f, a, counter=counter), f, conj_b=True, counter=counter)
+    return gemm(gemm(f, a, counter=counter), f.conj().T, counter=counter)
 
 
 def dense_from_beamspace(op, a, counter=None):

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -529,12 +528,12 @@ class TestIterationBound:
 
 
 class TestTrajectoryDump:
-    def test_row_per_iteration(self):
+    def test_row_per_iteration(self, tmp_path):
         system = scenario_system(3322, side=4)
         state = cg_inverse(system, config=CGConfig(max_iters=5, epsilon=1e-15))
-        buf = io.StringIO()
-        write_trajectory(buf, state, "demo_run")
-        lines = buf.getvalue().strip().split("\n")
+        path = tmp_path / "trace.csv"
+        write_trajectory(path, state, "demo_run")
+        lines = path.read_text(encoding="ascii").strip().split("\n")
         assert lines[0] == "iter,residual,config_id"
         assert len(lines) == 1 + state.iterations
         first = lines[1].split(",")

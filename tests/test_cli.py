@@ -619,6 +619,21 @@ class TestSweep:
         for row in tables["bound.csv"]:
             assert float(row["margin"]) >= 0.0, row
 
+    def test_bound_probe_tests_two_distinct_tolerances(self, capsys, tmp_path):
+        # a preconditioned probe can meet both 0.1 and 0.01 at its first
+        # iterate and write every bound row twice at one tiny eps
+        cfg = write_config(tmp_path / "probe.cfg",
+                           "side = 8\nsubcarriers = 64\nseed = 3301\n")
+        scen = str(tmp_path / "probe.bslv")
+        out_dir = str(tmp_path / "run")
+        assert cli.run(["gen", cfg, scen]) == 0
+        assert cli.run(["sweep", scen, "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        with open(os.path.join(out_dir, "bound.csv")) as fh:
+            eps = {float(r["epsilon"]) for r in csv.DictReader(fh)}
+        assert len(eps) == 2
+        assert min(eps) >= 1e-3
+
     def test_bound_probe_iterates_equal_separate_runs(self):
         # one target sits where the recursive estimate lags the true
         # residual, so the first true residual below it is too early
@@ -638,8 +653,7 @@ class TestSweep:
 
     def test_sketch_wider_than_the_array_is_config_error(self, capsys,
                                                          tmp_path):
-        # at N = 4 the built-in bound probe takes the default width 4; a
-        # config line that asks for 5 is rejected by name
+        # at N = 4 a config line that asks for width 5 is rejected by name
         cfg = write_config(tmp_path / "tiny.cfg", "side = 2\nsubcarriers = 16\n")
         scen = str(tmp_path / "tiny.bslv")
         assert cli.run(["gen", cfg, scen]) == 0
