@@ -5,15 +5,24 @@ own step scalars: alpha_j = (r_j^H z_j)/(p_j^H s_j) and the matching
 Fletcher-Reeves beta_j, applied as diagonal column scalings of the shared
 direction block.
 
-Each iteration does one N x N product, S = Q P, and updates the residual
-recursively as R -= S diag(alpha), which drifts away from the true
-residual I - Q X.  Downstream bounds are stated in the true residual's
-scaled norm ||Q X - I||_F / sqrt(N) (1 at X = 0), so one stop rule on it
-holds for every caller.  Iteration k forms it (a check) when the
+Each iteration after the first does one N x N product, S = Q P, and
+updates the residual recursively as R -= S diag(alpha), which drifts away
+from the true residual I - Q X.  The first iteration starts from X_0 = 0,
+R_0 = I, whose preconditioned block is P_0 = M^-1 itself; every
+preconditioner here is Hermitian, so S_0 = Q P_0 = (M^-1 Q)^H costs one
+apply (two thin products for the low-rank one), and plain CG takes
+S_0 = Q.  X_1 = P_0 diag(alpha) and R_1 = I - S_0 diag(alpha) then come
+from explicit products, so R_1 is the true residual of X_1: iteration 1
+is a check at no N x N product and may stop the run.
+
+Downstream bounds are stated in the true residual's scaled norm
+||Q X - I||_F / sqrt(N) (1 at X = 0), so one stop rule on it holds for
+every caller.  Iteration k forms it (a check) when the
 recursive estimate is below epsilon or the attainable-accuracy level
 c u ||Q||_F ||X_k||_F / N, c = 8, u the unit roundoff of the working
 precision (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997); every
-iteration after a check is a check too.
+iteration after a check is a check too (iteration 1 turns that on by the
+same rule, not by being a check).
 The run stops at a check whose true residual is below epsilon
 ("converged"), at the third check in a row that fails to fall below half
 the smallest true residual of the checks before it ("stagnated"), after
@@ -28,17 +37,22 @@ residual any check of the run formed (X is rebound every iteration, so
 keeping it costs a reference, not a copy).  r holds the true residual of
 the returned iterate, and residual_history[-1] that of the last one.
 
-The working precision follows from epsilon alone.  Below _C64_EPS,
-epsilon = 0 included, the run is complex128 throughout, u = 2^-53.  At or
-above it the iteration runs in complex64, u = 2^-24, as iterative
-refinement does (Carson & Higham, SIAM J. Sci. Comput. 40, 2018): the
-S = Q P product takes a complex64 copy of Q made once per run, R, P, S
-and Z are complex64 and so is the preconditioner apply, while column
-dots and norms accumulate in complex128 and float64.  X, every check
-and every stop stay complex128, so a check costs one complex128 product.
-complex64 holds the true residual down to a floor of 0.1-0.3 u kappa(Q)
-on the generator's loadings: 2-4e-7 at its default -6..14 dB, rising
-tenfold per 10 dB of spread.  In the complex64 phase every iteration counts
+The working precision follows from epsilon alone; iteration 1 is
+complex128 in every case.  Below _C64_EPS, epsilon = 0 included, the run
+is complex128 throughout, u = 2^-53.  At or above it the iteration runs
+in complex64 from iteration 2, u = 2^-24, as iterative refinement does
+(Carson & Higham, SIAM J. Sci. Comput. 40, 2018): R_1 and P_0 are cast
+once, the S = Q P product takes a complex64 copy of Q made when
+iteration 2 runs, R, P, S and Z are complex64 and so is the
+preconditioner apply, while column dots and norms accumulate in
+complex128 and float64.  The level of every iteration uses that u.  X,
+every check and every stop stay complex128, so a check after iteration 1
+costs one complex128 product.  The complex64 corrections to the
+complex128 X_1 hold the true residual down to a floor that falls with
+R_1.  On the generator's side-8 beamspace loadings (seeds 1-10) the worst
+floor is 1e-12 up to -10..20 dB, 3e-9 at -10..30 dB and 2e-7 at -10..40
+dB with the default sketch; with a q = 16 sketch it is 1.5e-8 at the
+default -6..14 dB and 8.5e-6 at -10..40 dB.  In the complex64 phase every iteration counts
 toward stagnation on its recorded residual, checked or not, since a
 loading whose floor lies far above epsilon may never bring the estimate
 down to a check.  A complex64 phase that stagnates with budget left and
@@ -53,8 +67,9 @@ iteration budgets, the iterates where runs at several tolerances stop)
 pass an on_iteration(iterations, x, residual) hook instead of rerunning
 the solver per budget.  It is called once per iteration, after that
 iteration's residual is recorded and checked for breakdown, with the
-recorded value: the true residual at a check and at max_iters, the
-recursive estimate otherwise; x is complex128 in either precision.  A
+recorded value: the true residual at iteration 1, at a check and at
+max_iters, the recursive estimate otherwise; x is complex128 in either
+precision.  A
 true return value stops the run there;
 the true residual then replaces that entry, as at any other return.  The
 hook touches neither the arithmetic nor the stop rule, so the iterate it
@@ -88,9 +103,10 @@ __all__ = [
     "write_trajectory",
 ]
 
-# epsilon at and above which the iteration runs in complex64 (module
-# docstring).  The complex64 floor of the beamspace low-rank pipeline over
-# side-8 loadings up to 14 dB sits 3x or more below it.
+# epsilon at and above which iterations 2 on run in complex64 (module
+# docstring).  The complex64 floor of the beamspace low-rank pipeline with
+# the default sketch over side-8 loadings up to -10..40 dB sits 5x or more
+# below it.
 _C64_EPS = 1e-6
 # a column whose p^H Q p or r^H z falls below this, scaled from complex128
 # to the working dtype by the ratio of smallest normal numbers, freezes
@@ -116,7 +132,7 @@ class CGConfig:
     max_iters : hard iteration budget, 0 <= max_iters <= 10 * N.
     epsilon : tolerance on the true residual ||Q X - I||_F / sqrt(N), in
         [0, 1); 0 runs to the attainable accuracy.  It also sets the
-        working precision, as in the module docstring.
+        working precision of iterations 2 on, as in the module docstring.
     """
 
     max_iters: int
@@ -181,6 +197,23 @@ def _true_residual(q, x, eye, out, counter):
     return out, float(fro_norm(out) / np.sqrt(q.shape[0]))
 
 
+def _first_block(q, preconditioner, counter):
+    """P_0 = M^-1 and S_0 = Q P_0 of a run from X_0 = 0, in complex128.
+
+    Every preconditioner here is Hermitian, so S_0 = (M^-1 Q)^H: one apply
+    to Q in place of an N x N product, or Q itself for plain CG (M = I).
+    S_0 is written into a block of its own, since later iterations
+    overwrite S in place and an apply may return the block it was given.
+    """
+    n = q.shape[0]
+    if preconditioner is None:
+        return np.eye(n, dtype=np.complex128), q.copy()
+    p = preconditioner.apply(np.eye(n, dtype=np.complex128), counter=counter)
+    s = np.empty((n, n), dtype=np.complex128)
+    np.conjugate(preconditioner.apply(q, counter=counter).T, out=s)
+    return p, s
+
+
 def cg_inverse(system, preconditioner=None, config=None, counter=None,
                on_iteration=None):
     """Approximate the inverse of a Hermitian positive definite system.
@@ -190,9 +223,11 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     system : SystemMatrix
         The matrix to invert, in whichever domain the caller works.
     preconditioner : object with apply(block, counter), optional
-        Typically a LowRankPreconditioner.  None runs plain CG, which is
-        identical to preconditioning with any positive multiple of the
-        identity.  A complex64 phase passes it complex64 blocks.
+        Typically a LowRankPreconditioner; it must be Hermitian, since
+        iteration 1 forms Q M^-1 as (M^-1 Q)^H.  None runs plain CG, which
+        is identical to preconditioning with any positive multiple of the
+        identity.  It is applied to I and to Q in complex128 before
+        iteration 1; a complex64 phase passes it complex64 blocks.
     config : CGConfig, optional
         Defaults to the full 10N iteration budget at epsilon 1e-6.
     counter : FlopCounter, optional.
@@ -208,8 +243,8 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         one of the smallest checked true residual), its true residual
         I - Q X in r, the stop cause, and one scaled residual per
         iteration performed in residual_history: the true residual at
-        checks and at the last iteration, the recursive estimate
-        otherwise.
+        iteration 1, at checks and at the last iteration, the recursive
+        estimate otherwise.
     """
     q = system.matrix
     n = q.shape[0]
@@ -227,32 +262,29 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     kept, kept_x = np.inf, None  # smallest checked true residual, its iterate
     stop = "budget"  # a zero budget stops before the first iteration
     dtype = np.dtype(np.complex64 if config.epsilon >= _C64_EPS else np.complex128)
+    qw = s = None  # Q in the working precision, made if iteration 2 runs; S = Q P
 
     while True:  # one pass per working precision, complex64 first
-        qw = q.astype(dtype, copy=False)
         guard = _FREEZE_EPS * float(np.finfo(dtype).tiny / np.finfo(np.float64).tiny)
         scale = _level_scale(q, dtype)
-        r = (eye if t is None else t).astype(dtype)
-        if preconditioner is not None:
-            z = preconditioner.apply(r, counter=counter)
-        else:
-            z = r
-        p = z.astype(dtype)
-        rz = _colwise_dot(r, z, counter)
         frozen = np.zeros(n, dtype=bool)
-        s = None
         checking = False  # once an iteration is a check, every later one is
         failed = 0  # counted iterations in a row that failed to halve best
         hooked = switch = False
 
         for it in range(iterations, config.max_iters):
-            s = gemm(qw, p, counter=counter, out=s)
+            if it == 0:  # X_0 = 0, R_0 = I, in complex128
+                r = eye.copy()
+                p, s = _first_block(q, preconditioner, counter)
+                rz = np.diagonal(p).copy()  # r_j^H z_j = e_j^H P_0 e_j
+            else:
+                s = gemm(qw, p, counter=counter, out=s)
             ps = _colwise_dot(p, s, counter)
             frozen |= np.abs(ps) < guard
             denom = np.where(frozen, 1.0, ps)
             alpha = np.where(frozen, 0.0, rz / denom)
             x = x + p * alpha[None, :]
-            r -= s * alpha.astype(dtype)[None, :]
+            r -= s * alpha.astype(r.dtype)[None, :]
             if counter is not None:
                 counter.add("col_scale", 2 * n * n, 2 * n * n)
             estimate = float(_norm(r) / np.sqrt(n))
@@ -261,10 +293,16 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             checking = checking or passed or estimate < scale * fro_norm(x)
             last = iterations == config.max_iters
             res = estimate
-            if checking or last:
+            # R_1 = I - S_0 alpha comes from explicit products, not a
+            # recursion: the true residual of X_1, a check at no product
+            exact = it == 0
+            if exact:
+                t = r
+            elif checking or last:
                 t, res = _true_residual(q, x, eye, t, counter)
-                if res < kept:
-                    kept, kept_x = res, x
+                exact = True
+            if exact and res < kept:
+                kept, kept_x = res, x
             history.append(res)
             if not (np.isfinite(estimate) and np.isfinite(res)
                     and np.all(np.isfinite(alpha))):
@@ -285,13 +323,18 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
                 stop = "converged"
             switch = (stop == "stagnated" and dtype == np.complex64
                       and not (last or hooked))
-            if stop is not None and not (checking or last or switch):
+            if stop is not None and not (exact or switch):
                 t, history[-1] = _true_residual(q, x, eye, t, counter)
                 if history[-1] < kept:
                     kept, kept_x = history[-1], x
             if stop is not None:
                 break
-            if passed:
+            if it == 0:  # the working precision takes over: R_1, P_0 cast once
+                r, p = t.astype(dtype), p.astype(dtype, copy=False)
+                qw = q.astype(dtype, copy=False)
+                if s.dtype != dtype:
+                    s = None
+            elif passed:
                 r[...] = t  # the true residual replaces the recursive one
             if preconditioner is not None:
                 z = preconditioner.apply(r, counter=counter)
@@ -303,7 +346,7 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             beta = np.where(frozen, 0.0, rz_new / denom)
             if np.any(frozen):
                 z = np.where(frozen[None, :], 0.0, z)
-            p *= beta.astype(dtype)[None, :]
+            p *= beta.astype(p.dtype)[None, :]
             p += z
             if counter is not None:
                 counter.add("col_scale", n * n, n * n)
@@ -311,11 +354,17 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
 
         if not switch:
             break
+        # complex128 from the complex64 phase's best iterate, restarted from
+        # its true residual
         dtype = np.dtype(np.complex128)
-        x = best_x
+        qw, s, x = q, None, best_x
         t, best = _true_residual(q, x, eye, t, counter)
         if best < kept:
             kept, kept_x = best, x
+        r = t.copy()
+        z = r if preconditioner is None else preconditioner.apply(r, counter=counter)
+        p = z.copy()
+        rz = _colwise_dot(r, z, counter)
 
     if stop == "stagnated" and kept_x is not x:
         x = kept_x

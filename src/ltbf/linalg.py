@@ -210,7 +210,7 @@ def cholesky(w, counter=None):
     w : (n, n) complex ndarray, Hermitian within 1e-12 relative.
     counter : FlopCounter, optional
         Charged (n^3 - n)/6 + n(n - 1)/2 multiplies, the column algorithm's
-        count.
+        count, also for a factorization that breaks down.
 
     Returns
     -------
@@ -224,6 +224,7 @@ def cholesky(w, counter=None):
     """
     _check_finite(w, "cholesky input")
     _check_hermitian(w, 1e-12, "cholesky input")
+    _charge_cholesky(counter, w.shape[0])  # the work is done either way
     try:
         l, rejected = np.linalg.cholesky(w), None
     except np.linalg.LinAlgError:
@@ -234,7 +235,6 @@ def cholesky(w, counter=None):
         raise CholeskyBreakdownError(int(low[0]), float(pivots[low[0]]))
     if rejected is not None:
         raise CholeskyBreakdownError(l.shape[0], rejected)
-    _charge_cholesky(counter, w.shape[0])
     return l
 
 

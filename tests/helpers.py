@@ -361,11 +361,12 @@ def lagging_estimate_case(system):
 class DtypeLog:
     """A preconditioner that notes the dtype of every block it is given.
 
-    cg_inverse applies it once before the first iteration, after every
+    cg_inverse applies it twice before the first iteration, to I and to Q
+    in complex128 whatever the working precision, then after every
     iteration that does not stop the run, and once more where a complex64
-    phase hands over to complex128; so dtypes[k] for k >= 1 is the working
-    precision at the end of iteration k.  Without an inner preconditioner
-    it returns the block itself, as plain CG uses it.
+    phase hands over to complex128; so dtypes[k + 1] for k >= 1 is the
+    working precision at the end of iteration k.  Without an inner
+    preconditioner it returns the block itself, as plain CG uses it.
     """
 
     def __init__(self, inner=None):
@@ -380,12 +381,15 @@ class DtypeLog:
 
 
 def complex64_floor(system, preconditioner=None):
-    """(floor, m) of a run that starts in complex64 whatever its epsilon.
+    """(floor, m) of a run whose iterations 2 on are complex64 whatever its
+    epsilon.
 
-    With cg._C64_EPS patched to 0, a run at epsilon 1e-12 iterates in
-    complex64 until its true residual stagnates, then goes on in
-    complex128.  m is the last complex64 iteration and floor the smallest
-    true residual of the iterates 1..m.
+    With cg._C64_EPS patched to 0, a run at epsilon 1e-12 takes its first
+    iteration in complex128, iterates in complex64 from iteration 2 until
+    its true residual stagnates, then goes on in complex128.  m is the
+    last complex64 iteration (the last iteration of a run that reaches
+    1e-12 in complex64) and floor the smallest true residual of the
+    complex64 iterates 2..m.
     """
     n = system.matrix.shape[0]
     log = DtypeLog(preconditioner)
@@ -395,9 +399,11 @@ def complex64_floor(system, preconditioner=None):
         cg_inverse(system, preconditioner=log,
                    config=CGConfig(max_iters=10 * n, epsilon=1e-12),
                    on_iteration=lambda k, x, r: trues.append(residual_norm(system, x)))
-    m = log.dtypes.index(np.dtype(np.complex128))
-    assert set(log.dtypes[:m]) == {np.dtype(np.complex64)}
-    return min(trues[:m]), m
+    dtypes = log.dtypes + [np.dtype(np.complex128)]
+    assert dtypes[:2] == [np.dtype(np.complex128)] * 2
+    m = dtypes.index(np.dtype(np.complex128), 2) - 1
+    assert set(dtypes[2:m + 1]) == {np.dtype(np.complex64)}
+    return min(trues[1:m]), m
 
 
 def _stacked_channels(channels):

@@ -42,10 +42,11 @@ def cholesky_oracle(w, counter=None):
 
     Reference kernel for cholesky, with the same contract and count: a
     pivot at or below 1e-14 * trace(w) / n raises CholeskyBreakdownError
-    at its column.
+    at its column, after the factorization is charged.
     """
     _check_hermitian(w, 1e-12, "cholesky input")
     n = w.shape[0]
+    _charge_cholesky(counter, n)
     floor = _pivot_floor(w)
     l = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
@@ -56,7 +57,6 @@ def cholesky_oracle(w, counter=None):
         d = np.sqrt(pivot)
         l[j, j] = d
         l[j + 1:, j] = col[1:] / d
-    _charge_cholesky(counter, n)
     return l
 
 

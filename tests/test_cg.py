@@ -194,7 +194,9 @@ class TestStateAndStopping:
         assert len(counter.checks) >= 2
         assert counter.checks[0] < state.iterations == counter.checks[-1]
         assert numpy_residual(system.matrix, state.x) < eps
-        assert counter.kernel_mults("gemm") > (state.iterations + 1) * n ** 3
+        # one product per iteration after the first, one per check
+        assert (counter.kernel_mults("gemm")
+                == (state.iterations - 1 + len(counter.checks)) * n ** 3)
 
     def test_stop_waits_for_the_recursive_estimate(self, monkeypatch):
         # at k the true residual is below eps and the estimate is not: the
@@ -298,11 +300,12 @@ class TestStateAndStopping:
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-12])
     def test_nan_from_the_preconditioner_breaks_down_where_it_is_used(self, eps):
-        # the third apply follows iteration 2, so iteration 3 takes the NaN
+        # two applies precede iteration 1 and the fourth follows iteration
+        # 2, so iteration 3 takes the NaN
         system = scenario_system(3325, side=4)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalBreakdownError) as err:
-                cg_inverse(system, preconditioner=PoisonedPrecond(3),
+                cg_inverse(system, preconditioner=PoisonedPrecond(4),
                            config=CGConfig(max_iters=160, epsilon=eps))
         assert err.value.iteration == 3
 
@@ -314,10 +317,104 @@ class TestStateAndStopping:
         assert counter.kernel_mults("gemm") > 0
 
 
+def exact_preconditioner(system):
+    """All N eigenpairs of the system: M^-1 = Q^-1 to rounding."""
+    vals, vecs = np.linalg.eigh(system.matrix)
+    return from_eigenpairs(vecs, vals, 1.0)
+
+
+class TestFirstIteration:
+    """Iteration 1 from X_0 = 0: complex128, no N x N product, a free check."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(2, 24), log_kappa=st.floats(0.0, 4.0),
+           kind=st.sampled_from(["plain", "scaled", "eigenpairs", "other-basis"]),
+           eps=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+           rank=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_recorded_residual_is_the_true_one(self, n, log_kappa, kind, eps,
+                                               rank, seed):
+        rng = np.random.default_rng(seed)
+        inner = 10.0 ** rng.uniform(0.0, log_kappa, n - 2)
+        vals = np.sort(np.concatenate([[10.0 ** log_kappa, 1.0], inner]))[::-1]
+        a, u = helpers.synthetic_hermitian(vals, seed)
+        system = dense_system(a)
+        k = min(rank, n)
+        precond = {"plain": None,
+                   "scaled": ScaledIdentityPrecond(10.0 ** rng.uniform(-1.0, 1.0)),
+                   "eigenpairs": from_eigenpairs(u[:, :k], vals[:k], system.sigma2),
+                   # a Hermitian M that does not commute with Q
+                   "other-basis": from_eigenpairs(
+                       helpers.random_unitary_columns(n, k, seed + 1),
+                       vals[:k], system.sigma2),
+                   }[kind]
+        seen = {}
+        cg_inverse(system, preconditioner=precond,
+                   config=CGConfig(max_iters=10 * n, epsilon=eps),
+                   on_iteration=lambda i, x, r: seen.setdefault(i, (x, r)))
+        x1, recorded = seen[1]
+        # R_1 and numpy's I - Q X_1 round differently, by at most 2 n u ...
+        # in 20,000 random trials; 4 n u leaves room
+        rounding = 4 * n * 2.0 ** -53 * fro_norm(a) * fro_norm(x1) / np.sqrt(n)
+        assert abs(recorded - residual_norm(system, x1)) <= rounding
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_exact_preconditioner_stops_at_iteration_one_below_complex64(self, seed):
+        # eps 1e-6 is a complex64 run; a complex64 iteration 1 would sit at
+        # its floor, 2-4e-7 on these systems, the complex128 one near 1e-15
+        system = scenario_system(seed, side=4)
+        eps = 1e-6
+        assert eps >= cg._C64_EPS
+        state = cg_inverse(system, preconditioner=exact_preconditioner(system),
+                           config=CGConfig(max_iters=160, epsilon=eps))
+        assert (state.iterations, state.stop) == (1, "converged")
+        assert numpy_residual(system.matrix, state.x) <= 1e-12
+
+    def test_stop_at_iteration_one_forms_no_product(self):
+        system = scenario_system(1, side=4)
+        precond = exact_preconditioner(system)
+        for pre, matrix in ((precond, system), (None, dense_system(np.eye(6)))):
+            counter = FlopCounter()
+            n = matrix.matrix.shape[0]
+            state = cg_inverse(matrix, preconditioner=pre,
+                               config=CGConfig(max_iters=10 * n, epsilon=1e-6),
+                               counter=counter)
+            assert (state.iterations, state.stop) == (1, "converged")
+            assert counter.kernel_mults("gemm") == 0
+            assert counter.mults > 0
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-12])
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_nan_from_the_first_applies_breaks_down_at_iteration_one(self, at, eps):
+        # applies 1 and 2 form P_0 = M^-1 I and S_0 = (M^-1 Q)^H
+        system = scenario_system(3325, side=4)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalBreakdownError) as err:
+                cg_inverse(system, preconditioner=PoisonedPrecond(at),
+                           config=CGConfig(max_iters=160, epsilon=eps))
+        assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-12])
+    @pytest.mark.parametrize("kind", ["plain", "returns-its-input", "low-rank"])
+    def test_system_matrix_left_unchanged(self, kind, eps):
+        # later iterations write S in place, so S_0 must not be Q or a block
+        # an apply returned
+        system = scenario_system(3326, side=4)
+        before = system.matrix.tobytes()
+        precond = {"plain": None, "returns-its-input": helpers.DtypeLog(),
+                   "low-rank": build_preconditioner(system, rank=4,
+                                                    power_iters=2, seed=1),
+                   }[kind]
+        state = cg_inverse(system, preconditioner=precond,
+                           config=CGConfig(max_iters=160, epsilon=eps))
+        assert state.iterations > 1
+        assert system.matrix.tobytes() == before
+
+
 def hard_loading(seed=1):
-    """Beamspace side-8 system over -10..40 dB with its q=16 p=4 sketch: its
+    """Beamspace side-8 system over -10..50 dB with its q=16 p=4 sketch: its
     complex64 floor, near 5e-5, sits above cg._C64_EPS."""
-    cfg = ScenarioConfig(side=8, n_ue=8, snr_db_range=(-10.0, 40.0),
+    cfg = ScenarioConfig(side=8, n_ue=8, snr_db_range=(-10.0, 50.0),
                          subcarriers=64, seed=seed)
     stats, _ = generate_scenario(cfg)
     system = to_beamspace(build_operator(8), assemble_q(stats))
@@ -336,7 +433,9 @@ class TestWorkingPrecision:
                            config=CGConfig(max_iters=640, epsilon=eps),
                            on_iteration=lambda k, x, r: seen.append(x.dtype))
         working = np.complex64 if eps >= cg._C64_EPS else np.complex128
-        assert set(log.dtypes) == {np.dtype(working)}
+        # the first two applies, to I and to Q, are complex128 in every mode
+        assert log.dtypes[:2] == [np.dtype(np.complex128)] * 2
+        assert set(log.dtypes[2:]) == {np.dtype(working)}
         assert state.x.dtype == state.r.dtype == np.complex128
         assert set(seen) == {np.dtype(np.complex128)}
         assert state.stop == "converged"
@@ -376,9 +475,11 @@ class TestWorkingPrecision:
         log = helpers.DtypeLog(precond)
         state = cg_inverse(system, preconditioner=log,
                            config=CGConfig(max_iters=10 * n, epsilon=eps))
-        switch = log.dtypes.index(np.dtype(np.complex128))
-        assert set(log.dtypes[:switch]) == {np.dtype(np.complex64)}
-        assert set(log.dtypes[switch:]) == {np.dtype(np.complex128)}
+        # the last complex64 iteration; dtypes[k + 1] is that of iteration k
+        switch = log.dtypes.index(np.dtype(np.complex128), 2) - 1
+        assert log.dtypes[:2] == [np.dtype(np.complex128)] * 2
+        assert set(log.dtypes[2:switch + 1]) == {np.dtype(np.complex64)}
+        assert set(log.dtypes[switch + 1:]) == {np.dtype(np.complex128)}
         assert switch < state.iterations
         assert state.stop == "converged"
         assert numpy_residual(system.matrix, state.x) < eps
@@ -399,7 +500,7 @@ class TestWorkingPrecision:
                            config=CGConfig(max_iters=10 * n, epsilon=eps),
                            on_iteration=keep)
         assert recorded == state.residual_history
-        switch = log.dtypes.index(np.dtype(np.complex128))
+        switch = log.dtypes.index(np.dtype(np.complex128), 2) - 1
         for k in (switch - 1, switch, switch + 1, state.iterations):
             alone = cg_inverse(system, preconditioner=precond,
                                config=CGConfig(max_iters=k, epsilon=eps))

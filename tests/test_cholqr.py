@@ -33,8 +33,8 @@ def qr_factors(a):
 
 @pytest.fixture
 def cholesky_inputs(monkeypatch):
-    """The Gram matrices cholesky_qr2 factors, in call order.  A breakdown
-    is not charged to a counter, so the calls themselves show a retry."""
+    """The Gram matrices cholesky_qr2 factors, in call order, so the calls
+    themselves show a retry."""
     seen = []
 
     def spy(w, counter=None):
@@ -120,6 +120,17 @@ class TestConditioning:
         first, shifted = cholesky_inputs[:2]
         assert np.min(np.diag(shifted - first).real) > 0.0
         assert orth_defect(q) <= 1e-10
+
+    def test_shifted_retry_is_charged(self):
+        # the factorization that breaks down is charged like any other:
+        # three 6 x 6 factorizations against two for a well-conditioned block
+        one = FlopCounter()
+        cholesky(np.eye(6, dtype=np.complex128), counter=one)
+        hard, easy = FlopCounter(), FlopCounter()
+        cholesky_qr2(helpers.conditioned_block(64, 6, 1e8, 78), counter=hard)
+        cholesky_qr2(helpers.conditioned_block(64, 6, 1e2, 78), counter=easy)
+        assert hard.kernel_mults("cholesky") == 3 * one.kernel_mults("cholesky")
+        assert easy.kernel_mults("cholesky") == 2 * one.kernel_mults("cholesky")
 
     def test_exactly_dependent_columns_raise(self):
         # the shifted first pass leaves a dead direction, so the second

@@ -247,6 +247,15 @@ class TestOracleKernels:
             cholesky_oracle(v @ v.conj().T)
         assert exc.value.index == 1
 
+    def test_breakdown_charged_like_production(self):
+        v = helpers.random_complex((5, 1), 22)
+        fast, slow = FlopCounter(), FlopCounter()
+        for kernel, counter in ((cholesky, fast), (cholesky_oracle, slow)):
+            with pytest.raises(CholeskyBreakdownError):
+                kernel(v @ v.conj().T, counter=counter)
+        assert fast.per_kernel == slow.per_kernel
+        assert fast.kernel_mults("cholesky") > 0
+
     def test_trsm_oracle_zero_diagonal(self):
         l = np.eye(4, dtype=np.complex128)
         l[1, 1] = 0.0
