@@ -1,9 +1,9 @@
 """Block conjugate-gradient solver for Q X = I with per-column steps.
 
-All identity columns are driven simultaneously.  Each column j keeps its
-own step scalars: alpha_j = (r_j^H z_j)/(p_j^H s_j) and the matching
-Fletcher-Reeves beta_j, applied as diagonal column scalings of the shared
-direction block.
+All identity columns are driven simultaneously, in complex128.  Each
+column j keeps its own step scalars: alpha_j = (r_j^H z_j)/(p_j^H s_j)
+and the matching Fletcher-Reeves beta_j, applied as diagonal column
+scalings of the shared direction block.
 
 Each iteration after the first does one N x N product, S = Q P, and
 updates the residual recursively as R -= S diag(alpha), which drifts away
@@ -19,8 +19,8 @@ Downstream bounds are stated in the true residual's scaled norm
 ||Q X - I||_F / sqrt(N) (1 at X = 0), so one stop rule on it holds for
 every caller.  Iteration k forms it (a check) when the
 recursive estimate is below epsilon or the attainable-accuracy level
-c u ||Q||_F ||X_k||_F / N, c = 8, u the unit roundoff of the working
-precision (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997); every
+c u ||Q||_F ||X_k||_F / N, c = 8, u = 2^-53 the unit roundoff of
+complex128 (Greenbaum, SIAM J. Matrix Anal. Appl. 18, 1997); every
 iteration after a check is a check too (iteration 1 turns that on by the
 same rule, not by being a check).
 The run stops at a check whose true residual is below epsilon
@@ -37,47 +37,20 @@ residual any check of the run formed (X is rebound every iteration, so
 keeping it costs a reference, not a copy).  r holds the true residual of
 the returned iterate, and residual_history[-1] that of the last one.
 
-The working precision follows from epsilon alone; iteration 1 is
-complex128 in every case.  Below _C64_EPS, epsilon = 0 included, the run
-is complex128 throughout, u = 2^-53.  At or above it the iteration runs
-in complex64 from iteration 2, u = 2^-24, as iterative refinement does
-(Carson & Higham, SIAM J. Sci. Comput. 40, 2018): R_1 and P_0 are cast
-once, the S = Q P product takes a complex64 copy of Q made when
-iteration 2 runs, R, P, S and Z are complex64 and so is the
-preconditioner apply, while column dots and norms accumulate in
-complex128 and float64.  The level of every iteration uses that u.  X,
-every check and every stop stay complex128, so a check after iteration 1
-costs one complex128 product.  The complex64 corrections to the
-complex128 X_1 hold the true residual down to a floor that falls with
-R_1.  On the generator's side-8 beamspace loadings (seeds 1-10) the worst
-floor is 1e-12 up to -10..20 dB, 3e-9 at -10..30 dB and 2e-7 at -10..40
-dB with the default sketch; with a q = 16 sketch it is 1.5e-8 at the
-default -6..14 dB and 8.5e-6 at -10..40 dB.  In the complex64 phase every iteration counts
-toward stagnation on its recorded residual, checked or not, since a
-loading whose floor lies far above epsilon may never bring the estimate
-down to a check.  A complex64 phase that stagnates with budget left and
-no hook stop goes on in complex128 from the iterate of its smallest
-recorded residual, restarting from that iterate's true residual under
-the complex128 rule; both phases share one budget, one
-residual_history and the stop causes above.  The two phases run the
-same loop body on different dtypes.
-
 Callers that need several iterates of one run (a capacity curve over
 iteration budgets, the iterates where runs at several tolerances stop)
 pass an on_iteration(iterations, x, residual) hook instead of rerunning
 the solver per budget.  It is called once per iteration, after that
 iteration's residual is recorded and checked for breakdown, with the
 recorded value: the true residual at iteration 1, at a check and at
-max_iters, the recursive estimate otherwise; x is complex128 in either
-precision.  A
-true return value stops the run there;
-the true residual then replaces that entry, as at any other return.  The
-hook touches neither the arithmetic nor the stop rule, so the iterate it
-sees at k is bit-identical to the x of a run at the same epsilon with
-max_iters=k whose stop is "budget", "converged" or "hook" (a run that
-stagnates at k returns its best checked iterate instead), and a run the
-hook stops at k ends in that run's state but for the stop cause.
-residual_norm gives a hook the true residual, and
+max_iters, the recursive estimate otherwise.  A true return value stops
+the run there; the true residual then replaces that entry, as at any
+other return.  The hook touches neither the arithmetic nor the stop
+rule, so the iterate it sees at k is bit-identical to the x of a run at
+the same epsilon with max_iters=k whose stop is "budget", "converged"
+or "hook" (a run that stagnates at k returns its best checked iterate
+instead), and a run the hook stops at k ends in that run's state but for
+the stop cause.  residual_norm gives a hook the true residual, and
 accuracy_level_scale(system) * ||X_k||_F the level.  X is rebound to a
 fresh array every iteration, so the hook may keep a reference to it.
 
@@ -103,16 +76,10 @@ __all__ = [
     "write_trajectory",
 ]
 
-# epsilon at and above which iterations 2 on run in complex64 (module
-# docstring).  The complex64 floor of the beamspace low-rank pipeline with
-# the default sketch over side-8 loadings up to -10..40 dB sits 5x or more
-# below it.
-_C64_EPS = 1e-6
-# a column whose p^H Q p or r^H z falls below this, scaled from complex128
-# to the working dtype by the ratio of smallest normal numbers, freezes
+# a column whose p^H Q p or r^H z falls below this freezes
 _FREEZE_EPS = 1e-300
-# level c u ||Q||_F ||X_k||_F / N, and the failed checks in a row (every
-# iteration in complex64) that mean stagnation
+# level c u ||Q||_F ||X_k||_F / N, and the failed checks in a row that
+# mean stagnation
 _LEVEL_C = 8.0
 _STAGNATION_CHECKS = 3
 
@@ -131,8 +98,7 @@ class CGConfig:
 
     max_iters : hard iteration budget, 0 <= max_iters <= 10 * N.
     epsilon : tolerance on the true residual ||Q X - I||_F / sqrt(N), in
-        [0, 1); 0 runs to the attainable accuracy.  It also sets the
-        working precision of iterations 2 on, as in the module docstring.
+        [0, 1); 0 runs to the attainable accuracy.
     """
 
     max_iters: int
@@ -143,8 +109,7 @@ class CGConfig:
 class CGState:
     """Returned iterate, its true residual and the stop cause of a run.
 
-    x is the last iterate, or the best checked one at a "stagnated" stop;
-    x and r are complex128 whatever the working precision.
+    x is the last iterate, or the best checked one at a "stagnated" stop.
     """
 
     x: np.ndarray
@@ -156,20 +121,10 @@ class CGState:
 
 
 def _colwise_dot(a, b, counter):
-    """Column dots a_j^H b_j, accumulated in complex128."""
+    """Column dots a_j^H b_j."""
     if counter is not None:
         counter.add("colwise_dot", a.size, a.size - a.shape[1])
-    if a.dtype == np.complex128:
-        return np.einsum("ij,ij->j", a.conj(), b)
-    return np.sum(a.conj() * b, axis=0, dtype=np.complex128)
-
-
-def _norm(a):
-    """Frobenius norm of a complex block, accumulated in float64."""
-    if a.dtype == np.complex128:
-        return fro_norm(a)
-    v = a.view(a.real.dtype)
-    return float(np.sqrt(np.einsum("ij,ij->", v, v, dtype=np.float64)))
+    return np.einsum("ij,ij->j", a.conj(), b)
 
 
 def _validate(config, n):
@@ -179,15 +134,12 @@ def _validate(config, n):
         raise ValueError("max_iters must lie in [0, %d], got %d" % (10 * n, config.max_iters))
 
 
-def _level_scale(q, dtype):
-    unit_roundoff = float(np.finfo(dtype).eps) / 2
-    return _LEVEL_C * unit_roundoff * fro_norm(q) / q.shape[0]
-
-
 def accuracy_level_scale(system):
-    """c u ||Q||_F / N, u of complex128, which times ||X_k||_F is the level
-    at iterate X_k of a complex128 iteration."""
-    return _level_scale(system.matrix, np.complex128)
+    """c u ||Q||_F / N, u = 2^-53, which times ||X_k||_F is the level at
+    iterate X_k."""
+    q = system.matrix
+    unit_roundoff = float(np.finfo(np.complex128).eps) / 2
+    return _LEVEL_C * unit_roundoff * fro_norm(q) / q.shape[0]
 
 
 def _true_residual(q, x, eye, out, counter):
@@ -198,7 +150,7 @@ def _true_residual(q, x, eye, out, counter):
 
 
 def _first_block(q, preconditioner, counter):
-    """P_0 = M^-1 and S_0 = Q P_0 of a run from X_0 = 0, in complex128.
+    """P_0 = M^-1 and S_0 = Q P_0 of a run from X_0 = 0.
 
     Every preconditioner here is Hermitian, so S_0 = (M^-1 Q)^H: one apply
     to Q in place of an N x N product, or Q itself for plain CG (M = I).
@@ -226,14 +178,14 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         Typically a LowRankPreconditioner; it must be Hermitian, since
         iteration 1 forms Q M^-1 as (M^-1 Q)^H.  None runs plain CG, which
         is identical to preconditioning with any positive multiple of the
-        identity.  It is applied to I and to Q in complex128 before
-        iteration 1; a complex64 phase passes it complex64 blocks.
+        identity.  It is applied to I and to Q before iteration 1, then to
+        R after every iteration that does not stop the run.
     config : CGConfig, optional
         Defaults to the full 10N iteration budget at epsilon 1e-6.
     counter : FlopCounter, optional.
     on_iteration : callable(iterations, x, residual), optional
         Called after every iteration with the iteration count, the
-        complex128 iterate and the scaled residual recorded for it; a true
+        iterate and the scaled residual recorded for it; a true
         return value stops the run after that iteration.  See the module
         docstring.
 
@@ -257,114 +209,83 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     t = None  # true residual I - Q X, formed at checks
     history = []
     iterations = 0
-    best = np.inf  # smallest residual counted toward stagnation so far
-    best_x = None  # its iterate, in a complex64 phase
-    kept, kept_x = np.inf, None  # smallest checked true residual, its iterate
+    best = np.inf  # smallest true residual of the checks so far
+    kept, kept_x = np.inf, None  # smallest true residual formed, its iterate
     stop = "budget"  # a zero budget stops before the first iteration
-    dtype = np.dtype(np.complex64 if config.epsilon >= _C64_EPS else np.complex128)
-    qw = s = None  # Q in the working precision, made if iteration 2 runs; S = Q P
+    scale = accuracy_level_scale(system)
+    frozen = np.zeros(n, dtype=bool)
+    checking = False  # once an iteration is a check, every later one is
+    failed = 0  # checks in a row that failed to halve best
 
-    while True:  # one pass per working precision, complex64 first
-        guard = _FREEZE_EPS * float(np.finfo(dtype).tiny / np.finfo(np.float64).tiny)
-        scale = _level_scale(q, dtype)
-        frozen = np.zeros(n, dtype=bool)
-        checking = False  # once an iteration is a check, every later one is
-        failed = 0  # counted iterations in a row that failed to halve best
-        hooked = switch = False
-
-        for it in range(iterations, config.max_iters):
-            if it == 0:  # X_0 = 0, R_0 = I, in complex128
-                r = eye.copy()
-                p, s = _first_block(q, preconditioner, counter)
-                rz = np.diagonal(p).copy()  # r_j^H z_j = e_j^H P_0 e_j
-            else:
-                s = gemm(qw, p, counter=counter, out=s)
-            ps = _colwise_dot(p, s, counter)
-            frozen |= np.abs(ps) < guard
-            denom = np.where(frozen, 1.0, ps)
-            alpha = np.where(frozen, 0.0, rz / denom)
-            x = x + p * alpha[None, :]
-            r -= s * alpha.astype(r.dtype)[None, :]
-            if counter is not None:
-                counter.add("col_scale", 2 * n * n, 2 * n * n)
-            estimate = float(_norm(r) / np.sqrt(n))
-            iterations = it + 1
-            passed = estimate < config.epsilon
-            checking = checking or passed or estimate < scale * fro_norm(x)
-            last = iterations == config.max_iters
-            res = estimate
-            # R_1 = I - S_0 alpha comes from explicit products, not a
-            # recursion: the true residual of X_1, a check at no product
-            exact = it == 0
-            if exact:
-                t = r
-            elif checking or last:
-                t, res = _true_residual(q, x, eye, t, counter)
-                exact = True
-            if exact and res < kept:
-                kept, kept_x = res, x
-            history.append(res)
-            if not (np.isfinite(estimate) and np.isfinite(res)
-                    and np.all(np.isfinite(alpha))):
-                raise NumericalBreakdownError(iterations, "(residual %r)" % res)
-            if checking or dtype == np.complex64:
-                failed = 0 if res < 0.5 * best else failed + 1
-                if res < best:
-                    best = res
-                    if dtype == np.complex64:  # where a switch restarts
-                        best_x = x
-            # a later cause overrides an earlier one
-            stop = "budget" if last else None
-            if on_iteration is not None and on_iteration(iterations, x, res):
-                stop, hooked = "hook", True
-            if failed == _STAGNATION_CHECKS:
-                stop = "stagnated"
-            if checking and res < config.epsilon:
-                stop = "converged"
-            switch = (stop == "stagnated" and dtype == np.complex64
-                      and not (last or hooked))
-            if stop is not None and not (exact or switch):
+    for it in range(config.max_iters):
+        if it == 0:  # X_0 = 0, R_0 = I
+            r = eye.copy()
+            p, s = _first_block(q, preconditioner, counter)
+            rz = np.diagonal(p).copy()  # r_j^H z_j = e_j^H P_0 e_j
+        else:
+            s = gemm(q, p, counter=counter, out=s)
+        ps = _colwise_dot(p, s, counter)
+        frozen |= np.abs(ps) < _FREEZE_EPS
+        denom = np.where(frozen, 1.0, ps)
+        alpha = np.where(frozen, 0.0, rz / denom)
+        x = x + p * alpha[None, :]
+        r -= s * alpha[None, :]
+        if counter is not None:
+            counter.add("col_scale", 2 * n * n, 2 * n * n)
+        estimate = float(fro_norm(r) / np.sqrt(n))
+        iterations = it + 1
+        passed = estimate < config.epsilon
+        checking = checking or passed or estimate < scale * fro_norm(x)
+        last = iterations == config.max_iters
+        res = estimate
+        # R_1 = I - S_0 alpha comes from explicit products, not a
+        # recursion: the true residual of X_1, a check at no product
+        exact = it == 0
+        if exact:
+            t = r
+        elif checking or last:
+            t, res = _true_residual(q, x, eye, t, counter)
+            exact = True
+        history.append(res)
+        if not (np.isfinite(estimate) and np.isfinite(res)
+                and np.all(np.isfinite(alpha))):
+            raise NumericalBreakdownError(iterations, "(residual %r)" % res)
+        if exact and res < kept:
+            kept, kept_x = res, x
+        if checking:
+            failed = 0 if res < 0.5 * best else failed + 1
+            best = min(best, res)
+        # a later cause overrides an earlier one
+        stop = "budget" if last else None
+        if on_iteration is not None and on_iteration(iterations, x, res):
+            stop = "hook"
+        if failed == _STAGNATION_CHECKS:
+            stop = "stagnated"
+        if checking and res < config.epsilon:
+            stop = "converged"
+        if stop is not None:
+            if not exact:
                 t, history[-1] = _true_residual(q, x, eye, t, counter)
-                if history[-1] < kept:
-                    kept, kept_x = history[-1], x
-            if stop is not None:
-                break
-            if it == 0:  # the working precision takes over: R_1, P_0 cast once
-                r, p = t.astype(dtype), p.astype(dtype, copy=False)
-                qw = q.astype(dtype, copy=False)
-                if s.dtype != dtype:
-                    s = None
-            elif passed:
-                r[...] = t  # the true residual replaces the recursive one
-            if preconditioner is not None:
-                z = preconditioner.apply(r, counter=counter)
-            else:
-                z = r
-            rz_new = _colwise_dot(r, z, counter)
-            frozen |= np.abs(rz) < guard
-            denom = np.where(frozen, 1.0, rz)
-            beta = np.where(frozen, 0.0, rz_new / denom)
-            if np.any(frozen):
-                z = np.where(frozen[None, :], 0.0, z)
-            p *= beta.astype(p.dtype)[None, :]
-            p += z
-            if counter is not None:
-                counter.add("col_scale", n * n, n * n)
-            rz = rz_new
-
-        if not switch:
             break
-        # complex128 from the complex64 phase's best iterate, restarted from
-        # its true residual
-        dtype = np.dtype(np.complex128)
-        qw, s, x = q, None, best_x
-        t, best = _true_residual(q, x, eye, t, counter)
-        if best < kept:
-            kept, kept_x = best, x
-        r = t.copy()
-        z = r if preconditioner is None else preconditioner.apply(r, counter=counter)
-        p = z.copy()
-        rz = _colwise_dot(r, z, counter)
+        if it == 0:  # t aliases R_1, which later checks overwrite
+            r = t.copy()
+        elif passed:
+            r[...] = t  # the true residual replaces the recursive one
+        if preconditioner is not None:
+            z = preconditioner.apply(r, counter=counter)
+        else:
+            z = r
+        rz_new = _colwise_dot(r, z, counter)
+        frozen |= np.abs(rz) < _FREEZE_EPS
+        denom = np.where(frozen, 1.0, rz)
+        beta = np.where(frozen, 0.0, rz_new / denom)
+        if np.any(frozen):
+            z = np.where(frozen[None, :], 0.0, z)
+        p *= beta[None, :]
+        p += z
+        if counter is not None:
+            counter.add("col_scale", n * n, n * n)
+        rz = rz_new
 
     if stop == "stagnated" and kept_x is not x:
         x = kept_x

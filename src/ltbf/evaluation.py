@@ -207,10 +207,7 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     budget as the run reaches it, and each tolerance takes the iterate at
     which a separate cg_inverse(max_iters=10 N, tolerance) run would stop.
     A run with budgets goes at epsilon 0, so cg's stop rule ends it at its
-    attainable accuracy; one without goes at the smallest tolerance.  The
-    separate run is one in the working precision of this run: complex128
-    when there are budgets, even for a tolerance at which cg_inverse
-    itself would iterate in complex64.
+    attainable accuracy; one without goes at the smallest tolerance.
     Scoring ends at the first iterate k whose recorded residual is below
     cg's accuracy level, or where the run stagnates (scored at the best
     checked iterate cg returns there), so a budget at or past k reports

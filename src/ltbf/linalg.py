@@ -72,7 +72,7 @@ class SingularTriangularError(ArithmeticError):
 
 
 class JacobiConvergenceError(RuntimeError):
-    """A small eigensolver did not converge (Jacobi sweep budget or LAPACK)."""
+    """LAPACK's Hermitian eigensolver in hermitian_evd_small did not converge."""
 
 
 class FlopCounter:

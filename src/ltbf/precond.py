@@ -70,19 +70,15 @@ class LowRankPreconditioner:
         """Apply the preconditioner to an (n, m) block.
 
         Never forms the dense operator; two thin products and a diagonal
-        scaling, charged to the counter under "precond_apply".  The
-        eigenpairs are cast to the block's precision, so a complex64
-        block is worked on in complex64 throughout.
+        scaling, charged to the counter under "precond_apply".
         """
         if block.ndim != 2 or block.shape[0] != self.eigvecs.shape[0]:
             raise DimensionMismatchError(
                 "block must have %d rows, got shape %s"
                 % (self.eigvecs.shape[0], (block.shape,)))
-        eigvecs = self.eigvecs.astype(block.dtype, copy=False)
-        weights = self.weights.astype(block.real.dtype, copy=False)
-        proj = np.matmul(eigvecs.conj().T, block)
+        proj = np.matmul(self.eigvecs.conj().T, block)
         out = block * (1.0 / self.level)
-        out -= np.matmul(eigvecs, weights[:, None] * proj)
+        out -= np.matmul(self.eigvecs, self.weights[:, None] * proj)
         if counter is not None:
             n, m = block.shape
             rank = self.eigvals.shape[0]

@@ -17,10 +17,8 @@ import tempfile
 import zlib
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
-from ltbf import cg
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
@@ -361,11 +359,8 @@ def lagging_estimate_case(system):
 class DtypeLog:
     """A preconditioner that notes the dtype of every block it is given.
 
-    cg_inverse applies it twice before the first iteration, to I and to Q
-    in complex128 whatever the working precision, then after every
-    iteration that does not stop the run, and once more where a complex64
-    phase hands over to complex128; so dtypes[k + 1] for k >= 1 is the
-    working precision at the end of iteration k.  Without an inner
+    cg_inverse applies it to I and to Q before the first iteration, then
+    after every iteration that does not stop the run.  Without an inner
     preconditioner it returns the block itself, as plain CG uses it.
     """
 
@@ -378,32 +373,6 @@ class DtypeLog:
         if self.inner is None:
             return block
         return self.inner.apply(block, counter=counter)
-
-
-def complex64_floor(system, preconditioner=None):
-    """(floor, m) of a run whose iterations 2 on are complex64 whatever its
-    epsilon.
-
-    With cg._C64_EPS patched to 0, a run at epsilon 1e-12 takes its first
-    iteration in complex128, iterates in complex64 from iteration 2 until
-    its true residual stagnates, then goes on in complex128.  m is the
-    last complex64 iteration (the last iteration of a run that reaches
-    1e-12 in complex64) and floor the smallest true residual of the
-    complex64 iterates 2..m.
-    """
-    n = system.matrix.shape[0]
-    log = DtypeLog(preconditioner)
-    trues = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cg, "_C64_EPS", 0.0)
-        cg_inverse(system, preconditioner=log,
-                   config=CGConfig(max_iters=10 * n, epsilon=1e-12),
-                   on_iteration=lambda k, x, r: trues.append(residual_norm(system, x)))
-    dtypes = log.dtypes + [np.dtype(np.complex128)]
-    assert dtypes[:2] == [np.dtype(np.complex128)] * 2
-    m = dtypes.index(np.dtype(np.complex128), 2) - 1
-    assert set(dtypes[2:m + 1]) == {np.dtype(np.complex64)}
-    return min(trues[1:m]), m
 
 
 def _stacked_channels(channels):

@@ -224,9 +224,9 @@ class TestInvert:
         assert lines[1].endswith("antenna_none")
 
     @pytest.mark.parametrize("domain", ["antenna", "beamspace"])
-    def test_reaches_eps_in_either_working_precision(self, capsys, tmp_path,
-                                                        mid_scenario, domain):
-        # 1e-10 iterates in complex128 from the start; 1e-6 in complex64
+    def test_reaches_eps_at_a_loose_and_a_tight_tolerance(self, capsys, tmp_path,
+                                                           mid_scenario, domain):
+        # the true residual of the written inverse is below eps at both
         for eps in (1e-10, 1e-6):
             out = str(tmp_path / "x.inv")
             rc, stdout, _ = run_capture(capsys, ["invert", mid_scenario,
@@ -411,6 +411,32 @@ class TestSweep:
                      "sparsity.csv"):
             lines = open(os.path.join(out_dir, name)).read().splitlines()
             assert len(lines) == 1  # header only
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_iters_to_eps_equals_the_invert_iterations(self, capsys, tmp_path,
+                                                      seed):
+        # the sweep's eps iterate is the one where invert's run at eps
+        # stops, on each of the four default setups
+        cfg = write_config(tmp_path / "s.cfg",
+                           "side = 8\nn_ue = 8\npaths_per_user = 8\n"
+                           "snr_db_low = -6\nsnr_db_high = 14\n"
+                           "subcarriers = 64\nseed = %d\n" % seed)
+        scenario = str(tmp_path / "s.bslv")
+        assert cli.run(["gen", cfg, scenario]) == 0
+        out_dir = str(tmp_path / "run")
+        rc, _, _ = run_capture(capsys, ["sweep", scenario, "--iters", "2",
+                                        "--eps", "1e-6", "--out-dir", out_dir])
+        assert rc == 0
+        with open(os.path.join(out_dir, "run_meta.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            rc, stdout, _ = run_capture(capsys, [
+                "invert", scenario, "--domain", row["domain"],
+                "--precond", row["precond"], "--eps", "1e-6",
+                "--out", str(tmp_path / "x.inv")])
+            assert rc == 0
+            assert stdout_fields(stdout)["iterations"] == row["iters_to_eps"], row
 
     def test_tables_cover_all_configs_and_budgets(self, default_run_dir):
         with open(os.path.join(default_run_dir, "capacity.csv")) as fh:

@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ltbf.cli as cli
-from ltbf import cg
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import (
     build_projector,
@@ -369,8 +368,7 @@ class TestSingleRunCapacity:
 
     @pytest.mark.parametrize("quiet, eps", [(False, 1e-6), (False, 0.5),
                                             (True, 1e-300)])
-    def test_converged_iterate_equals_separate_solve(self, scene, quiet, eps,
-                                                     monkeypatch):
+    def test_converged_iterate_equals_separate_solve(self, scene, quiet, eps):
         if quiet:
             cfg, stats, channels, system = quiet_scene()
         else:
@@ -380,10 +378,7 @@ class TestSingleRunCapacity:
         rows, (converged,) = capacity_vs_iterations(
             system, stats, channels, cfg.noise_psd, budgets, [eps])
         # a separate run at eps; where eps is out of reach (1e-300) both
-        # runs stagnate, and the tolerance takes the stagnated iterate.
-        # A run with budgets iterates in complex128 at epsilon 0, so the
-        # separate run is held to complex128 at every eps too.
-        monkeypatch.setattr(cg, "_C64_EPS", 1.0)
+        # runs stagnate, and the tolerance takes the stagnated iterate
         alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                    epsilon=eps))
         assert converged["iterations"] == alone.iterations < 10 * n
@@ -391,13 +386,11 @@ class TestSingleRunCapacity:
         assert repr(rows) == repr(restart_capacity_oracle(
             system, stats, channels, cfg.noise_psd, budgets))
 
-    def test_converged_waits_for_a_lagging_estimate(self, scene, monkeypatch):
+    def test_converged_waits_for_a_lagging_estimate(self, scene):
         # at k the true residual is below eps and the recursive estimate is
-        # not; the single run goes on to where a separate run stops.  The
-        # lag is one of complex128 runs, so the separate run is held to it.
+        # not; the single run goes on to where a separate run stops
         cfg, stats, channels, system, _, _ = scene
         n = system.matrix.shape[0]
-        monkeypatch.setattr(cg, "_C64_EPS", 1.0)
         k, eps = lagging_estimate_case(system)
         _, (converged,) = capacity_vs_iterations(
             system, stats, channels, cfg.noise_psd, [1], [eps])
