@@ -265,22 +265,30 @@ class TestStateAndStopping:
         assert np.array_equal(s1.x, s2.x)
         assert s1.residual_history == s2.residual_history
 
-    def test_converged_column_freezes_without_breakdown(self):
+    @staticmethod
+    def _check_freeze(eps):
         q = np.zeros((3, 3), dtype=np.complex128)
         q[:2, :2] = np.array([[2.0, 1.0], [1.0, 2.0]])
         q[2, 2] = 5.0
-        for eps in (1e-14, 1e-5):
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                state = cg_inverse(dense_system(q),
-                                   config=CGConfig(max_iters=30, epsilon=eps))
-            assert state.frozen is not None and bool(state.frozen[2])
-            assert not state.frozen[:2].any()
-            assert state.stop == "converged"
-            res = numpy_residual(q, state.x)
-            assert res < eps
-            # ||X - Q^-1||_F <= sqrt(n) res / lambda_min, lambda_min = 1
-            err = fro_norm(state.x - direct_inverse_oracle(q))
-            assert err <= np.sqrt(3) * res + 1e-12
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            state = cg_inverse(dense_system(q),
+                               config=CGConfig(max_iters=30, epsilon=eps))
+        assert state.frozen is not None and bool(state.frozen[2])
+        assert not state.frozen[:2].any()
+        assert state.stop == "converged"
+        res = numpy_residual(q, state.x)
+        assert res < eps
+        # ||X - Q^-1||_F <= sqrt(n) res / lambda_min, lambda_min = 1
+        err = fro_norm(state.x - direct_inverse_oracle(q))
+        assert err <= np.sqrt(3) * res + 1e-12
+
+    def test_converged_column_freezes_without_breakdown(self):
+        self._check_freeze(1e-14)
+
+    def test_converged_column_freezes_in_complex64(self):
+        # eps = 1e-5 once ran iterations 2 on in complex64; it now runs in
+        # complex128 like every eps, and the freeze must hold there too
+        self._check_freeze(1e-5)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-12])
     def test_nan_from_the_preconditioner_breaks_down_where_it_is_used(self, eps):
