@@ -27,9 +27,13 @@ def main():
     cfg = ScenarioConfig(seed=args.seed)
     stats, channels = generate_scenario(cfg)
     system = assemble_q(stats)
-    x_exact = np.linalg.inv(system.matrix)
-    g_exact = scenario_gammas(stats, channels, x_exact, cfg.noise_psd,
-                              rank=args.rank)
+    projectors = build_projectors(stats, args.rank)
+
+    def gammas(x):
+        return scenario_gammas(stats, channels, x, cfg.noise_psd,
+                               projectors=projectors)
+
+    g_exact = gammas(np.linalg.inv(system.matrix))
     cap_exact = capacity(g_exact)
     print("exact-inverse capacity: %.4f bit/s/Hz per user" % cap_exact)
 
@@ -37,12 +41,10 @@ def main():
                                    seed=cfg.seed)
     budgets = [1, 2, 3, 4, 6, 8]
     print("capacity vs iteration budget (plain | preconditioned):")
-    projectors = build_projectors(stats, args.rank)
-    plain, _ = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                      budgets, (), projectors=projectors)
-    pre, _ = capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                    budgets, (), preconditioner=precond,
-                                    projectors=projectors)
+    score = lambda x: capacity(gammas(x))
+    plain, _ = capacity_vs_iterations(system, score, budgets, ())
+    pre, _ = capacity_vs_iterations(system, score, budgets, (),
+                                    preconditioner=precond)
     for row_p, row_q in zip(plain, pre):
         print("  k'=%2d   %.4f (%.0f%%)  |  %.4f (%.0f%%)"
               % (row_p["iterations"],
@@ -54,8 +56,7 @@ def main():
         state = cg_inverse(system, config=CGConfig(max_iters=budget,
                                                    epsilon=1e-16))
         _, spec = inverse_error(system, state.x)
-        gam = scenario_gammas(stats, channels, state.x, cfg.noise_psd,
-                              rank=args.rank)
+        gam = gammas(state.x)
         outcome = check_sinr_bound(g_exact, gam, spec)
         print("  k'=%d: eps=%.2e, %d of %d points above the bound, "
               "min margin %.2e"

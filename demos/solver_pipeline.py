@@ -8,7 +8,8 @@ prints the iteration and complex-multiply tallies.
 
 import numpy as np
 
-from ltbf.beamspace import build_operator, sparsity_ratio, to_beamspace
+from ltbf.beamspace import (SPARSITY_THRESHOLD, build_operator, sparsity_ratio,
+                            to_beamspace)
 from ltbf.cg import CGConfig, cg_inverse
 from ltbf.linalg import FlopCounter
 from ltbf.precond import build_preconditioner
@@ -46,9 +47,9 @@ def main():
 
     operator = build_operator(cfg.side)
     system_beam = to_beamspace(operator, system)
-    print("beamspace sparsity %.2f vs antenna %.2f (threshold 0.005)"
+    print("beamspace sparsity %.2f vs antenna %.2f (threshold %g)"
           % (sparsity_ratio(system_beam.matrix),
-             sparsity_ratio(system.matrix)))
+             sparsity_ratio(system.matrix), SPARSITY_THRESHOLD))
 
     pre_ant = build_preconditioner(system, rank=SKETCH_RANK,
                                    power_iters=POWER_ITERS, seed=cfg.seed)

@@ -25,7 +25,10 @@ from .linalg import DimensionMismatchError
 from .scenario import SystemMatrix
 
 __all__ = ["BeamspaceOperator", "build_operator", "to_beamspace",
-           "from_beamspace", "sparsity_ratio"]
+           "from_beamspace", "sparsity_ratio", "SPARSITY_THRESHOLD"]
+
+# magnitude, relative to the peak, below which an entry counts as zero
+SPARSITY_THRESHOLD = 0.005
 
 
 @dataclass
@@ -95,7 +98,7 @@ def from_beamspace(op, x_b, method="fft"):
     return np.ascontiguousarray(out.reshape(x_b.shape))
 
 
-def sparsity_ratio(a, threshold=0.005):
+def sparsity_ratio(a, threshold=SPARSITY_THRESHOLD):
     """Fraction of entries below threshold times the peak magnitude.
 
     The all-zero matrix is fully sparse by convention (ratio 1.0).

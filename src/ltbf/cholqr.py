@@ -89,7 +89,7 @@ def cholesky_qr2(a, counter=None):
 
     q, retry_allowed = a, True
     for _ in range(2):
-        w = gemm(q, q, conj_a=True, counter=counter)
+        w = gemm(q.conj().T, q, counter=counter)
         l, shifted = _chol_with_retry(w, counter, retry_allowed)
         retry_allowed = not shifted  # read by the second pass only
         q = trsm_right_upper_ct(q, l, counter=counter)

@@ -31,7 +31,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .beamspace import build_operator, from_beamspace, sparsity_ratio, to_beamspace
+from .beamspace import (SPARSITY_THRESHOLD, build_operator, from_beamspace,
+                        sparsity_ratio, to_beamspace)
 from .cg import CGConfig, NumericalBreakdownError, cg_inverse, write_trajectory
 from .cholqr import RankDeficiencyError
 from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
@@ -131,7 +132,7 @@ def _cmd_gen(args):
     cfg.validate()
     stats, channels = generate_scenario(cfg)
     save_scenario(args.out_path, cfg, stats, channels)
-    system = assemble_q(stats, n_antennas=cfg.n_antennas)
+    system = assemble_q(stats)
     eigvals = np.linalg.eigvalsh(system.matrix)
     clustered, edge = _cluster_stats(eigvals)
     print("out=%s" % args.out_path)
@@ -181,7 +182,7 @@ def _cmd_invert(args):
     _check_eps(args.eps)
     if args.max_iters is not None:
         _check_iterations("--max-iters", args.max_iters, cfg.n_antennas)
-    system = assemble_q(stats, n_antennas=cfg.n_antennas)
+    system = assemble_q(stats)
     del stats  # the covariances are not needed past Q
     operator = build_operator(cfg.side)
     setup = SolverSetup("invert", domain=args.domain, precond=args.precond,
@@ -219,10 +220,13 @@ def _cmd_invert(args):
 
 def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     """Rows of capacity.csv, cdf.csv, bound.csv, run_meta.csv, sparsity.csv."""
-    system_ant = assemble_q(stats, n_antennas=cfg.n_antennas)
+    system_ant = assemble_q(stats)
     operator = build_operator(cfg.side)
     systems = {"antenna": system_ant,
                "beamspace": to_beamspace(operator, system_ant)}
+    # each domain's map of an iterate back to the antenna domain
+    backs = {"antenna": lambda x: x,
+             "beamspace": lambda xb: from_beamspace(operator, xb)}
     projectors = build_projectors(stats, rank)
 
     def gammas(x):
@@ -237,20 +241,18 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     for setup in setups:
         system = systems[setup.domain]
         precond = _setup_preconditioner(system, setup, cfg.seed)
-        transform = None
-        if setup.domain == "beamspace":
-            transform = lambda xb: from_beamspace(operator, xb)
+        back = backs[setup.domain]
         # one run serves the budgets and the converged solve of the CDF
         rows, (converged,) = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, budgets, [eps],
-            preconditioner=precond, transform=transform,
-            projectors=projectors)
+            system, lambda x: capacity(gammas(back(x))), budgets, [eps],
+            preconditioner=precond)
         for row in rows:
             capacity_rows.append((setup.name, row["iterations"], row["capacity"]))
-        gam = gammas(converged["x"])
+        x = back(converged.pop("x"))  # holds one N x N iterate, not two
+        gam = gammas(x)
         for db, pr in zip(*sinr_cdf(gam)):
             cdf_rows.append((db, pr, setup.name))
-        fro, spec = inverse_error(system_ant, converged["x"])
+        fro, spec = inverse_error(system_ant, x)
         meta_rows.append((setup.name, setup.domain, setup.precond,
                           sketch_width(setup.q, system.matrix.shape[0]),
                           setup.p, converged["iterations"], fro, spec,
@@ -262,9 +264,7 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     # tolerances, all read off one plain antenna run: a preconditioned
     # one can meet both at its first iterate and probe a single eps
     bound_rows = []
-    _, probes = capacity_vs_iterations(
-        system_ant, stats, channels, cfg.noise_psd, [], _BOUND_EPSILONS,
-        projectors=projectors)
+    _, probes = capacity_vs_iterations(system_ant, None, [], _BOUND_EPSILONS)
     for probe in probes:
         _, spec = inverse_error(system_ant, probe["x"])
         gam = gammas(probe["x"])
@@ -276,7 +276,8 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
             for g_val, rhs_val in zip(g_u, rhs_u):
                 bound_rows.append((user, spec, g_val, rhs_val, g_val - rhs_val))
 
-    sparsity_rows = [(domain, 0.005, sparsity_ratio(system.matrix))
+    sparsity_rows = [(domain, SPARSITY_THRESHOLD,
+                      sparsity_ratio(system.matrix))
                      for domain, system in systems.items()]
     return capacity_rows, cdf_rows, bound_rows, meta_rows, sparsity_rows
 

@@ -16,6 +16,10 @@ full-dimension MMSE receiver as the upper baseline, a per-element
 beamformed signal-over-interference quotient and a per-user einsum route)
 live in the test suite's helpers.
 
+capacity_vs_iterations follows one block-CG run and hands the iterate at
+each iteration budget to a caller's scorer, so the scoring recipe (domain
+map, projectors, SINR, capacity) is written once, by the caller.
+
 Degradation under an inexact inverse is compared against the algebraic
 guarantee rhs = gamma0 * (1-eps)^2 / ((1+eps)^2 + 4*eps*mean(gamma0)),
 with eps the spectral norm of Q X - I.
@@ -63,7 +67,7 @@ def build_projectors(stats, rank):
 
     The bases depend only on the long-term statistics, so callers that
     evaluate many inverses of one scenario build them once and pass them
-    to scenario_gammas and capacity_vs_iterations.
+    to every scenario_gammas call.
     """
     return [build_projector(st.covariance, rank) for st in stats]
 
@@ -87,7 +91,7 @@ def _stream_energies(stats, n_streams):
     return np.repeat([st.symbol_energy for st in stats], n_streams)
 
 
-def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
+def scenario_gammas(stats, channels, x, noise_psd, projectors=None):
     """Post-combining SINR of every stream under a given inverse.
 
     All users are scored in one batched pass: the conjugate-transposed
@@ -103,9 +107,8 @@ def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
     stats, channels : per-user lists from the scenario generator.
     x : (N, N) approximate inverse of the system matrix.
     noise_psd : noise power spectral density N0.
-    rank : dimension of each user's long-term projection subspace.
-    projectors : per-user bases from build_projectors, optional; when
-        given, rank is ignored.
+    projectors : per-user bases from build_projectors, whose rank is the
+        dimension of each user's projection subspace; rank 4 when omitted.
 
     Returns
     -------
@@ -120,7 +123,7 @@ def scenario_gammas(stats, channels, x, noise_psd, rank=4, projectors=None):
     k_sc, n, n_streams = channels[0].h.shape
     gammas = np.zeros((n_ue, k_sc, n_streams))
     if projectors is None:
-        projectors = build_projectors(stats, rank)
+        projectors = build_projectors(stats, 4)
     shapes = {np.shape(basis) for basis in projectors}
     if len(shapes) != 1:
         raise ValueError("projectors must share one (N, r) shape, got %s"
@@ -197,15 +200,21 @@ def capacity(gammas):
     return float(np.mean(per_user))
 
 
-def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
-                           tolerances, preconditioner=None, transform=None,
-                           projectors=None):
+def capacity_vs_iterations(system, score, checkpoints, tolerances,
+                           preconditioner=None):
     """Capacity at iteration budgets and iterates at tolerances, from one
     solver run.
 
-    Through the cg_inverse iteration hook, the scenario is scored at each
-    budget as the run reaches it, and each tolerance takes the iterate at
-    which a separate cg_inverse(max_iters=10 N, tolerance) run would stop.
+    score(x) takes an iterate in system's domain and returns its capacity.
+    It is called once per distinct scored iteration, iteration 0 with the
+    zero matrix, and never without checkpoints (score may then be None);
+    a budget where the run stagnates is scored again at the iterate cg
+    returns.  A caller scoring a transformed system maps x back to the
+    antenna domain inside score.
+
+    Through the cg_inverse iteration hook, each budget is scored as the
+    run reaches it, and each tolerance takes the iterate at which a
+    separate cg_inverse(max_iters=10 N, tolerance) run would stop.
     A run with budgets goes at epsilon 0, so cg's stop rule ends it at its
     attainable accuracy; one without goes at the smallest tolerance.
     Scoring ends at the first iterate k whose recorded residual is below
@@ -215,14 +224,10 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     Budgets may repeat and come in any order; 0 scores the zero inverse.
     The run ends once the budgets are scored and every tolerance is met;
     a tolerance still unmet where cg stops takes the iterate cg returns.
-    transform maps a transformed-domain iterate back to the antenna
-    domain before it is scored or returned.
-    projectors are the bases of build_projectors, built at rank 4 when
-    omitted.
 
     Returns (rows, converged), one dict per checkpoint and per tolerance
     in the given order: rows with keys requested, iterations, capacity;
-    converged with keys iterations and x.
+    converged with keys iterations and x, x in system's domain.
 
     A tolerance's iterate equals a separate run's bit for bit, except
     where the recursive residual estimate passes the tolerance while the
@@ -239,9 +244,6 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
                          % (10 * n, budgets))
     if not all(0.0 < tol < 1.0 for tol in tolerances):
         raise ValueError("tolerances must lie in (0, 1), got %s" % tolerances)
-    if projectors is None and budgets:
-        projectors = build_projectors(stats, 4)
-    back = transform if transform is not None else (lambda x: x)
     top = max(budgets, default=0)
     wanted = set(budgets)
     scores = {}  # iteration count -> capacity
@@ -249,18 +251,13 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     attained_at = None  # where scoring ends short of the top budget
     found = {}  # tolerance -> (iterations, x)
 
-    def score(iterations, x):
-        gam = scenario_gammas(stats, channels, back(x), noise_psd,
-                              projectors=projectors)
-        scores[iterations] = capacity(gam)
-
     def on_iteration(iterations, x, residual):
         nonlocal attained_at
         if iterations <= top and attained_at is None:
             if residual < level_scale * fro_norm(x):
                 attained_at = iterations
             if iterations in wanted or attained_at is not None:
-                score(iterations, x)
+                scores[iterations] = score(x)
         # as in a separate run, a tolerance is met where the recorded and
         # then the true residual are below it
         pending = [tol for tol in tolerances
@@ -273,7 +270,7 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
         return budgets_done and all(tol in found for tol in tolerances)
 
     if 0 in wanted:
-        score(0, np.zeros((n, n), dtype=np.complex128))
+        scores[0] = score(np.zeros((n, n), dtype=np.complex128))
     max_iters = 10 * n if tolerances else top
     if max_iters:
         cfg = CGConfig(max_iters=max_iters,
@@ -283,7 +280,7 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
         if (state.stop == "stagnated" and attained_at is None
                 and state.iterations < top):
             attained_at = state.iterations
-            score(attained_at, state.x)
+            scores[attained_at] = score(state.x)
     rows = []
     for budget in budgets:
         iterations = budget if attained_at is None else min(budget, attained_at)
@@ -293,7 +290,7 @@ def capacity_vs_iterations(system, stats, channels, noise_psd, checkpoints,
     for tol in tolerances:
         # a tolerance unmet where the run stops gets the returned iterate
         iterations, x = found.get(tol, (state.iterations, state.x))
-        converged.append({"iterations": iterations, "x": back(x)})
+        converged.append({"iterations": iterations, "x": x})
     return rows, converged
 
 

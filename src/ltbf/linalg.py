@@ -132,17 +132,14 @@ def _check_hermitian(a, rtol, what="matrix"):
         raise NotHermitianError("%s deviates from Hermitian beyond %g relative" % (what, rtol))
 
 
-def gemm(a, b, conj_a=False, counter=None, out=None):
-    """General complex matrix product, optionally of a^H and b.
+def gemm(a, b, counter=None, out=None):
+    """General complex matrix product a b.
 
     Parameters
     ----------
     a, b : complex ndarray
-        Left and right operands.
-    conj_a : bool
-        Apply the conjugate transpose to a first, the Gram products a^H b
-        of Cholesky QR and the Rayleigh-Ritz step.  A caller that wants b^H
-        passes b.conj().T, a view.
+        Left and right operands.  A caller that wants a^H or b^H passes
+        a.conj().T or b.conj().T, a view.
     counter : FlopCounter, optional
         Charged m*n*k multiplies and m*n*(k-1) additions.
     out : complex ndarray of shape (m, n), optional
@@ -153,17 +150,16 @@ def gemm(a, b, conj_a=False, counter=None, out=None):
     -------
     complex ndarray of shape (m, n), out when given.
     """
-    x = a.conj().T if conj_a else a
-    if x.ndim != 2 or b.ndim != 2:
+    if a.ndim != 2 or b.ndim != 2:
         raise DimensionMismatchError("gemm operands must be 2-D")
-    if x.shape[1] != b.shape[0]:
+    if a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(
-            "gemm inner dimensions differ: %s vs %s" % (x.shape, b.shape))
-    m, k = x.shape
+            "gemm inner dimensions differ: %s vs %s" % (a.shape, b.shape))
+    m, k = a.shape
     n = b.shape[1]
     if counter is not None:
         counter.add("gemm", m * n * k, m * n * max(k - 1, 0))
-    return np.matmul(x, b, out=out)
+    return np.matmul(a, b, out=out)
 
 
 def _pivot_floor(w):

@@ -103,7 +103,7 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, shift=0.0):
                         counter.add("col_scale", y.size, y.size)
                 q_cur = cholesky_qr2(y, counter=counter)
             t = gemm(a, q_cur, counter=counter)
-            b = gemm(q_cur, t, conj_a=True, counter=counter)
+            b = gemm(q_cur.conj().T, t, counter=counter)
             vals, vecs = hermitian_evd_small(b, counter=counter)
             u = gemm(q_cur, vecs, counter=counter)
             vals = np.where((vals < 0.0) & (vals >= -1e-12), 0.0, vals)

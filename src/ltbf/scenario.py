@@ -347,11 +347,11 @@ def _add_checked(q, c, alpha):
     return float(np.sqrt(squares)), float(np.sqrt(skew_squares))
 
 
-def assemble_q(stats, n_antennas=None):
+def assemble_q(stats):
     """Assemble the system matrix Q = I + sum_i alpha_i covariance_i.
 
-    With no users the result is the identity; n_antennas is then required
-    to fix the dimension.  Covariances must be finite and Hermitian with
+    Empty stats are a ValueError: with no users the dimension is unknown.
+    Covariances must be finite and Hermitian with
     trace N (||C - C^H||_F <= 1e-12 ||C||_F), each alpha and symbol_energy
     positive and finite, and Q finite; otherwise a ConfigError, as for an
     invalid config, since a CRC-valid scenario file can carry such
@@ -359,9 +359,7 @@ def assemble_q(stats, n_antennas=None):
     covariance checks it and adds it into Q in place.
     """
     if not stats:
-        if n_antennas is None:
-            raise ValueError("n_antennas is required when stats is empty")
-        return SystemMatrix(np.eye(n_antennas, dtype=np.complex128), "antenna")
+        raise ValueError("assemble_q needs at least one user")
     n = stats[0].covariance.shape[0]
     q = np.eye(n, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):

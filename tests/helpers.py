@@ -289,6 +289,15 @@ def accuracy_stops(system, preconditioner=None, epsilon=0.0,
     return level_at, stagnated_at
 
 
+def capacity_scorer(stats, channels, noise_psd, transform=None):
+    """score(x) for capacity_vs_iterations: the capacity of x at rank-4
+    projectors, after transform maps x back to the antenna domain."""
+    projectors = build_projectors(stats, 4)
+    back = transform if transform is not None else (lambda x: x)
+    return lambda x: capacity(scenario_gammas(stats, channels, back(x),
+                                              noise_psd, projectors=projectors))
+
+
 def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
                             preconditioner=None, rank=4, transform=None):
     """Capacity rows by one fresh solver run per budget.
@@ -308,7 +317,8 @@ def restart_capacity_oracle(system, stats, channels, noise_psd, checkpoints,
         cfg = CGConfig(max_iters=iterations, epsilon=0.0)
         state = cg_inverse(system, preconditioner=preconditioner, config=cfg)
         x = transform(state.x) if transform is not None else state.x
-        gam = scenario_gammas(stats, channels, x, noise_psd, rank=rank)
+        gam = scenario_gammas(stats, channels, x, noise_psd,
+                              projectors=build_projectors(stats, rank))
         rows.append({"requested": budget,
                      "iterations": state.iterations,
                      "capacity": capacity(gam)})

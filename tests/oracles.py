@@ -218,4 +218,4 @@ def dense_to_beamspace(op, a, counter=None):
 def dense_from_beamspace(op, a, counter=None):
     """F^H a F with the explicit DFT matrix, two counted products."""
     f = op.f
-    return gemm(gemm(f, a, conj_a=True, counter=counter), f, counter=counter)
+    return gemm(gemm(f.conj().T, a, counter=counter), f, counter=counter)

@@ -16,7 +16,7 @@ from ltbf.linalg import (
 
 def one_pass_q(a):
     """Single Cholesky-QR pass, assembled from the raw kernels."""
-    w = gemm(a, a, conj_a=True)
+    w = gemm(a.conj().T, a)
     return trsm_right_upper_ct(a, cholesky(w))
 
 

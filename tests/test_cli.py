@@ -669,8 +669,8 @@ class TestSweep:
         n = system.matrix.shape[0]
         _, eps = helpers.lagging_estimate_case(system)
         targets = (0.1, eps)
-        _, probes = evaluation.capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, [], targets)
+        _, probes = evaluation.capacity_vs_iterations(system, None, [],
+                                                      targets)
         assert len(probes) == len(targets)
         for target, probe in zip(targets, probes):
             alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,

@@ -21,7 +21,7 @@ from ltbf.precond import build_preconditioner
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
                            save_scenario, steering_vector)
 
-from helpers import (accuracy_stops, einsum_gammas_oracle,
+from helpers import (accuracy_stops, capacity_scorer, einsum_gammas_oracle,
                      lagging_estimate_case, mmse_baseline_sinr,
                      post_beamforming_sinr, restart_capacity_oracle,
                      small_scenario_config, stagnating_case)
@@ -34,7 +34,7 @@ def scene():
     stats, channels = generate_scenario(cfg)
     system = assemble_q(stats)
     xinv = direct_inverse_oracle(system.matrix)
-    g0 = scenario_gammas(stats, channels, xinv, cfg.noise_psd, rank=4)
+    g0 = scenario_gammas(stats, channels, xinv, cfg.noise_psd)
     return cfg, stats, channels, system, xinv, g0
 
 
@@ -91,7 +91,7 @@ class TestScenarioGammas:
         cfg, stats, channels, _, _, _ = scene
         n = cfg.n_antennas
         g = scenario_gammas(stats, channels, np.zeros((n, n), dtype=complex),
-                            cfg.noise_psd, rank=4)
+                            cfg.noise_psd)
         assert np.all(g == 0.0)
 
     def test_matches_explicit_beamformed_quotient(self, scene):
@@ -114,8 +114,9 @@ class TestScenarioGammas:
 
     def test_full_rank_exact_inverse_attains_mmse_baseline(self, scene):
         cfg, stats, channels, _, xinv, _ = scene
-        g_full = scenario_gammas(stats, channels, xinv, cfg.noise_psd,
-                                 rank=cfg.n_antennas)
+        g_full = scenario_gammas(
+            stats, channels, xinv, cfg.noise_psd,
+            projectors=build_projectors(stats, cfg.n_antennas))
         baseline = mmse_baseline_sinr(stats, channels, cfg.noise_psd)
         assert np.max(np.abs(g_full - baseline) / baseline) <= 1e-9
 
@@ -126,7 +127,7 @@ class TestScenarioGammas:
 
     def test_deterministic(self, scene):
         cfg, stats, channels, _, xinv, g0 = scene
-        again = scenario_gammas(stats, channels, xinv, cfg.noise_psd, rank=4)
+        again = scenario_gammas(stats, channels, xinv, cfg.noise_psd)
         assert np.array_equal(again, g0)
 
 
@@ -170,7 +171,8 @@ class TestBatchedGammasOracle:
     def test_ranks(self, rank):
         cfg = small_scenario_config(n_ue=3, n_streams=2, seed=431)
         stats, channels, x = scenario_inverse(cfg, "exact")
-        gam = scenario_gammas(stats, channels, x, cfg.noise_psd, rank=rank)
+        gam = scenario_gammas(stats, channels, x, cfg.noise_psd,
+                              projectors=build_projectors(stats, rank))
         assert_matches_oracle(gam, einsum_gammas_oracle(
             stats, channels, x, cfg.noise_psd, rank=rank))
         if rank == cfg.n_antennas:
@@ -215,7 +217,8 @@ class TestBatchedGammasOracle:
         stats, channels, x = scenario_inverse(cfg, "exact")
         rank = min(4, cfg.n_antennas)
         assert_matches_oracle(
-            scenario_gammas(stats, channels, x, cfg.noise_psd, rank=rank),
+            scenario_gammas(stats, channels, x, cfg.noise_psd,
+                            projectors=build_projectors(stats, rank)),
             einsum_gammas_oracle(stats, channels, x, cfg.noise_psd, rank=rank))
 
 
@@ -282,7 +285,7 @@ class TestBoundCheck:
         xbad = xinv + np.linalg.solve(system.matrix, p0)
         _, spec = inverse_error(system, xbad)
         assert abs(spec - 0.5) <= 1e-12
-        gbad = scenario_gammas(stats, channels, xbad, cfg.noise_psd, rank=4)
+        gbad = scenario_gammas(stats, channels, xbad, cfg.noise_psd)
         chk = check_sinr_bound(g0, gbad, spec)
         assert chk.fraction_ok == 1.0
         assert np.max(chk.rhs / g0) <= 0.5
@@ -304,15 +307,16 @@ class TestCapacity:
 
     def test_zero_budget_checkpoint_has_zero_capacity(self, scene):
         cfg, stats, channels, system, _, _ = scene
-        rows, _ = capacity_vs_iterations(system, stats, channels,
-                                         cfg.noise_psd, [0], [])
+        rows, _ = capacity_vs_iterations(
+            system, capacity_scorer(stats, channels, cfg.noise_psd), [0], [])
         assert rows[0]["iterations"] == 0
         assert rows[0]["capacity"] == 0.0
 
     def test_converged_checkpoint_matches_exact(self, scene):
         cfg, stats, channels, system, _, g0 = scene
-        rows, _ = capacity_vs_iterations(system, stats, channels,
-                                         cfg.noise_psd, [2, 20], [])
+        rows, _ = capacity_vs_iterations(
+            system, capacity_scorer(stats, channels, cfg.noise_psd), [2, 20],
+            [])
         exact = capacity(g0)
         assert rows[0]["requested"] == 2 and rows[0]["iterations"] == 2
         assert abs(rows[1]["capacity"] - exact) <= 0.01 * exact
@@ -347,10 +351,9 @@ class TestSingleRunCapacity:
     def test_rows_equal_restart_oracle(self, scene, pipelines, pipeline, budgets):
         cfg, stats, channels, _, _, _ = scene
         system, precond, back = pipelines[pipeline]
-        rows, _ = capacity_vs_iterations(system, stats, channels,
-                                         cfg.noise_psd, budgets, [],
-                                         preconditioner=precond,
-                                         transform=back)
+        rows, _ = capacity_vs_iterations(
+            system, capacity_scorer(stats, channels, cfg.noise_psd, back),
+            budgets, [], preconditioner=precond)
         oracle = restart_capacity_oracle(system, stats, channels,
                                          cfg.noise_psd, budgets,
                                          preconditioner=precond, transform=back)
@@ -360,8 +363,9 @@ class TestSingleRunCapacity:
     def test_floor_stop_reports_iterations_reached(self):
         cfg, stats, channels, system = quiet_scene()
         budgets = [5, 1, 0, 3]
-        rows, _ = capacity_vs_iterations(system, stats, channels,
-                                         cfg.noise_psd, budgets, [])
+        rows, _ = capacity_vs_iterations(
+            system, capacity_scorer(stats, channels, cfg.noise_psd), budgets,
+            [])
         assert [row["iterations"] for row in rows] == [1, 1, 0, 1]
         assert repr(rows) == repr(restart_capacity_oracle(
             system, stats, channels, cfg.noise_psd, budgets))
@@ -376,7 +380,8 @@ class TestSingleRunCapacity:
         n = system.matrix.shape[0]
         budgets = [2, 4]
         rows, (converged,) = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, budgets, [eps])
+            system, capacity_scorer(stats, channels, cfg.noise_psd), budgets,
+            [eps])
         # a separate run at eps; where eps is out of reach (1e-300) both
         # runs stagnate, and the tolerance takes the stagnated iterate
         alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
@@ -393,7 +398,8 @@ class TestSingleRunCapacity:
         n = system.matrix.shape[0]
         k, eps = lagging_estimate_case(system)
         _, (converged,) = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, [1], [eps])
+            system, capacity_scorer(stats, channels, cfg.noise_psd), [1],
+            [eps])
         alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                    epsilon=eps))
         assert converged["iterations"] == alone.iterations > k
@@ -408,7 +414,8 @@ class TestSingleRunCapacity:
         system = assemble_q(stats)
         eps = 1e-15
         _, (converged,) = capacity_vs_iterations(
-            system, stats, channels, cfg.noise_psd, [1], [eps])
+            system, capacity_scorer(stats, channels, cfg.noise_psd), [1],
+            [eps])
         n = system.matrix.shape[0]
         resid = np.eye(n) - system.matrix @ converged["x"]
         assert np.linalg.norm(resid) / np.sqrt(n) < eps
@@ -420,15 +427,15 @@ class TestSingleRunCapacity:
         cfg, stats, channels, system, stagnated_at = stagnating_case()
         n = system.matrix.shape[0]
         budgets = [stagnated_at - 1, 10 * n]
-        rows, _ = capacity_vs_iterations(system, stats, channels,
-                                         cfg.noise_psd, budgets, [])
+        rows, _ = capacity_vs_iterations(
+            system, capacity_scorer(stats, channels, cfg.noise_psd), budgets,
+            [])
         assert [row["iterations"] for row in rows] == [stagnated_at - 1,
                                                         stagnated_at]
         assert repr(rows) == repr(restart_capacity_oracle(
             system, stats, channels, cfg.noise_psd, budgets))
         eps = 1e-20
-        _, (converged,) = capacity_vs_iterations(system, stats, channels,
-                                                 cfg.noise_psd, [], [eps])
+        _, (converged,) = capacity_vs_iterations(system, None, [], [eps])
         level_at, stop = accuracy_stops(system, epsilon=eps)
         alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
                                                    epsilon=eps))
@@ -444,12 +451,61 @@ class TestSingleRunCapacity:
                                 projectors=projectors)
         assert np.array_equal(again, g0)
 
+    def test_score_called_once_per_distinct_budget(self, scene):
+        _, _, _, system, _, _ = scene
+        seen = []
+
+        def score(x):
+            seen.append(x.copy())
+            return float(len(seen) - 1)  # the call's index
+
+        rows, _ = capacity_vs_iterations(system, score, [4, 2, 4, 0], [])
+        assert [row["iterations"] for row in rows] == [4, 2, 4, 0]
+        assert [row["capacity"] for row in rows] == [2.0, 1.0, 2.0, 0.0]
+        assert len(seen) == 3
+        assert not np.any(seen[0])
+        for x, budget in zip(seen[1:], (2, 4)):
+            alone = cg_inverse(system, config=CGConfig(max_iters=budget,
+                                                       epsilon=0.0))
+            assert np.array_equal(x, alone.x)
+
+    def test_beamspace_score_sees_working_domain_iterates(self, scene,
+                                                          pipelines):
+        system, precond, _ = pipelines["beamspace_precond"]
+        n = system.matrix.shape[0]
+        seen = []
+
+        def score(x):
+            seen.append(x.copy())
+            return 0.0
+
+        rows, (converged,) = capacity_vs_iterations(
+            system, score, [1, 2], [1e-6], preconditioner=precond)
+        assert [row["iterations"] for row in rows] == [1, 2]
+        for x, budget in zip(seen, (1, 2)):
+            alone = cg_inverse(system, preconditioner=precond,
+                               config=CGConfig(max_iters=budget, epsilon=0.0))
+            assert np.array_equal(x, alone.x)
+        alone = cg_inverse(system, preconditioner=precond,
+                           config=CGConfig(max_iters=10 * n, epsilon=1e-6))
+        assert np.array_equal(converged["x"], alone.x)
+
+    def test_tolerance_only_run_never_scores(self, scene):
+        _, _, _, system, _, _ = scene
+
+        def score(x):
+            raise AssertionError("scored a run without budgets")
+
+        rows, (converged,) = capacity_vs_iterations(system, score, [], [1e-6])
+        assert rows == [] and converged["iterations"] > 0
+
     @pytest.mark.parametrize("budgets", [[-1], [2, 161]])
     def test_budgets_out_of_range(self, scene, budgets):
         cfg, stats, channels, system, _, _ = scene
         with pytest.raises(ValueError):
-            capacity_vs_iterations(system, stats, channels, cfg.noise_psd,
-                                   budgets, [])
+            capacity_vs_iterations(
+                system, capacity_scorer(stats, channels, cfg.noise_psd),
+                budgets, [])
 
 
 class TestSinrCDF:
@@ -476,9 +532,9 @@ class TestSinrCDF:
         stats, channels = generate_scenario(cfg)
         system = assemble_q(stats)
         xinv = direct_inverse_oracle(system.matrix)
-        g_exact = scenario_gammas(stats, channels, xinv, cfg.noise_psd, rank=4)
+        g_exact = scenario_gammas(stats, channels, xinv, cfg.noise_psd)
         state = cg_inverse(system, config=CGConfig(max_iters=3, epsilon=1e-16))
-        g_trunc = scenario_gammas(stats, channels, state.x, cfg.noise_psd, rank=4)
+        g_trunc = scenario_gammas(stats, channels, state.x, cfg.noise_psd)
         db_exact, _ = sinr_cdf(g_exact)
         db_trunc, _ = sinr_cdf(g_trunc)
         assert np.all(db_exact >= db_trunc - 0.1)

@@ -214,7 +214,7 @@ class TestShiftedSketch:
     ])
     def test_loading_of_lower_rank_than_the_sketch(self, stats_config):
         if stats_config is None:
-            system = assemble_q([], n_antennas=16)
+            system = SystemMatrix(np.eye(16, dtype=np.complex128), "antenna")
         else:
             stats, _ = generate_scenario(ScenarioConfig(**stats_config))
             system = assemble_q(stats)
@@ -269,8 +269,8 @@ class TestDefaultSketch:
     @pytest.mark.parametrize("side", [1, 2, 4, 8])
     def test_default_width_is_capped_at_n(self, side):
         n = side * side
-        m = build_preconditioner(assemble_q([], n_antennas=n), rank=None,
-                                 power_iters=2, seed=84)
+        identity = SystemMatrix(np.eye(n, dtype=np.complex128), "antenna")
+        m = build_preconditioner(identity, rank=None, power_iters=2, seed=84)
         assert m.eigvals.shape == (min(DEFAULT_WIDTH, n),)
 
     @pytest.mark.parametrize("seed", [101, 102, 103])

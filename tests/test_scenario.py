@@ -163,13 +163,7 @@ class TestGeneration:
 
 
 class TestAssembleQ:
-    def test_no_users_gives_identity(self):
-        system = assemble_q([], n_antennas=6)
-        assert np.array_equal(system.matrix, np.eye(6, dtype=complex))
-        assert system.sigma2 == 1.0
-        assert system.domain == "antenna"
-
-    def test_empty_needs_explicit_size(self):
+    def test_empty_stats_rejected(self):
         with pytest.raises(ValueError):
             assemble_q([])
 
@@ -569,8 +563,8 @@ class TestMutatedFiles:
         path = tmp_path_factory.mktemp("mutated") / "scenario.bslv"
         path.write_bytes(blob)
         try:
-            cfg, stats, _ = load_scenario(path)
-            assemble_q(stats, n_antennas=cfg.n_antennas)
+            _, stats, _ = load_scenario(path)
+            assemble_q(stats)
         except (FileFormatError, ConfigError):
             pass
 
