@@ -10,6 +10,14 @@ the solution maps back as F^H X_b F.
 Both directions factor the Kronecker structure through numpy's FFT and
 never form F, so they charge nothing to a FlopCounter; their cost is
 N^2 log N scalar multiplies against the 2 N^3 of the two dense products.
+Each direction is four 1-D passes over the (T, T, T, T) grid of the
+matrix, in the axis order numpy's fft2 itself uses (last listed axis
+first): axis 1 into a new array, then axes 0, 3 and 2 in place through
+`out=`.  Every pass is the same 1-D transform of the same lines that
+fft2 and ifft2 make, so the result matches their composition bit for bit;
+the first pass allocates, so the caller's array is never written.  Only
+the 1-D transforms get `out=`: numpy's ifft2 (2.4) drops its own `out=`
+argument and returns a new array, so `out` would keep its input values.
 The operator stores only the T x T axis DFT.  Its `f` property builds the
 dense N x N F on access (16.8 MB at N = 1024) for the tests' dense
 reference route, which the FFT path must match to 1e-11.
@@ -66,6 +74,16 @@ def _as_grid(a, side):
     return a.reshape(side, side, side, side)
 
 
+def _axis_passes(grid, first, second):
+    """second(first(grid, axes (0, 1)), axes (2, 3)) as 1-D passes in
+    fft2's order, into one new array."""
+    out = first(grid, axis=1)
+    first(out, axis=0, out=out)
+    second(out, axis=3, out=out)
+    second(out, axis=2, out=out)
+    return out
+
+
 def _check_method(method):
     # the one path; the keyword stays for callers that name it
     if method != "fft":
@@ -86,7 +104,7 @@ def to_beamspace(op, system, method="fft"):
                          % system.domain)
     grid = _as_grid(system.matrix, op.side)
     with np.errstate(over="ignore", invalid="ignore"):  # SystemMatrix rejects it
-        qb = np.fft.ifft2(np.fft.fft2(grid, axes=(0, 1)), axes=(2, 3))
+        qb = _axis_passes(grid, np.fft.fft, np.fft.ifft)
     return SystemMatrix(qb.reshape(system.matrix.shape), "beamspace")
 
 
@@ -94,7 +112,7 @@ def from_beamspace(op, x_b, method="fft"):
     """Map a beamspace solution block back to the antenna domain, F^H X_b F."""
     _check_method(method)
     grid = _as_grid(x_b, op.side)
-    out = np.fft.fft2(np.fft.ifft2(grid, axes=(0, 1)), axes=(2, 3))
+    out = _axis_passes(grid, np.fft.ifft, np.fft.fft)
     return np.ascontiguousarray(out.reshape(x_b.shape))
 
 

@@ -35,6 +35,13 @@ Matrix payload:
     u32 rows, u32 cols
     rows * cols complex entries, row-major, each (f64 re, f64 im)
 
+The loaders read a file into one buffer and check its CRC over the whole
+payload before any array is made.  The loaded covariance, channel and
+matrix arrays are views into that buffer, which lives as long as any of
+them does.  The buffer starts the file where the first complex block is
+16-byte aligned; a later block sits off the 8-byte complex alignment only
+after an odd number of 36-byte path records, and is copied.
+
 Scenario configs also travel as flat key=value text files; keys match the
 ScenarioConfig field names (snr_db_range splits into snr_db_low and
 snr_db_high), '#' starts a comment.
@@ -49,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NotFiniteError, fro_norm
+from .linalg import DimensionMismatchError, NotFiniteError
 
 __all__ = [
     "ConfigError",
@@ -80,8 +87,11 @@ _KIND_MATRIX = 2
 # one 36-byte path record, per stream, per path
 _PATH = np.dtype([("power", "<f8"), ("azimuth", "<f8"), ("elevation", "<f8"),
                   ("phase", "<f8"), ("tap", "<u4")])
-# rows per panel of the N x N passes below: a panel and its column
-# counterpart stay in cache while each entry is read once
+# payload offset of each kind's first complex block: a scenario's first
+# covariance follows the 52-byte header and the user's two f64 scalars
+_FIRST_BLOCK = {_KIND_SCENARIO: 68, _KIND_MATRIX: 8}
+# rows per panel, and side of a tile, of the N x N passes below: a panel
+# and its column counterpart stay in cache while each entry is read once
 _PANEL = 64
 
 
@@ -336,13 +346,24 @@ def generate_scenario(cfg):
 
 
 def _add_checked(q, c, alpha):
-    """Add alpha c into q in place and return (||c||_F, ||c - c^H||_F), all
-    in one pass over the row panels of c and their column counterparts."""
+    """Add alpha c into q in place and return (||c||_F, ||c - c^H||_F).
+
+    One pass over the row panels of c.  The skew reads only the tiles on
+    and above the diagonal: tile (i, j) of c - c^H is c_ij - c_ji^H, and
+    tile (j, i) has the same norm, so an off-diagonal tile counts twice.
+    """
+    n = c.shape[0]
+    tile = np.empty(_PANEL * _PANEL, dtype=np.complex128)
     squares = skew_squares = 0.0
-    for i in range(0, c.shape[0], _PANEL):
+    for i in range(0, n, _PANEL):
         rows = c[i:i + _PANEL]
-        squares += fro_norm(rows) ** 2
-        skew_squares += fro_norm(rows - c[:, i:i + _PANEL].conj().T) ** 2
+        squares += np.vdot(rows, rows).real
+        for j in range(i, n, _PANEL):
+            upper = rows[:, j:j + _PANEL]
+            diff = tile[:upper.size].reshape(upper.shape)
+            np.conjugate(c[j:j + _PANEL, i:i + _PANEL].T, out=diff)
+            diff -= upper
+            skew_squares += (1.0 if j == i else 2.0) * np.vdot(diff, diff).real
         q[i:i + _PANEL] += alpha * rows
     return float(np.sqrt(squares)), float(np.sqrt(skew_squares))
 
@@ -454,9 +475,10 @@ def _unpack(buf, offset, count, dtype):
 
 
 def _unpack_complex(buf, offset, count):
-    """Copy of `count` complex entries at `offset`."""
+    """`count` complex entries at `offset`: a view of the buffer when it is
+    aligned, else an aligned copy."""
     arr, end = _unpack(buf, offset, count, "<c16")
-    return arr.astype(np.complex128), end
+    return np.require(arr, requirements="A"), end
 
 
 def _write_container(path, kind, parts):
@@ -471,11 +493,18 @@ def _write_container(path, kind, parts):
 
 
 def _read_container(path, expect_kind):
-    """The CRC-checked payload of a container, as a view of the file bytes,
-    read into one uninitialised buffer of the file's size."""
+    """The CRC-checked payload of a container, as a view of the file bytes.
+
+    The file is read into one uninitialised buffer 16 bytes longer than
+    the file, starting at the pad that puts the kind's first complex block
+    on a 16-byte boundary, so that the loaders can hand out views.
+    """
     with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        blob = memoryview(buf)[:fh.readinto(buf)]
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size + 16, dtype=np.uint8)
+        pad = -(buf.ctypes.data + 8 + _FIRST_BLOCK[expect_kind]) % 16
+        window = memoryview(buf)[pad:pad + size]
+        blob = window[:fh.readinto(window)]
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise MalformedHeaderError("%s: not a BSLV container" % path)
     version, kind = struct.unpack_from("<HH", blob, 4)
@@ -519,6 +548,9 @@ def load_scenario(path):
 
     Returns (cfg, stats, channels) structurally identical to what
     save_scenario wrote; a save of the loaded objects is byte-identical.
+    The covariances and channels are aligned, C-contiguous views into one
+    CRC-checked read buffer (a block left unaligned by an odd path count
+    is copied), which lives as long as any of them does.
     """
     payload = _read_container(path, _KIND_SCENARIO)
     try:
@@ -571,7 +603,8 @@ def save_matrix(path, a):
 
 
 def load_matrix(path):
-    """Read a BSLV matrix container."""
+    """Read a BSLV matrix container, as an aligned view into its read
+    buffer."""
     payload = _read_container(path, _KIND_MATRIX)
     try:
         rows, cols = struct.unpack_from("<2I", payload, 0)

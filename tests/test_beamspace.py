@@ -123,6 +123,35 @@ class TestTransforms:
                         - from_beamspace(op, x, method="fft")) \
             <= 1e-11 * fro_norm(x)
 
+    @pytest.mark.parametrize("side", [1, 2, 5, 8, 16])
+    def test_axis_passes_are_bit_identical_to_fft2(self, side):
+        # the 1-D passes run in fft2's own axis order, so not one bit moves
+        n = side * side
+        op = build_operator(side)
+        system = antenna_system(helpers.random_complex((n, n), 403 + side))
+        grid = system.matrix.reshape(side, side, side, side)
+        forward = SystemMatrix(np.fft.ifft2(np.fft.fft2(grid, axes=(0, 1)),
+                                            axes=(2, 3)).reshape(n, n),
+                               "beamspace")
+        assert to_beamspace(op, system).matrix.tobytes() \
+            == forward.matrix.tobytes()
+        x = helpers.random_complex((n, n), 404 + side)
+        back = np.fft.fft2(np.fft.ifft2(x.reshape(side, side, side, side),
+                                        axes=(0, 1)), axes=(2, 3))
+        assert from_beamspace(op, x).tobytes() == back.reshape(n, n).tobytes()
+
+    def test_transforms_leave_their_input_unchanged(self):
+        # the sweep transforms the antenna system.matrix and then solves on it
+        op = build_operator(4)
+        system = scenario_system(3338)
+        kept = system.matrix.copy()
+        to_beamspace(op, system)
+        assert system.matrix.tobytes() == kept.tobytes()
+        x = helpers.random_complex((16, 16), 405)
+        x_kept = x.copy()
+        from_beamspace(op, x)
+        assert x.tobytes() == x_kept.tobytes()
+
     def test_inverse_commutes_with_transform(self):
         # inverting in beamspace then mapping back equals inverting directly
         op = build_operator(4)

@@ -285,19 +285,37 @@ class TestPanelPasses:
         assert abs(scale - np.linalg.norm(c)) <= 1e-12 * np.linalg.norm(c)
         assert q.tobytes() == (np.eye(n) + 0.3 * c).tobytes()
 
+    @st.composite
+    def perturbations(draw, sizes=sizes):
+        n = draw(sizes)
+        return (n, draw(st.integers(0, 2**32 - 1)),
+                draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+
     @settings(max_examples=40, deadline=None)
-    @given(n=sizes, data=st.data())
-    def test_skew_in_the_last_panel_is_rejected(self, n, data):
-        a = helpers.random_complex((n, 4), data.draw(st.integers(0, 2**32 - 1)))
+    @given(case=perturbations())
+    # tiles below the diagonal, read only as the partner of an upper tile
+    @example(case=(200, 7, 199, 0))
+    @example(case=(_PANEL + 1, 7, _PANEL, _PANEL - 1))
+    @example(case=(200, 7, 2 * _PANEL + 5, _PANEL + 3))
+    def test_skew_anywhere_is_rejected(self, case):
+        n, seed, i, j = case
+        a = helpers.random_complex((n, 4), seed)
         cov = a @ a.conj().T
         cov *= n / np.real(np.trace(cov))
         user = UserStats(covariance=cov, alpha=1.0, symbol_energy=1.0)
         assemble_q([user])
-        i = data.draw(st.integers(_PANEL * ((n - 1) // _PANEL), n - 1))
-        j = data.draw(st.integers(0, n - 1))
         cov[i, j] += 1e-9j * np.linalg.norm(cov)
         with pytest.raises(ConfigError):
             assemble_q([user])
+
+
+def _read_buffer(a):
+    """The object at the end of an array's chain of bases."""
+    while True:
+        base = a.base if isinstance(a, np.ndarray) else getattr(a, "obj", None)
+        if base is None:
+            return a
+        a = base
 
 
 class TestPersistence:
@@ -320,12 +338,38 @@ class TestPersistence:
         save_scenario(path2, cfg2, stats2, channels2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("n_streams, paths", [(1, 1), (1, 2), (3, 1),
+                                                  (2, 2), (2, 3)])
+    def test_loaded_blocks_are_aligned_views(self, tmp_path, n_streams, paths):
+        # each path record is 36 bytes, so an odd n_streams * paths leaves
+        # the later blocks off the 8-byte complex alignment: those are copied
+        cfg = small_config(side=3, n_ue=3, n_streams=n_streams,
+                           paths_per_user=paths)
+        stats, channels = generate_scenario(cfg)
+        path = tmp_path / "scene.bslv"
+        save_scenario(path, cfg, stats, channels)
+        cfg2, stats2, channels2 = load_scenario(path)
+        blocks = [user.covariance for user in stats2] + [ch.h for ch in channels2]
+        saved = [user.covariance for user in stats] + [ch.h for ch in channels]
+        for block, values in zip(blocks, saved):
+            assert block.flags.aligned and block.flags.c_contiguous
+            assert block.tobytes() == values.tobytes()
+        if n_streams * paths % 2 == 0:
+            # no block was copied: all read one buffer
+            assert len({id(_read_buffer(block)) for block in blocks}) == 1
+        path2 = tmp_path / "scene2.bslv"
+        save_scenario(path2, cfg2, stats2, channels2)
+        assert path.read_bytes() == path2.read_bytes()
+
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         path = tmp_path / "block.bslv"
         save_matrix(path, a)
-        assert np.array_equal(load_matrix(path), a)
+        loaded = load_matrix(path)
+        assert np.array_equal(loaded, a)
+        assert loaded.flags.aligned and loaded.flags.c_contiguous
+        assert _read_buffer(loaded).dtype == np.uint8
 
     def test_corrupted_payload_fails_checksum(self, tmp_path):
         cfg = small_config()
