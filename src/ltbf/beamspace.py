@@ -18,6 +18,12 @@ fft2 and ifft2 make, so the result matches their composition bit for bit;
 the first pass allocates, so the caller's array is never written.  Only
 the 1-D transforms get `out=`: numpy's ifft2 (2.4) drops its own `out=`
 argument and returns a new array, so `out` would keep its input values.
+rows_from_beamspace gives a block of rows of the back-mapped matrix,
+A F^H X_b F, without forming F^H X_b F: F is symmetric, so A F^H is the
+2-D inverse FFT of each row of A reshaped T x T, and W F the forward FFT
+of each row of W = (A F^H) X_b, the same ifft/fft pairing from_beamspace
+uses.  For an m x N block that is two FFT passes over m x N numbers in
+place of four over N x N.
 The operator stores only the T x T axis DFT.  Its `f` property builds the
 dense N x N F on access (16.8 MB at N = 1024) for the tests' dense
 reference route, which the FFT path must match to 1e-11.
@@ -33,7 +39,8 @@ from .linalg import DimensionMismatchError
 from .scenario import SystemMatrix
 
 __all__ = ["BeamspaceOperator", "build_operator", "to_beamspace",
-           "from_beamspace", "sparsity_ratio", "SPARSITY_THRESHOLD"]
+           "from_beamspace", "rows_from_beamspace", "sparsity_ratio",
+           "SPARSITY_THRESHOLD"]
 
 # magnitude, relative to the peak, below which an entry counts as zero
 SPARSITY_THRESHOLD = 0.005
@@ -114,6 +121,21 @@ def from_beamspace(op, x_b, method="fft"):
     grid = _as_grid(x_b, op.side)
     out = _axis_passes(grid, np.fft.ifft, np.fft.fft)
     return np.ascontiguousarray(out.reshape(x_b.shape))
+
+
+def rows_from_beamspace(op, rows, x_b):
+    """A F^H X_b F for an (m, N) block of rows A, by row FFTs; equals
+    rows @ from_beamspace(op, x_b) to rounding."""
+    side = op.side
+    _as_grid(x_b, side)  # shape check
+    n = side * side
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise DimensionMismatchError(
+            "expected an (m, %d) block of rows for side %d, got %s"
+            % (n, side, rows.shape))
+    m = rows.shape[0]
+    left = np.fft.ifft2(rows.reshape(m, side, side)).reshape(m, n) @ x_b
+    return np.fft.fft2(left.reshape(m, side, side)).reshape(m, n)
 
 
 def sparsity_ratio(a, threshold=SPARSITY_THRESHOLD):

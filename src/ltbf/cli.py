@@ -224,14 +224,11 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     operator = build_operator(cfg.side)
     systems = {"antenna": system_ant,
                "beamspace": to_beamspace(operator, system_ant)}
-    # each domain's map of an iterate back to the antenna domain
-    backs = {"antenna": lambda x: x,
-             "beamspace": lambda xb: from_beamspace(operator, xb)}
     projectors = build_projectors(stats, rank)
 
-    def gammas(x):
+    def gammas(x, op=None):
         return scenario_gammas(stats, channels, x, cfg.noise_psd,
-                               projectors=projectors)
+                               projectors=projectors, operator=op)
 
     gam_exact = gammas(np.linalg.inv(system_ant.matrix))
 
@@ -241,14 +238,17 @@ def _sweep_tables(cfg, stats, channels, setups, budgets, eps, rank):
     for setup in setups:
         system = systems[setup.domain]
         precond = _setup_preconditioner(system, setup, cfg.seed)
-        back = backs[setup.domain]
-        # one run serves the budgets and the converged solve of the CDF
+        # beamspace iterates are scored through the operator, not mapped
+        # back; one run serves the budgets and the converged solve of the CDF
+        domain_op = operator if setup.domain == "beamspace" else None
         rows, (converged,) = capacity_vs_iterations(
-            system, lambda x: capacity(gammas(back(x))), budgets, [eps],
+            system, lambda x: capacity(gammas(x, domain_op)), budgets, [eps],
             preconditioner=precond)
         for row in rows:
             capacity_rows.append((setup.name, row["iterations"], row["capacity"]))
-        x = back(converged.pop("x"))  # holds one N x N iterate, not two
+        x = converged.pop("x")  # holds one N x N iterate, not two
+        if domain_op is not None:
+            x = from_beamspace(operator, x)  # inverse_error needs it mapped back
         gam = gammas(x)
         for db, pr in zip(*sinr_cdf(gam)):
             cdf_rows.append((db, pr, setup.name))

@@ -19,6 +19,7 @@ import zlib
 import numpy as np
 from hypothesis import strategies as st
 
+from ltbf.beamspace import from_beamspace
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
@@ -448,14 +449,19 @@ def surrogate_matrix(precond):
             @ precond.eigvecs.conj().T)
 
 
-def einsum_gammas_oracle(stats, channels, x, noise_psd, rank=4, projectors=None):
+def einsum_gammas_oracle(stats, channels, x, noise_psd, rank=4, projectors=None,
+                         operator=None):
     """Stream SINRs of scenario_gammas, one user at a time through einsum.
 
     The route scenario_gammas took before it batched all users into GEMMs:
     the full channel tensor is concatenated and each user's reduced
-    covariance is contracted in numpy's own loops.  Same signature and
-    result shape; agreement is to rounding, not bitwise.
+    covariance is contracted in numpy's own loops.  A beamspace x (operator
+    given) is mapped back whole by from_beamspace, not by the row FFTs of
+    scenario_gammas.  Same signature and result shape; agreement is to
+    rounding, not bitwise.
     """
+    if operator is not None:
+        x = from_beamspace(operator, x)
     n_ue = len(stats)
     k_sc, _, n_streams = channels[0].h.shape
     big_h = _stacked_channels(channels)

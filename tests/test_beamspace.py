@@ -7,6 +7,7 @@ import helpers
 from ltbf.beamspace import (
     build_operator,
     from_beamspace,
+    rows_from_beamspace,
     sparsity_ratio,
     to_beamspace,
 )
@@ -151,6 +152,42 @@ class TestTransforms:
         x_kept = x.copy()
         from_beamspace(op, x)
         assert x.tobytes() == x_kept.tobytes()
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 8, 16])
+    def test_row_ffts_match_back_mapped_matrix(self, side):
+        # A F^H X_b F by row FFTs against A times the back-mapped N x N
+        n = side * side
+        op = build_operator(side)
+        rows = helpers.random_complex((5, n), 406 + side)
+        x_b = helpers.random_complex((n, n), 407 + side)
+        rows_kept, x_kept = rows.copy(), x_b.copy()
+        want = rows @ from_beamspace(op, x_b)
+        got = rows_from_beamspace(op, rows, x_b)
+        assert got.shape == (5, n)
+        assert fro_norm(got - want) <= 1e-12 * fro_norm(want)
+        assert rows.tobytes() == rows_kept.tobytes()
+        assert x_b.tobytes() == x_kept.tobytes()
+
+    def test_row_ffts_match_dense_operator(self):
+        op = build_operator(4)
+        rows = helpers.random_complex((3, 16), 408)
+        x_b = helpers.random_complex((16, 16), 409)
+        f = op.f
+        want = rows @ f.conj().T @ x_b @ f
+        assert fro_norm(rows_from_beamspace(op, rows, x_b) - want) \
+            <= 1e-12 * fro_norm(want)
+
+    def test_row_ffts_reject_mismatched_shapes(self):
+        op = build_operator(3)
+        with pytest.raises(DimensionMismatchError):
+            rows_from_beamspace(op, np.ones((2, 9), complex),
+                                np.ones((16, 16), complex))
+        with pytest.raises(DimensionMismatchError):
+            rows_from_beamspace(op, np.ones((2, 16), complex),
+                                np.ones((9, 9), complex))
+        with pytest.raises(DimensionMismatchError):
+            rows_from_beamspace(op, np.ones(9, complex),
+                                np.ones((9, 9), complex))
 
     def test_inverse_commutes_with_transform(self):
         # inverting in beamspace then mapping back equals inverting directly

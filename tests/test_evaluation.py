@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import ltbf.cli as cli
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import (
+    _spectral_norm,
     build_projector,
     build_projectors,
     capacity,
@@ -18,8 +19,8 @@ from ltbf.evaluation import (
 )
 from ltbf.beamspace import build_operator, from_beamspace, to_beamspace
 from ltbf.precond import build_preconditioner
-from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
-                           save_scenario, steering_vector)
+from ltbf.scenario import (ScenarioConfig, SystemMatrix, assemble_q,
+                           generate_scenario, save_scenario, steering_vector)
 
 from helpers import (accuracy_stops, capacity_scorer, einsum_gammas_oracle,
                      lagging_estimate_case, mmse_baseline_sinr,
@@ -78,6 +79,34 @@ class TestInverseError:
         state = cg_inverse(system, config=CGConfig(max_iters=3, epsilon=1e-16))
         fro, _ = inverse_error(system, state.x)
         assert abs(fro - state.residual_history[-1]) <= 1e-12
+
+    def test_zero_residual_is_exactly_zero(self):
+        eye = np.eye(9, dtype=complex)
+        assert inverse_error(SystemMatrix(eye, "antenna"), eye) == (0.0, 0.0)
+        assert _spectral_norm(np.zeros((9, 9), dtype=complex)) == 0.0
+
+    def test_nan_residual_raises_linalg_error(self, scene):
+        # the CLI maps LinAlgError to exit code 3
+        _, _, _, system, xinv, _ = scene
+        xbad = xinv.copy()
+        xbad[3, 5] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_error(system, xbad)
+        assert np.linalg.LinAlgError in cli._NUMERICAL_ERRORS
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), rank=st.integers(1, 24),
+           log_scale=st.floats(-12.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_gram_norm_matches_svd_property(self, n, rank, log_scale, seed):
+        # sqrt of the Gram's top eigenvalue against the largest singular
+        # value, over sizes, ranks and scales
+        rng = np.random.default_rng(seed)
+        k = min(rank, n)
+        left = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        right = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        e = 10.0 ** log_scale * (left @ right)
+        want = np.linalg.norm(e, 2)
+        assert abs(_spectral_norm(e) - want) <= 1e-12 * want
 
 
 class TestScenarioGammas:
@@ -158,7 +187,7 @@ def scenario_inverse(cfg, kind):
 class TestBatchedGammasOracle:
     """The batched scenario_gammas against the per-user einsum route."""
 
-    @pytest.mark.parametrize("n_streams", [1, 2])
+    @pytest.mark.parametrize("n_streams", [1, 2, 3])
     @pytest.mark.parametrize("n_ue", [1, 4, 8])
     def test_user_and_stream_counts(self, n_ue, n_streams):
         cfg = small_scenario_config(n_ue=n_ue, n_streams=n_streams, seed=430)
@@ -220,6 +249,38 @@ class TestBatchedGammasOracle:
             scenario_gammas(stats, channels, x, cfg.noise_psd,
                             projectors=build_projectors(stats, rank)),
             einsum_gammas_oracle(stats, channels, x, cfg.noise_psd, rank=rank))
+
+
+class TestBeamspaceGammas:
+    """scenario_gammas(operator=) on a beamspace iterate against the
+    antenna route on its back-mapped matrix."""
+
+    @pytest.mark.parametrize("side", [2, 3, 8, 16])
+    def test_matches_back_mapped_iterate(self, side):
+        cfg = small_scenario_config(side=side, n_ue=3, n_streams=2, seed=434)
+        stats, channels = generate_scenario(cfg)
+        op = build_operator(side)
+        system_b = to_beamspace(op, assemble_q(stats))
+        # an inexact iterate, so every entry of X_b carries weight
+        x_b = cg_inverse(system_b, config=CGConfig(max_iters=2,
+                                                   epsilon=1e-16)).x
+        projectors = build_projectors(stats, min(4, cfg.n_antennas))
+        gam = scenario_gammas(stats, channels, x_b, cfg.noise_psd,
+                              projectors=projectors, operator=op)
+        assert np.all(gam > 0.0)
+        assert_matches_oracle(gam, scenario_gammas(
+            stats, channels, from_beamspace(op, x_b), cfg.noise_psd,
+            projectors=projectors))
+
+    def test_oracle_maps_back_through_from_beamspace(self):
+        cfg = small_scenario_config(n_ue=3, seed=435)
+        stats, channels = generate_scenario(cfg)
+        op = build_operator(cfg.side)
+        x_b = direct_inverse_oracle(to_beamspace(op, assemble_q(stats)).matrix)
+        assert_matches_oracle(
+            scenario_gammas(stats, channels, x_b, cfg.noise_psd, operator=op),
+            einsum_gammas_oracle(stats, channels, x_b, cfg.noise_psd,
+                                 operator=op))
 
 
 class TestExplicitQuotient:
@@ -443,6 +504,29 @@ class TestSingleRunCapacity:
         assert alone.stop == "stagnated"
         assert converged["iterations"] == alone.iterations == stop < 10 * n
         assert np.array_equal(converged["x"], alone.x)
+
+    def test_stagnated_budget_is_scored_once(self):
+        # the run stagnates exactly at a budget: one score, with the best
+        # checked iterate cg returns there, which the row reports; the hook
+        # saw the last iterate at that budget too, and must not score it
+        cfg, stats, channels, system, stagnated_at = stagnating_case()
+        n = system.matrix.shape[0]
+        seen = []
+
+        def score(x):
+            seen.append(x)
+            return float(len(seen))
+
+        rows, _ = capacity_vs_iterations(system, score,
+                                         [stagnated_at, 10 * n], [])
+        assert [row["iterations"] for row in rows] == [stagnated_at] * 2
+        assert [row["capacity"] for row in rows] == [1.0, 1.0]
+        assert len(seen) == 1
+        alone = cg_inverse(system, config=CGConfig(max_iters=10 * n,
+                                                   epsilon=0.0))
+        assert alone.stop == "stagnated"
+        assert alone.iterations == stagnated_at
+        assert np.array_equal(seen[0], alone.x)
 
     def test_prebuilt_projectors_give_identical_gammas(self, scene):
         cfg, stats, channels, _, xinv, g0 = scene
