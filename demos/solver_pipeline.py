@@ -26,7 +26,7 @@ def run_config(name, system, precond, eps):
                        config=CGConfig(max_iters=10 * n, epsilon=eps),
                        counter=counter)
     print("  %-18s  %2d iterations   residual %.2e   %.1f Mmult"
-          % (name, state.iterations, state.residual_history[-1],
+          % (name, state.iterations, state.residual,
              counter.mults / 1e6))
     return state.iterations
 

@@ -34,8 +34,10 @@ replacement, van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000).
 CGState.stop records the cause.  A run returns its last iterate, except
 at a "stagnated" stop, where it returns the iterate of the smallest true
 residual any check of the run formed (X is rebound every iteration, so
-keeping it costs a reference, not a copy).  r holds the true residual of
-the returned iterate, and residual_history[-1] that of the last one.
+keeping it costs a reference, not a copy).  CGState.residual holds the
+scaled true residual of the returned iterate, and residual_history[-1]
+that of the last one; at a "stagnated" stop the check that found the
+best iterate formed its residual, so no product rebuilds it.
 
 Callers that need several iterates of one run (a capacity curve over
 iteration budgets, the iterates where runs at several tolerances stop)
@@ -60,7 +62,7 @@ write_trajectory dumps it as the residual trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,15 +111,17 @@ class CGConfig:
 class CGState:
     """Returned iterate, its true residual and the stop cause of a run.
 
-    x is the last iterate, or the best checked one at a "stagnated" stop.
+    x is the last iterate, or the best checked one at a "stagnated" stop;
+    residual is its scaled true residual ||Q X - I||_F / sqrt(N), 1 for
+    the zero iterate of a zero budget.
     """
 
     x: np.ndarray
-    r: np.ndarray
+    residual: float
     iterations: int
     stop: str
-    residual_history: list = field(default_factory=list)
-    frozen: np.ndarray | None = None
+    residual_history: list
+    frozen: np.ndarray
 
 
 def _colwise_dot(a, b, counter):
@@ -166,7 +170,7 @@ def _first_block(q, preconditioner, counter):
     return p, s
 
 
-def cg_inverse(system, preconditioner=None, config=None, counter=None,
+def cg_inverse(system, preconditioner=None, *, config, counter=None,
                on_iteration=None):
     """Approximate the inverse of a Hermitian positive definite system.
 
@@ -180,8 +184,7 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         is identical to preconditioning with any positive multiple of the
         identity.  It is applied to I and to Q before iteration 1, then to
         R after every iteration that does not stop the run.
-    config : CGConfig, optional
-        Defaults to the full 10N iteration budget at epsilon 1e-6.
+    config : CGConfig
     counter : FlopCounter, optional.
     on_iteration : callable(iterations, x, residual), optional
         Called after every iteration with the iteration count, the
@@ -192,21 +195,19 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
     Returns
     -------
     CGState with the iterate x (the last one, or at a "stagnated" stop the
-        one of the smallest checked true residual), its true residual
-        I - Q X in r, the stop cause, and one scaled residual per
+        one of the smallest checked true residual), its scaled true
+        residual in residual, the stop cause, and one scaled residual per
         iteration performed in residual_history: the true residual at
         iteration 1, at checks and at the last iteration, the recursive
         estimate otherwise.
     """
     q = system.matrix
     n = q.shape[0]
-    if config is None:
-        config = CGConfig(max_iters=10 * n, epsilon=1e-6)
     _validate(config, n)
 
     eye = np.eye(n, dtype=np.complex128)
     x = np.zeros((n, n), dtype=np.complex128)
-    t = None  # true residual I - Q X, formed at checks
+    t = None  # scratch for the true residual I - Q X formed at checks
     history = []
     iterations = 0
     best = np.inf  # smallest true residual of the checks so far
@@ -240,12 +241,9 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
         res = estimate
         # R_1 = I - S_0 alpha comes from explicit products, not a
         # recursion: the true residual of X_1, a check at no product
-        exact = it == 0
-        if exact:
-            t = r
-        elif checking or last:
+        exact = it == 0 or checking or last
+        if it > 0 and exact:
             t, res = _true_residual(q, x, eye, t, counter)
-            exact = True
         history.append(res)
         if not (np.isfinite(estimate) and np.isfinite(res)
                 and np.all(np.isfinite(alpha))):
@@ -267,9 +265,7 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             if not exact:
                 t, history[-1] = _true_residual(q, x, eye, t, counter)
             break
-        if it == 0:  # t aliases R_1, which later checks overwrite
-            r = t.copy()
-        elif passed:
+        if passed:  # past iteration 1, which converges when it passes
             r[...] = t  # the true residual replaces the recursive one
         if preconditioner is not None:
             z = preconditioner.apply(r, counter=counter)
@@ -287,20 +283,19 @@ def cg_inverse(system, preconditioner=None, config=None, counter=None,
             counter.add("col_scale", n * n, n * n)
         rz = rz_new
 
-    if stop == "stagnated" and kept_x is not x:
-        x = kept_x
-        t, _ = _true_residual(q, x, eye, t, counter)
-    if t is None:  # a zero budget: the residual of X = 0
-        t = eye.copy()
-    return CGState(x=x, r=t, iterations=iterations, stop=stop,
+    # a zero budget returns X = 0, whose residual is I
+    residual = history[-1] if history else 1.0
+    if stop == "stagnated":
+        x, residual = kept_x, kept
+    return CGState(x=x, residual=residual, iterations=iterations, stop=stop,
                    residual_history=history, frozen=frozen)
 
 
-def residual_norm(system, x, counter=None):
+def residual_norm(system, x):
     """Scaled true residual ||Q X - I||_F / sqrt(N) of a candidate inverse."""
     q = system.matrix
     eye = np.eye(q.shape[0], dtype=np.complex128)
-    return _true_residual(q, x, eye, None, counter)[1]
+    return _true_residual(q, x, eye, None, None)[1]
 
 
 def write_trajectory(path, state, config_id):

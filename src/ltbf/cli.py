@@ -40,7 +40,7 @@ from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
                          sinr_cdf, write_csv)
 from .linalg import (CholeskyBreakdownError, FlopCounter,
                      JacobiConvergenceError, NotFiniteError,
-                     SingularTriangularError, fro_norm)
+                     SingularTriangularError)
 from .precond import InvalidSpectrumError, build_preconditioner, sketch_width
 from .scenario import (ConfigError, FileFormatError, assemble_q,
                        generate_scenario, load_scenario, read_config_file,
@@ -203,16 +203,14 @@ def _cmd_invert(args):
     save_matrix(out_path, x)
     if args.trace:
         write_trajectory(args.trace, state, "%s_%s" % (args.domain, args.precond))
-    # the true residual of the final iterate, I itself for X = 0
-    residual = float(fro_norm(state.r) / np.sqrt(n))
     print("out=%s" % out_path)
     print("domain=%s" % setup.domain)
     print("precond=%s" % setup.precond)
     print("iterations=%d" % state.iterations)
-    print("residual=%r" % residual)
+    print("residual=%r" % state.residual)
     print("complex_mults=%d" % counter.mults)
     print("complex_adds=%d" % counter.adds)
-    if residual >= args.eps:
+    if state.residual >= args.eps:
         print("warning=target %r not reached in %d iterations (%s)"
               % (args.eps, state.iterations, state.stop))
     return _EXIT_OK

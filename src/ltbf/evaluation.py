@@ -198,7 +198,6 @@ def scenario_gammas(stats, channels, x, noise_psd, projectors=None,
 class BoundCheck:
     """Outcome of testing gammas against the perturbation guarantee."""
 
-    epsilon: float
     rhs: np.ndarray
     fraction_ok: float
     min_margin: float
@@ -225,7 +224,7 @@ def check_sinr_bound(gamma_exact, gamma_approx, epsilon):
     rhs = g0 * (1.0 - eps) ** 2 / ((1.0 + eps) ** 2
                                    + 4.0 * eps * user_mean.reshape(shape))
     margin = g1 - rhs
-    return BoundCheck(epsilon=eps, rhs=rhs,
+    return BoundCheck(rhs=rhs,
                       fraction_ok=float(np.mean(margin >= 0.0)),
                       min_margin=float(np.min(margin)))
 

@@ -34,9 +34,8 @@ class EVDResult:
     """Rank-limited eigenpairs.
 
     eigvecs : (n, rank) orthonormal columns.
-    eigvals : (rank,) real, descending.  Values within -1e-12 of zero are
-        clamped to exactly zero so downstream reciprocals never divide by a
-        negative round-off residue.
+    eigvals : (rank,) real, descending Ritz values, as computed: a value
+        at or below zero is left for the caller to reject.
     """
 
     eigvecs: np.ndarray
@@ -106,7 +105,6 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, shift=0.0):
             b = gemm(q_cur.conj().T, t, counter=counter)
             vals, vecs = hermitian_evd_small(b, counter=counter)
             u = gemm(q_cur, vecs, counter=counter)
-            vals = np.where((vals < 0.0) & (vals >= -1e-12), 0.0, vals)
             return EVDResult(eigvecs=u, eigvals=vals)
         except RankDeficiencyError as err:
             last_err = err

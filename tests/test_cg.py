@@ -77,6 +77,15 @@ class CheckLog(FlopCounter):
             self.checks.append((self.scalings + 1) // 2)
 
 
+def stagnation_case():
+    """An 8 x 8 system and exact top-four preconditioner whose run at eps
+    1.28e-17 stagnates at iteration 8, its best check at iteration 5."""
+    vals = np.linspace(1.118, 1.0, 8)
+    a, u = helpers.synthetic_hermitian(vals, 2)
+    system = dense_system(a)
+    return system, from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+
+
 def numpy_residual(matrix, x):
     n = matrix.shape[0]
     return float(np.linalg.norm(np.eye(n) - matrix @ x) / np.sqrt(n))
@@ -142,6 +151,7 @@ class TestStateAndStopping:
         state = cg_inverse(system, config=CGConfig(max_iters=0, epsilon=0.5))
         assert state.iterations == 0
         assert np.all(state.x == 0.0)
+        assert state.residual == 1.0
         assert state.residual_history == []
 
     def test_history_one_entry_per_iteration(self):
@@ -157,29 +167,39 @@ class TestStateAndStopping:
         assert state.residual_history[-1] < 1.0
 
     def test_explicit_residual_consistency(self):
-        # the returned residual is the recomputed I - Q X, not the recurrence
+        # the returned residual is that of the recomputed I - Q X, not the
+        # recurrence
         system = scenario_system(3317, side=4)
-        n = system.matrix.shape[0]
         state = cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-15))
-        recon = np.eye(n) - system.matrix @ state.x
-        assert fro_norm(state.r - recon) <= 1e-10 * np.sqrt(n)
+        assert abs(state.residual - numpy_residual(system.matrix, state.x)) <= 1e-14
 
     def test_every_return_holds_true_residual(self):
         system = scenario_system(3317, side=4)
-        n = system.matrix.shape[0]
+        stagnating, precond = stagnation_case()
         runs = {
-            "budget": cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-15)),
-            "eps": cg_inverse(system, config=CGConfig(max_iters=160, epsilon=1e-6)),
-            "hook": cg_inverse(system, config=CGConfig(max_iters=160, epsilon=1e-15),
-                               on_iteration=lambda k, x, r: k == 3),
+            "zero": (system, cg_inverse(
+                system, config=CGConfig(max_iters=0, epsilon=1e-15))),
+            "budget": (system, cg_inverse(
+                system, config=CGConfig(max_iters=4, epsilon=1e-15))),
+            "converged": (system, cg_inverse(
+                system, config=CGConfig(max_iters=160, epsilon=1e-6))),
+            "hook": (system, cg_inverse(
+                system, config=CGConfig(max_iters=160, epsilon=1e-15),
+                on_iteration=lambda k, x, r: k == 3)),
+            "stagnated": (stagnating, cg_inverse(
+                stagnating, preconditioner=precond,
+                config=CGConfig(max_iters=80, epsilon=1.28e-17))),
         }
-        assert [s.iterations for s in (runs["budget"], runs["hook"])] == [4, 3]
-        assert runs["eps"].iterations < 160
-        for name, state in runs.items():
-            recon = np.eye(n) - system.matrix @ state.x
-            assert fro_norm(state.r - recon) <= 1e-14, name
-            assert abs(state.residual_history[-1]
-                       - residual_norm(system, state.x)) <= 1e-14, name
+        assert {name: state.stop for name, (_, state) in runs.items()} == {
+            "zero": "budget", "budget": "budget", "converged": "converged",
+            "hook": "hook", "stagnated": "stagnated"}
+        assert [runs[k][1].iterations for k in ("zero", "budget", "hook")] == [0, 4, 3]
+        for name, (matrix, state) in runs.items():
+            # the same product and norm as the solver's check, bit for bit
+            assert state.residual == residual_norm(matrix, state.x), name
+        for name in ("budget", "converged", "hook"):
+            state = runs[name][1]
+            assert state.residual == state.residual_history[-1], name
 
     def test_replacement_when_recursive_residual_passes_eps_early(self):
         # on this scenario the recursive estimate passes 1e-15 one check
@@ -220,10 +240,8 @@ class TestStateAndStopping:
         # then grows tenfold or more per iteration; a run that checked only
         # below the level would never check again and end its 80 iterations
         # at a residual of 2e81
-        vals = np.linspace(1.118, 1.0, 8)
-        a, u = helpers.synthetic_hermitian(vals, 2)
-        system = dense_system(a)
-        precond = from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+        system, precond = stagnation_case()
+        a = system.matrix
         scale = accuracy_level_scale(system)
         levels = []
         state = cg_inverse(system, preconditioner=precond,
@@ -240,22 +258,28 @@ class TestStateAndStopping:
         # the case above: the checks of iterations 5-8 read 1.4e-16,
         # 1.6e-16, 1.4e-15 and 3.3e-14, and the run returns iteration 5's
         # iterate, not the last one, 240x worse
-        vals = np.linspace(1.118, 1.0, 8)
-        a, u = helpers.synthetic_hermitian(vals, 2)
-        system = dense_system(a)
-        precond = from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+        system, precond = stagnation_case()
+        n = system.matrix.shape[0]
         seen = {}
+        counter = CheckLog()
         state = cg_inverse(system, preconditioner=precond,
                            config=CGConfig(max_iters=80, epsilon=1.28e-17),
+                           counter=counter,
                            on_iteration=lambda k, x, r: seen.update({k: x}))
         history = state.residual_history
         assert (state.iterations, state.stop) == (8, "stagnated")
         best = int(np.argmin(history)) + 1
         assert best == 5 and history[-1] > 100 * history[best - 1]
         assert np.array_equal(state.x, seen[best])
-        assert fro_norm(state.r) / np.sqrt(8) == history[best - 1] < 2e-16
-        assert numpy_residual(a, state.x) < 1e-15
+        # the check at iteration 5 formed the returned residual
+        assert state.residual == history[best - 1] < 2e-16
+        assert numpy_residual(system.matrix, state.x) < 1e-15
         assert len(history) == state.iterations
+        # one product per iteration after the first and one per check: no
+        # product rebuilds the returned residual
+        assert counter.checks == [5, 6, 7, 8]
+        assert (counter.kernel_mults("gemm")
+                == (state.iterations - 1 + len(counter.checks)) * n ** 3)
 
     def test_bitwise_reproducible(self):
         system = scenario_system(3318, side=4)
@@ -425,7 +449,7 @@ class TestWorkingPrecision:
                            on_iteration=lambda k, x, r: seen.append(x.dtype))
         assert len(log.dtypes) == state.iterations + 1
         assert set(log.dtypes) == {np.dtype(np.complex128)}
-        assert state.x.dtype == state.r.dtype == np.complex128
+        assert state.x.dtype == np.complex128
         assert set(seen) == {np.dtype(np.complex128)}
         assert state.stop == "converged"
         assert numpy_residual(system.matrix, state.x) < eps
@@ -495,7 +519,8 @@ class TestIterationHook:
         budget = cg_inverse(system, config=CGConfig(max_iters=4, epsilon=1e-16))
         assert stopped.iterations == 4
         assert stopped.residual_history == budget.residual_history
-        for name in ("x", "r", "frozen"):
+        assert stopped.residual == budget.residual
+        for name in ("x", "frozen"):
             assert np.array_equal(getattr(stopped, name),
                                   getattr(budget, name)), name
 
@@ -642,7 +667,7 @@ class TestAgainstDirectInverse:
         if state.stop == "converged":
             # the solver's own true residual is below eps; numpy forms the
             # same residual with other roundings, bounded by 4 n u ||Q|| ||X||
-            assert fro_norm(state.r) / np.sqrt(n) < eps
+            assert state.residual < eps
             rounding = 4 * n * 2.0 ** -53 * fro_norm(a) * fro_norm(state.x)
             assert res < eps + rounding / np.sqrt(n)
         else:

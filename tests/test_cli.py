@@ -813,6 +813,9 @@ _EXIT_CASES = [
     ("sweep-configs-not-utf8", ["sweep", "{quiet}", "--configs",
                                 "{tmp}/latin1.sweep", "--out-dir", "{tmp}/r"],
      2),
+    ("sweep-config-unknown-precond", ["sweep", "{quiet}", "--configs",
+                                      "{tmp}/jacobi.sweep",
+                                      "--out-dir", "{tmp}/r"], 2),
 ] + [
     ("%s-%s" % (command, name), [command, "{tmp}/%s.bslv" % name] + extra, 2)
     for name in helpers.INVALID_STATISTICS
@@ -844,6 +847,7 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
         "side = 1\npaths_per_user = 2\nsubcarriers = 16\n")
     (tmp_path / "latin1.cfg").write_bytes(b"side = 4 # r\xe9seau\n")
     (tmp_path / "latin1.sweep").write_bytes(b"a precond=none # r\xe9seau\n")
+    (tmp_path / "jacobi.sweep").write_text("a precond=jacobi\n")
     (tmp_path / "headers").mkdir()
     for table, header in _SWEEP_HEADERS.items():
         (tmp_path / "headers" / table).write_bytes(header)

@@ -591,6 +591,14 @@ class TestSingleRunCapacity:
                 system, capacity_scorer(stats, channels, cfg.noise_psd),
                 budgets, [])
 
+    @pytest.mark.parametrize("tolerances", [[0.0], [1e-6, 1.0]])
+    def test_tolerances_out_of_range(self, scene, tolerances):
+        cfg, stats, channels, system, _, _ = scene
+        with pytest.raises(ValueError, match="tolerances"):
+            capacity_vs_iterations(
+                system, capacity_scorer(stats, channels, cfg.noise_psd),
+                [2], tolerances)
+
 
 class TestSinrCDF:
     def test_single_sample(self):

@@ -94,6 +94,10 @@ class TestGemm:
         b = helpers.random_complex((5, 2), 18)
         with pytest.raises(DimensionMismatchError):
             gemm(a, b)
+        # a 1-D operand, on either side
+        for left, right in ((a, b[:4, 0]), (b[:, 0], a)):
+            with pytest.raises(DimensionMismatchError, match="2-D"):
+                gemm(left, right)
 
 
 class TestMatrixGuards:
@@ -114,6 +118,10 @@ class TestCholesky:
         a = helpers.random_complex((6, 6), 21)
         with pytest.raises(NotHermitianError):
             cholesky(a + 10.0)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            cholesky(hpd(6, 24)[:, :4])
 
     def test_breakdown_carries_pivot_index(self):
         v = helpers.random_complex((5, 1), 22)
@@ -153,6 +161,12 @@ class TestTrsm:
         with pytest.raises(DimensionMismatchError):
             trsm_right_upper_ct(helpers.random_complex((3, 4), 35),
                                 helpers.random_complex((5, 5), 36))
+        # a 1-D right-hand side and a factor that is not square
+        for y, l in ((helpers.random_complex((4,), 37), np.eye(4)),
+                     (helpers.random_complex((3, 4), 38),
+                      helpers.random_complex((4, 5), 39))):
+            with pytest.raises(DimensionMismatchError, match="square"):
+                trsm_right_upper_ct(y, l)
 
 
 class TestJacobiEVD:

@@ -197,10 +197,14 @@ class TestBuildFromSystem:
             build_preconditioner(bad, rank=2, power_iters=1, seed=80)
 
     def test_negative_sketched_eigenvalue_rejected(self):
-        a, _ = helpers.synthetic_hermitian([5.0, 4.0, -3.0, 0.1], 220)
-        bad = SystemMatrix(a, "antenna")
-        with pytest.raises(InvalidSpectrumError):
-            build_preconditioner(bad, rank=3, power_iters=2, seed=81)
+        # the second case is a full-width sketch, which holds the eigenvector
+        # exactly: its Ritz value, -1.01e-13, is a round-off residue below
+        # zero and is rejected like any other
+        for negative, rank in ((-3.0, 3), (-1e-13, 4)):
+            a, _ = helpers.synthetic_hermitian([5.0, 4.0, negative, 0.1], 220)
+            bad = SystemMatrix(a, "antenna")
+            with pytest.raises(InvalidSpectrumError):
+                build_preconditioner(bad, rank=rank, power_iters=2, seed=81)
 
 
 class TestShiftedSketch:

@@ -254,8 +254,12 @@ class TestSystemMatrix:
             SystemMatrix(m, "antenna")
 
     def test_trace_overflow_rejected(self):
+        # 1e308 already doubles past the float range when Hermitized;
+        # 8e307 does not, and only the trace of three such entries overflows
         with pytest.raises(NotFiniteError):
             SystemMatrix(np.diag([1e308, 1e308]), "antenna")
+        with pytest.raises(NotFiniteError, match="trace overflows"):
+            SystemMatrix(np.diag([8e307] * 3), "antenna")
 
 
 class TestPanelPasses:
@@ -371,6 +375,13 @@ class TestPersistence:
         assert loaded.flags.aligned and loaded.flags.c_contiguous
         assert _read_buffer(loaded).dtype == np.uint8
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_save_matrix_rejects_non_2d(self, tmp_path, shape):
+        path = tmp_path / "block.bslv"
+        with pytest.raises(ValueError, match="2-D"):
+            save_matrix(path, np.ones(shape, dtype=complex))
+        assert not path.exists()
+
     def test_corrupted_payload_fails_checksum(self, tmp_path):
         cfg = small_config()
         stats, channels = generate_scenario(cfg)
@@ -443,6 +454,17 @@ class TestPersistence:
         path.write_bytes(blob)
         with pytest.raises(MalformedHeaderError):
             load_matrix(path)
+
+    def test_stray_scenario_payload_bytes_detected(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "scene.bslv"
+        save_scenario(path, cfg, *generate_scenario(cfg))
+        blob = path.read_bytes()
+        payload = blob[8:-4] + b"extra"
+        path.write_bytes(blob[:8] + payload
+                         + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        with pytest.raises(MalformedHeaderError, match="5 stray payload bytes"):
+            load_scenario(path)
 
     def test_handwritten_fixture_loads(self, tmp_path):
         # minimal scenario written from the documented layout alone:
