@@ -56,8 +56,7 @@ the stop cause.  residual_norm gives a hook the true residual, and
 accuracy_level_scale(system) * ||X_k||_F the level.  X is rebound to a
 fresh array every iteration, so the hook may keep a reference to it.
 
-residual_history is the only per-iteration record a run keeps;
-write_trajectory dumps it as the residual trace.
+residual_history is the only per-iteration record a run keeps.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ __all__ = [
     "accuracy_level_scale",
     "cg_inverse",
     "residual_norm",
-    "write_trajectory",
 ]
 
 # a column whose p^H Q p or r^H z falls below this freezes
@@ -296,12 +294,3 @@ def residual_norm(system, x):
     q = system.matrix
     eye = np.eye(q.shape[0], dtype=np.complex128)
     return _true_residual(q, x, eye, None, None)[1]
-
-
-def write_trajectory(path, state, config_id):
-    """Dump the residual history as CSV rows (iter, residual, config_id)."""
-    lines = ["iter,residual,config_id"]
-    for i, res in enumerate(state.residual_history):
-        lines.append("%d,%s,%s" % (i + 1, repr(float(res)), config_id))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .beamspace import (SPARSITY_THRESHOLD, build_operator, from_beamspace,
                         sparsity_ratio, to_beamspace)
-from .cg import CGConfig, NumericalBreakdownError, cg_inverse, write_trajectory
+from .cg import CGConfig, NumericalBreakdownError, cg_inverse
 from .cholqr import RankDeficiencyError
 from .evaluation import (build_projectors, capacity, capacity_vs_iterations,
                          check_sinr_bound, inverse_error, scenario_gammas,
@@ -131,8 +131,8 @@ def _cmd_gen(args):
         cfg = replace(cfg, seed=args.seed)
     cfg.validate()
     stats, channels = generate_scenario(cfg)
+    system = assemble_q(stats)  # rejects the statistics before any file exists
     save_scenario(args.out_path, cfg, stats, channels)
-    system = assemble_q(stats)
     eigvals = np.linalg.eigvalsh(system.matrix)
     clustered, edge = _cluster_stats(eigvals)
     print("out=%s" % args.out_path)
@@ -202,7 +202,10 @@ def _cmd_invert(args):
     out_path = args.out if args.out else args.scenario + ".inv"
     save_matrix(out_path, x)
     if args.trace:
-        write_trajectory(args.trace, state, "%s_%s" % (args.domain, args.precond))
+        config_id = "%s_%s" % (args.domain, args.precond)
+        write_csv(args.trace, "iter,residual,config_id",
+                  ((k, res, config_id) for k, res
+                   in enumerate(state.residual_history, start=1)))
     print("out=%s" % out_path)
     print("domain=%s" % setup.domain)
     print("precond=%s" % setup.precond)

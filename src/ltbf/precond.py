@@ -4,13 +4,13 @@ The system matrices handled here are an identity plus a positive
 semidefinite loading, Q = I + L, so all but a handful of eigenvalues sit in
 a cluster at exactly one.  Approximating the matrix by
 
-    qhat = c I + U (Lambda - c I) U^H
+    qhat = I + U (Lambda - I) U^H
 
-with (U, Lambda) the top eigenpairs and c the cluster level makes qhat
-invertible in closed form by the Woodbury identity.  The preconditioner is
-exactly that inverse, and it is only ever applied implicitly:
+with (U, Lambda) the top eigenpairs makes qhat invertible in closed form by
+the Woodbury identity.  The preconditioner is exactly that inverse, and it
+is only ever applied implicitly:
 
-    M R = R / c - U (w * (U^H R)),   w_k = 1/c - 1/lambda_k
+    M R = R - U (w * (U^H R)),   w_k = 1 - 1/lambda_k
 
 evaluated strictly right to left so the cost stays at two thin products
 per application instead of an n^2 rebuild.
@@ -19,11 +19,10 @@ build_preconditioner finds (U, Lambda) by sketching the loading Q - I plus
 a small shift rather than Q, as randomized Nystrom preconditioning does
 (Frangella, Tropp & Udell, SIAM J. Matrix Anal. Appl. 44, 2023): the power
 iterations then separate the weak modes from a cluster near zero instead
-of one at one.  It wraps them at level c = 1, the exact cluster of I + L
-in either domain (the beamspace transform is unitary), so the surrogate
-I + U (Lambda - I) U^H equals Q whenever the sketch holds all of L, and
-CG then needs a single iteration.  from_eigenpairs takes any level, for
-callers with a known spectrum.
+of one at one.  The unit cluster is exact for I + L in either domain (the
+beamspace transform is unitary), so the surrogate equals Q whenever the
+sketch holds all of L, and CG then needs a single iteration.
+from_eigenpairs wraps eigenpairs known in advance about the same cluster.
 """
 
 from __future__ import annotations
@@ -57,13 +56,11 @@ class LowRankPreconditioner:
 
     eigvecs : (n, rank) orthonormal columns of the sketched eigenbasis.
     eigvals : (rank,) positive sketched eigenvalues, descending.
-    level : the cluster level c, 1 for a sketched Q = I + L.
-    weights : (rank,) real, 1/level - 1/eigvals, precomputed once.
+    weights : (rank,) real, 1 - 1/eigvals, precomputed once.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    level: float
     weights: np.ndarray
 
     def apply(self, block, counter=None):
@@ -77,19 +74,17 @@ class LowRankPreconditioner:
                 "block must have %d rows, got shape %s"
                 % (self.eigvecs.shape[0], (block.shape,)))
         proj = np.matmul(self.eigvecs.conj().T, block)
-        out = block * (1.0 / self.level)
-        out -= np.matmul(self.eigvecs, self.weights[:, None] * proj)
+        out = block - np.matmul(self.eigvecs, self.weights[:, None] * proj)
         if counter is not None:
             n, m = block.shape
             rank = self.eigvals.shape[0]
-            counter.add("precond_apply",
-                        2 * rank * n * m + rank * m + n * m,
+            counter.add("precond_apply", 2 * rank * n * m + rank * m,
                         2 * rank * n * m + n * m)
         return out
 
 
-def from_eigenpairs(eigvecs, eigvals, level):
-    """Wrap already-known eigenpairs about a cluster level, without sketching.
+def from_eigenpairs(eigvecs, eigvals):
+    """Wrap already-known eigenpairs about the unit cluster, without sketching.
 
     Useful when the low-rank structure is known exactly, e.g. matrices
     assembled from a prescribed spectrum.  With exact eigenpairs the
@@ -98,18 +93,14 @@ def from_eigenpairs(eigvecs, eigvals, level):
     Raises
     ------
     InvalidSpectrumError
-        If the level or any supplied eigenvalue is non-positive.
+        If any supplied eigenvalue is non-positive.
     """
     eigvals = np.asarray(eigvals, dtype=np.float64)
-    level = float(level)
-    if level <= 0.0:
-        raise InvalidSpectrumError("cluster level must be positive, got %g" % level)
     if eigvals.size and float(np.min(eigvals)) <= 0.0:
         raise InvalidSpectrumError(
             "eigenvalue %.3e is not positive" % float(np.min(eigvals)))
-    weights = 1.0 / level - 1.0 / eigvals
     return LowRankPreconditioner(eigvecs=np.asarray(eigvecs, dtype=np.complex128),
-                                 eigvals=eigvals, level=level, weights=weights)
+                                 eigvals=eigvals, weights=1.0 - 1.0 / eigvals)
 
 
 def sketch_width(rank, n):
@@ -162,4 +153,4 @@ def build_preconditioner(system, rank, power_iters, seed, counter=None):
     delta = SKETCH_SHIFT * max(n * (system.sigma2 - 1.0), 1.0)
     sketch = randomized_evd(system.matrix, sketch_width(rank, n), power_iters,
                             seed, counter=counter, shift=1.0 - delta)
-    return from_eigenpairs(sketch.eigvecs, sketch.eigvals, 1.0)
+    return from_eigenpairs(sketch.eigvecs, sketch.eigvals)

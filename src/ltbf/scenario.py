@@ -158,13 +158,23 @@ class ScenarioConfig:
         if self.n_streams * self.paths_per_user > self.subcarriers:
             raise ConfigError("need n_streams * paths_per_user <= subcarriers "
                               "for distinct tap delays")
+        # the file header stores the counts as u32 and the seed as u64
+        if max(self.side, self.n_ue, self.n_streams, self.paths_per_user,
+               self.subcarriers) > 2 ** 32 - 1:
+            raise ConfigError("side, user, stream, path and subcarrier counts "
+                              "must be at most 2^32 - 1")
         low, high = self.snr_db_range
         if not (np.isfinite(low) and np.isfinite(high) and low <= high):
             raise ConfigError("snr_db_range must be a finite (low, high) pair")
+        try:
+            10.0 ** (high / 10.0)  # the largest linear SNR target
+        except OverflowError:
+            raise ConfigError("snr_db_high = %r overflows as a linear SNR"
+                              % high) from None
         if not (np.isfinite(self.noise_psd) and self.noise_psd > 0.0):
             raise ConfigError("noise_psd must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must lie in [0, 2^64), got %d" % self.seed)
         return self
 
 

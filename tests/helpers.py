@@ -437,15 +437,15 @@ def post_beamforming_sinr(g_target, g_others, energy_target, energies_others,
 def explicit_matrix(precond):
     """Dense matrix of a LowRankPreconditioner's implicit apply()."""
     n = precond.eigvecs.shape[0]
-    return (np.eye(n, dtype=np.complex128) / precond.level
+    return (np.eye(n, dtype=np.complex128)
             - (precond.eigvecs * precond.weights) @ precond.eigvecs.conj().T)
 
 
 def surrogate_matrix(precond):
     """Dense low-rank surrogate qhat that a LowRankPreconditioner inverts."""
     n = precond.eigvecs.shape[0]
-    return (precond.level * np.eye(n, dtype=np.complex128)
-            + (precond.eigvecs * (precond.eigvals - precond.level))
+    return (np.eye(n, dtype=np.complex128)
+            + (precond.eigvecs * (precond.eigvals - 1.0))
             @ precond.eigvecs.conj().T)
 
 

@@ -130,12 +130,11 @@ def test_criterion_03_sketched_eigensolver_accuracy():
 def test_criterion_04_low_rank_inverse_exactness():
     with verdict("criterion 04 low-rank inverse exactness"):
         n, rank = 64, 8
-        sigma2 = 1.3
         vals = np.linspace(9.0, 2.0, rank)
         basis = random_unitary_columns(n, rank, seed=4321)
-        surrogate = sigma2 * np.eye(n, dtype=complex) \
-            + (basis * (vals - sigma2)) @ basis.conj().T
-        precond = from_eigenpairs(basis, vals, sigma2)
+        surrogate = np.eye(n, dtype=complex) \
+            + (basis * (vals - 1.0)) @ basis.conj().T
+        precond = from_eigenpairs(basis, vals)
         assert np.linalg.norm(precond.apply(surrogate) - np.eye(n)) <= 1e-9
 
 

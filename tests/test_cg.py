@@ -12,7 +12,6 @@ from ltbf.cg import (
     accuracy_level_scale,
     cg_inverse,
     residual_norm,
-    write_trajectory,
 )
 from ltbf.beamspace import build_operator, to_beamspace
 from ltbf.linalg import FlopCounter, fro_norm
@@ -79,11 +78,10 @@ class CheckLog(FlopCounter):
 
 def stagnation_case():
     """An 8 x 8 system and exact top-four preconditioner whose run at eps
-    1.28e-17 stagnates at iteration 8, its best check at iteration 5."""
+    1.28e-17 stagnates at iteration 7, its best check at iteration 4."""
     vals = np.linspace(1.118, 1.0, 8)
     a, u = helpers.synthetic_hermitian(vals, 2)
-    system = dense_system(a)
-    return system, from_eigenpairs(u[:, :4], vals[:4], system.sigma2)
+    return dense_system(a), from_eigenpairs(u[:, :4], vals[:4])
 
 
 def numpy_residual(matrix, x):
@@ -236,10 +234,10 @@ class TestStateAndStopping:
         assert numpy_residual(system.matrix, plain.x) < eps
 
     def test_checks_go_on_after_the_estimate_dips_below_the_level(self):
-        # the estimate dips below the accuracy level at iterations 5-6 and
+        # the estimate dips below the accuracy level at iterations 4-5 and
         # then grows tenfold or more per iteration; a run that checked only
         # below the level would never check again and end its 80 iterations
-        # at a residual of 2e81
+        # at a residual of 3e80
         system, precond = stagnation_case()
         a = system.matrix
         scale = accuracy_level_scale(system)
@@ -249,15 +247,15 @@ class TestStateAndStopping:
                            on_iteration=lambda k, x, r: levels.append(
                                scale * fro_norm(x)))
         history = state.residual_history
-        assert history[4] < levels[4] and history[5] < levels[5]
-        assert history[5] < history[6] < history[7] and history[7] > 100 * history[5]
-        assert (state.iterations, state.stop) == (8, "stagnated")
+        assert history[3] < levels[3] and history[4] < levels[4]
+        assert history[4] < history[5] < history[6] and history[6] > 100 * history[4]
+        assert (state.iterations, state.stop) == (7, "stagnated")
         assert numpy_residual(a, state.x) < 1e-13
 
     def test_stagnated_run_returns_its_best_checked_iterate(self):
-        # the case above: the checks of iterations 5-8 read 1.4e-16,
-        # 1.6e-16, 1.4e-15 and 3.3e-14, and the run returns iteration 5's
-        # iterate, not the last one, 240x worse
+        # the case above: the checks of iterations 4-7 read 1.3e-16,
+        # 1.8e-16, 1.6e-15 and 2.9e-14, and the run returns iteration 4's
+        # iterate, not the last one, 220x worse
         system, precond = stagnation_case()
         n = system.matrix.shape[0]
         seen = {}
@@ -267,17 +265,17 @@ class TestStateAndStopping:
                            counter=counter,
                            on_iteration=lambda k, x, r: seen.update({k: x}))
         history = state.residual_history
-        assert (state.iterations, state.stop) == (8, "stagnated")
+        assert (state.iterations, state.stop) == (7, "stagnated")
         best = int(np.argmin(history)) + 1
-        assert best == 5 and history[-1] > 100 * history[best - 1]
+        assert best == 4 and history[-1] > 100 * history[best - 1]
         assert np.array_equal(state.x, seen[best])
-        # the check at iteration 5 formed the returned residual
+        # the check at iteration 4 formed the returned residual
         assert state.residual == history[best - 1] < 2e-16
         assert numpy_residual(system.matrix, state.x) < 1e-15
         assert len(history) == state.iterations
         # one product per iteration after the first and one per check: no
         # product rebuilds the returned residual
-        assert counter.checks == [5, 6, 7, 8]
+        assert counter.checks == [4, 5, 6, 7]
         assert (counter.kernel_mults("gemm")
                 == (state.iterations - 1 + len(counter.checks)) * n ** 3)
 
@@ -336,7 +334,7 @@ class TestStateAndStopping:
 def exact_preconditioner(system):
     """All N eigenpairs of the system: M^-1 = Q^-1 to rounding."""
     vals, vecs = np.linalg.eigh(system.matrix)
-    return from_eigenpairs(vecs, vals, 1.0)
+    return from_eigenpairs(vecs, vals)
 
 
 class TestFirstIteration:
@@ -358,11 +356,11 @@ class TestFirstIteration:
         k = min(rank, n)
         precond = {"plain": None,
                    "scaled": ScaledIdentityPrecond(10.0 ** rng.uniform(-1.0, 1.0)),
-                   "eigenpairs": from_eigenpairs(u[:, :k], vals[:k], system.sigma2),
+                   "eigenpairs": from_eigenpairs(u[:, :k], vals[:k]),
                    # a Hermitian M that does not commute with Q
                    "other-basis": from_eigenpairs(
                        helpers.random_unitary_columns(n, k, seed + 1),
-                       vals[:k], system.sigma2),
+                       vals[:k]),
                    }[kind]
         seen = {}
         cg_inverse(system, preconditioner=precond,
@@ -465,7 +463,7 @@ class TestWorkingPrecision:
             vals = np.geomspace(1e6, 1.0, 32)
             a, u = helpers.synthetic_hermitian(vals, 7)
             system = dense_system(a)
-            cases = [(system, from_eigenpairs(u[:, :4], vals[:4], system.sigma2))]
+            cases = [(system, from_eigenpairs(u[:, :4], vals[:4]))]
         for system, precond in cases:
             n = system.matrix.shape[0]
             state = cg_inverse(system, preconditioner=precond,
@@ -482,9 +480,9 @@ class TestIterationHook:
     def test_iterate_at_k_equals_truncated_run(self):
         system = scenario_system(3301)
         # a narrow surrogate, the exact top two eigenpairs: the run at 1e-16
-        # stagnates at 18, past every budget
+        # stagnates at 17, past every budget
         vals, vecs = np.linalg.eigh(system.matrix)
-        precond = from_eigenpairs(vecs[:, :-3:-1], vals[:-3:-1], system.sigma2)
+        precond = from_eigenpairs(vecs[:, :-3:-1], vals[:-3:-1])
         budgets = {1, 2, 5, 9, 13}
         seen = {}
 
@@ -598,20 +596,6 @@ class TestIterationBound:
         assert rows[1][1] >= rows[0][1]
 
 
-class TestTrajectoryDump:
-    def test_row_per_iteration(self, tmp_path):
-        system = scenario_system(3322, side=4)
-        state = cg_inverse(system, config=CGConfig(max_iters=5, epsilon=1e-15))
-        path = tmp_path / "trace.csv"
-        write_trajectory(path, state, "demo_run")
-        lines = path.read_text(encoding="ascii").strip().split("\n")
-        assert lines[0] == "iter,residual,config_id"
-        assert len(lines) == 1 + state.iterations
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[2] == "demo_run"
-        assert float(first[1]) == state.residual_history[0]
-
-
 class TestAgainstDirectInverse:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -629,7 +613,7 @@ class TestAgainstDirectInverse:
         precond = None
         if preconditioned:  # exact top eigenpairs
             k = min(rank, n)
-            precond = from_eigenpairs(u[:, :k], vals[:k], system.sigma2)
+            precond = from_eigenpairs(u[:, :k], vals[:k])
         max_iters = 10 * n
         state = cg_inverse(system, preconditioner=precond,
                            config=CGConfig(max_iters=max_iters, epsilon=eps))
@@ -658,7 +642,7 @@ class TestAgainstDirectInverse:
         precond = None
         if preconditioned:  # exact top eigenpairs
             k = min(rank, n)
-            precond = from_eigenpairs(u[:, :k], vals[:k], system.sigma2)
+            precond = from_eigenpairs(u[:, :k], vals[:k])
         max_iters = 10 * n
         state = cg_inverse(system, preconditioner=precond,
                            config=CGConfig(max_iters=max_iters, epsilon=eps))

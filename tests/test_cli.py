@@ -220,8 +220,11 @@ class TestInvert:
         lines = open(trace).read().splitlines()
         assert lines[0] == "iter,residual,config_id"
         assert len(lines) == 1 + iterations
-        assert lines[1].split(",")[0] == "1"
-        assert lines[1].endswith("antenna_none")
+        # each row carries the solver's recorded residual at full precision
+        state = cg_inverse(assemble_q(load_scenario(mid_scenario)[1]),
+                           config=CGConfig(max_iters=640, epsilon=1e-6))
+        assert lines[1:] == ["%d,%r,antenna_none" % (k, res) for k, res
+                             in enumerate(state.residual_history, start=1)]
 
     @pytest.mark.parametrize("domain", ["antenna", "beamspace"])
     def test_reaches_eps_at_a_loose_and_a_tight_tolerance(self, capsys, tmp_path,
@@ -786,6 +789,15 @@ _EXIT_CASES = [
     ("gen-not-utf8", ["gen", "{tmp}/latin1.cfg", "{tmp}/g.bslv"], 2),
     ("gen-degenerate-geometry", ["gen", "{tmp}/colinear.cfg", "{tmp}/g.bslv"],
      2),
+    # the header stores the seed as u64 and the counts as u32
+    ("gen-seed-2^64", ["gen", "{tmp}/ok.cfg", "{tmp}/g.bslv",
+                       "--seed", "18446744073709551616"], 2),
+    ("gen-count-2^32", ["gen", "{tmp}/wide.cfg", "{tmp}/g.bslv"], 2),
+    # 10^310 overflows a float
+    ("gen-snr-high-3100", ["gen", "{tmp}/loud.cfg", "{tmp}/g.bslv"], 2),
+    # 10^-400 rounds to zero: the first user gets alpha 0, which assemble_q
+    # rejects
+    ("gen-snr-low-minus-4000", ["gen", "{tmp}/silent.cfg", "{tmp}/g.bslv"], 2),
     ("invert-q-0", ["invert", "{quiet}", "--q", "0"], 2),
     ("invert-eps-2", ["invert", "{quiet}", "--eps", "2"], 2),
     ("invert-eps-0", ["invert", "{quiet}", "--eps", "0"], 2),
@@ -845,6 +857,11 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
     (tmp_path / "bad.cfg").write_text("side = 4\nantennas = 9\n")
     (tmp_path / "colinear.cfg").write_text(
         "side = 1\npaths_per_user = 2\nsubcarriers = 16\n")
+    (tmp_path / "wide.cfg").write_text("side = 2\nsubcarriers = 4294967296\n")
+    (tmp_path / "loud.cfg").write_text(
+        "side = 2\nsubcarriers = 16\nsnr_db_high = 3100\n")
+    (tmp_path / "silent.cfg").write_text(
+        "side = 2\nsubcarriers = 16\nsnr_db_low = -4000\n")
     (tmp_path / "latin1.cfg").write_bytes(b"side = 4 # r\xe9seau\n")
     (tmp_path / "latin1.sweep").write_bytes(b"a precond=none # r\xe9seau\n")
     (tmp_path / "jacobi.sweep").write_text("a precond=jacobi\n")
@@ -881,6 +898,8 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
     assert rc == code
     if code:
         assert capsys.readouterr().err
+        if argv and argv[0] == "gen":
+            assert not os.path.exists(argv[2])
 
 
 def test_beamspace_overflow_is_a_numerical_failure(capsys, tmp_path,

@@ -42,53 +42,53 @@ def pcg_iterations(system, precond, eps=1e-6):
     return state.iterations
 
 
-def known_surrogate(n, rank, eigvals, sigma2, seed):
-    """Matrix of the exact form sigma2*I + U (Lambda - sigma2 I) U^H."""
+def known_surrogate(n, rank, eigvals, seed):
+    """Matrix of the exact form I + U (Lambda - I) U^H."""
     u = helpers.random_unitary_columns(n, rank, seed)
     vals = np.asarray(eigvals, dtype=np.float64)
-    a = sigma2 * np.eye(n, dtype=np.complex128) \
-        + (u * (vals - sigma2)) @ u.conj().T
+    a = np.eye(n, dtype=np.complex128) + (u * (vals - 1.0)) @ u.conj().T
     return a, u, vals
 
 
 class TestExactEigenpairs:
     def test_isotropic_is_exact_inverse(self):
-        c = 2.5
+        # eigenpairs on the unit cluster: the surrogate is I, and so is M
         u = helpers.random_unitary_columns(12, 3, 200)
-        m = from_eigenpairs(u, np.full(3, c), c)
+        m = from_eigenpairs(u, np.ones(3))
         assert np.all(m.weights == 0.0)
-        r = helpers.random_complex((12, 5), 201)
-        assert np.array_equal(m.apply(r), r / c)
+        assert np.array_equal(helpers.surrogate_matrix(m), np.eye(12))
+        assert np.array_equal(m.apply(np.eye(12, dtype=np.complex128)),
+                              np.eye(12))
 
     def test_zero_weights_short_circuit(self):
         u = helpers.random_unitary_columns(8, 2, 202)
-        m = from_eigenpairs(u, [3.0, 3.0], 3.0)
+        m = from_eigenpairs(u, [1.0, 1.0])
         r = helpers.random_complex((8, 8), 203)
-        assert fro_norm(m.apply(r) - r / 3.0) == 0.0
+        assert fro_norm(m.apply(r) - r) == 0.0
 
     def test_inverts_known_surrogate(self):
-        a, u, vals = known_surrogate(48, 5, [9.0, 7.0, 5.0, 3.0, 2.0], 1.3, 204)
-        m = from_eigenpairs(u, vals, 1.3)
+        a, u, vals = known_surrogate(48, 5, [9.0, 7.0, 5.0, 3.0, 2.0], 204)
+        m = from_eigenpairs(u, vals)
         prod = m.apply(a)
         assert fro_norm(prod - np.eye(48)) <= 1e-9
         assert fro_norm(helpers.explicit_matrix(m) @ a - np.eye(48)) <= 1e-9
 
     def test_surrogate_matrix_round_trip(self):
-        a, u, vals = known_surrogate(20, 3, [6.0, 4.0, 2.0], 1.1, 205)
-        m = from_eigenpairs(u, vals, 1.1)
+        a, u, vals = known_surrogate(20, 3, [6.0, 4.0, 2.0], 205)
+        m = from_eigenpairs(u, vals)
         assert fro_norm(helpers.surrogate_matrix(m) - a) <= 1e-12
 
     def test_maps_eigvecs_to_inverse_eigvals(self):
-        a, u, vals = known_surrogate(32, 4, [8.0, 6.0, 4.0, 2.0], 1.2, 206)
-        m = from_eigenpairs(u, vals, 1.2)
+        a, u, vals = known_surrogate(32, 4, [8.0, 6.0, 4.0, 2.0], 206)
+        m = from_eigenpairs(u, vals)
         out = m.apply(u.copy())
         assert fro_norm(out - u / vals) <= 1e-12
         assert fro_norm(helpers.explicit_matrix(m) @ u - u / vals) <= 1e-12
 
     def test_positive_definite_even_with_small_eigvals(self):
-        # eigenvalues below sigma2 flip the weight sign but keep M positive
+        # eigenvalues below 1 flip the weight sign but keep M positive
         u = helpers.random_unitary_columns(16, 2, 207)
-        m = from_eigenpairs(u, [5.0, 0.5], 1.0)
+        m = from_eigenpairs(u, [5.0, 0.5])
         dense = helpers.explicit_matrix(m)
         rng = np.random.default_rng(208)
         for _ in range(20):
@@ -101,33 +101,33 @@ class TestApply:
     def test_matches_explicit_matrix(self):
         u = helpers.random_unitary_columns(128, 8, 210)
         vals = np.linspace(9.0, 2.0, 8)
-        m = from_eigenpairs(u, vals, 1.4)
+        m = from_eigenpairs(u, vals)
         r = helpers.random_complex((128, 16), 211)
         assert fro_norm(m.apply(r) - helpers.explicit_matrix(m) @ r) <= 1e-11
 
     def test_bitwise_equal_to_woodbury_expression(self):
         u = helpers.random_unitary_columns(96, 6, 220)
-        m = from_eigenpairs(u, np.linspace(8.0, 1.5, 6), 1.3)
+        m = from_eigenpairs(u, np.linspace(8.0, 1.5, 6))
         r = helpers.random_complex((96, 96), 221)
-        expected = r / m.level - u @ (m.weights[:, None] * (u.conj().T @ r))
+        expected = r - u @ (m.weights[:, None] * (u.conj().T @ r))
         assert np.array_equal(m.apply(r), expected)
 
     def test_identity_block_gives_explicit_matrix(self):
         u = helpers.random_unitary_columns(10, 2, 212)
-        m = from_eigenpairs(u, [4.0, 3.0], 1.05)
+        m = from_eigenpairs(u, [4.0, 3.0])
         assert fro_norm(m.apply(np.eye(10, dtype=np.complex128))
                         - helpers.explicit_matrix(m)) <= 1e-12
 
     def test_linear(self):
         u = helpers.random_unitary_columns(24, 3, 213)
-        m = from_eigenpairs(u, [7.0, 5.0, 3.0], 1.2)
+        m = from_eigenpairs(u, [7.0, 5.0, 3.0])
         r1 = helpers.random_complex((24, 6), 214)
         r2 = helpers.random_complex((24, 6), 215)
         assert fro_norm(m.apply(r1 + r2) - m.apply(r1) - m.apply(r2)) <= 1e-12
 
     def test_row_mismatch_rejected(self):
         u = helpers.random_unitary_columns(16, 2, 216)
-        m = from_eigenpairs(u, [3.0, 2.0], 1.0)
+        m = from_eigenpairs(u, [3.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             m.apply(helpers.random_complex((15, 4), 217))
         with pytest.raises(DimensionMismatchError):
@@ -136,11 +136,11 @@ class TestApply:
     def test_counter_charges_thin_products_only(self):
         n, rank, m_cols = 256, 8, 256
         u = helpers.random_unitary_columns(n, rank, 218)
-        m = from_eigenpairs(u, np.linspace(6.0, 2.0, rank), 1.3)
+        m = from_eigenpairs(u, np.linspace(6.0, 2.0, rank))
         counter = FlopCounter()
         m.apply(helpers.random_complex((n, m_cols), 219), counter=counter)
-        expected = 2 * rank * n * m_cols + rank * m_cols + n * m_cols
-        assert counter.mults == expected
+        assert counter.mults == 2 * rank * n * m_cols + rank * m_cols
+        assert counter.adds == 2 * rank * n * m_cols + n * m_cols
         assert counter.mults <= 1.1 * (2 * rank * n * m_cols + n * m_cols)
         assert set(counter.per_kernel) == {"precond_apply"}
 
@@ -162,7 +162,7 @@ class TestBuildFromSystem:
         system = assemble_q(stats)
         m = build_preconditioner(system, rank=4, power_iters=2, seed=78)
         assert system.sigma2 > 1.0
-        assert m.level == 1.0
+        assert np.array_equal(m.weights, 1.0 - 1.0 / m.eigvals)
         assert m.eigvals.shape == (4,)
         assert np.all(np.diff(m.eigvals) <= 1e-12)
 
@@ -184,10 +184,9 @@ class TestBuildFromSystem:
         m = build_preconditioner(system, rank=4, power_iters=2, seed=82)
         sketch = randomized_evd(system.matrix, 4, 2, 82,
                                 shift=sketch_shift(system))
-        ref = from_eigenpairs(sketch.eigvecs, sketch.eigvals, 1.0)
+        ref = from_eigenpairs(sketch.eigvecs, sketch.eigvals)
         for field in ("eigvecs", "eigvals", "weights"):
             assert np.array_equal(getattr(m, field), getattr(ref, field)), field
-        assert m.level == ref.level
 
     def test_non_positive_sigma2_rejected(self):
         # sigma2 = Re tr / N = -1; the level is 1 whatever sigma2, and the
@@ -234,7 +233,7 @@ class TestShiftedSketch:
         system = to_beamspace(build_operator(16), assemble_q(stats),
                               method="fft")
         vals, vecs = np.linalg.eigh(system.matrix)
-        exact = from_eigenpairs(vecs[:, :-9:-1], vals[:-9:-1], system.sigma2)
+        exact = from_eigenpairs(vecs[:, :-9:-1], vals[:-9:-1])
         sketched = build_preconditioner(system, rank=8, power_iters=4,
                                         seed=seed)
         assert (pcg_iterations(system, sketched)
@@ -297,21 +296,15 @@ class TestDefaultSketch:
 
 
 class TestSpectrumValidation:
-    def test_non_positive_sigma2(self):
-        u = helpers.random_unitary_columns(8, 2, 221)
-        with pytest.raises(InvalidSpectrumError):
-            from_eigenpairs(u, [3.0, 2.0], 0.0)
-        with pytest.raises(InvalidSpectrumError):
-            from_eigenpairs(u, [3.0, 2.0], -1.0)
-
     def test_non_positive_eigenvalue(self):
         u = helpers.random_unitary_columns(8, 2, 222)
         with pytest.raises(InvalidSpectrumError):
-            from_eigenpairs(u, [3.0, 0.0], 1.0)
+            from_eigenpairs(u, [3.0, 0.0])
         with pytest.raises(InvalidSpectrumError):
-            from_eigenpairs(u, [3.0, -2.0], 1.0)
+            from_eigenpairs(u, [3.0, -2.0])
 
     def test_weights_formula(self):
+        # 1 - 1/lambda: negative below the unit cluster
         u = helpers.random_unitary_columns(8, 3, 223)
-        m = from_eigenpairs(u, [4.0, 2.0, 0.5], 2.0)
-        assert np.allclose(m.weights, [0.5 - 0.25, 0.0, 0.5 - 2.0], atol=1e-15)
+        m = from_eigenpairs(u, [4.0, 2.0, 0.5])
+        assert np.array_equal(m.weights, [1.0 - 0.25, 1.0 - 0.5, 1.0 - 2.0])

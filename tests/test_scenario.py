@@ -59,10 +59,21 @@ class TestConfig:
         dict(noise_psd=0.0),
         dict(noise_psd=-1.0),
         dict(seed=-1),
+        # past what the file header stores: counts as u32, the seed as u64
+        dict(side=2 ** 32),
+        dict(subcarriers=2 ** 32),
+        dict(seed=2 ** 64),
+        # a linear SNR target of 10^310 overflows a float
+        dict(snr_db_range=(0.0, 3100.0)),
     ])
     def test_validation_rejects(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
+
+    def test_validation_accepts_the_header_limits(self):
+        cfg = small_config(subcarriers=2 ** 32 - 1, seed=2 ** 64 - 1,
+                           snr_db_range=(-4000.0, 3082.0))
+        assert cfg.validate() is cfg
 
 
 class TestSteering:
@@ -569,19 +580,22 @@ def _config_lines(cfg):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+# an SNR bound whose linear target 10^(dB/10) is finite
+_snr_db = st.floats(max_value=3082.0, allow_nan=False,
+                    allow_infinity=False)
 
 
 @st.composite
 def _valid_configs(draw):
     n_streams = draw(st.integers(1, 64))
     paths = draw(st.integers(1, 64))
-    low, high = sorted([draw(_finite), draw(_finite)])
+    low, high = sorted([draw(_snr_db), draw(_snr_db)])
     return ScenarioConfig(
         side=draw(st.integers(1, 10 ** 6)), n_ue=draw(st.integers(1, 10 ** 6)),
         n_streams=n_streams, paths_per_user=paths, snr_db_range=(low, high),
         noise_psd=draw(_finite.filter(lambda v: v > 0.0)),
         subcarriers=draw(st.integers(n_streams * paths, 10 ** 6)),
-        seed=draw(st.integers(0, 2 ** 64)))
+        seed=draw(st.integers(0, 2 ** 64 - 1)))
 
 
 class TestConfigRoundTrip:
