@@ -14,6 +14,7 @@ from ltbf.cg import (
     residual_norm,
 )
 from ltbf.beamspace import build_operator, to_beamspace
+from ltbf.evaluation import write_csv
 from ltbf.linalg import FlopCounter, fro_norm
 from ltbf.precond import build_preconditioner, from_eigenpairs
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
@@ -594,6 +595,23 @@ class TestIterationBound:
             rows.append((kappa, iters))
         assert rows[1][0] > rows[0][0]
         assert rows[1][1] >= rows[0][1]
+
+
+class TestTrajectoryDump:
+    def test_row_per_iteration(self, tmp_path):
+        # the residual trace is residual_history written through write_csv
+        system = scenario_system(3322, side=4)
+        state = cg_inverse(system, config=CGConfig(max_iters=5, epsilon=1e-15))
+        path = tmp_path / "trace.csv"
+        write_csv(path, "iter,residual,config_id",
+                  ((k, res, "demo_run") for k, res
+                   in enumerate(state.residual_history, start=1)))
+        lines = path.read_text(encoding="ascii").strip().split("\n")
+        assert lines[0] == "iter,residual,config_id"
+        assert len(lines) == 1 + state.iterations
+        first = lines[1].split(",")
+        assert first[0] == "1" and first[2] == "demo_run"
+        assert float(first[1]) == state.residual_history[0]
 
 
 class TestAgainstDirectInverse:
