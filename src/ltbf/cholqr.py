@@ -45,16 +45,16 @@ def _chol_with_retry(w, counter, retry_allowed):
     except CholeskyBreakdownError as first:
         if not retry_allowed:
             raise RankDeficiencyError(
-                "gram matrix is not positive definite (pivot %d, shift retry "
-                "already spent)" % first.index) from first
+                "gram matrix is not positive definite (shift retry already "
+                "spent)") from first
         shift = 1e-12 * float(np.real(np.trace(w))) / w.shape[0]
         try:
             shifted = w + shift * np.eye(w.shape[0], dtype=np.complex128)
             return cholesky(shifted, counter=counter), True
-        except CholeskyBreakdownError as second:
+        except CholeskyBreakdownError:
             raise RankDeficiencyError(
-                "gram matrix is not positive definite (pivot %d after shift %.3e)"
-                % (second.index, shift)) from first
+                "gram matrix is not positive definite after shift %.3e"
+                % shift) from first
 
 
 def cholesky_qr2(a, counter=None):

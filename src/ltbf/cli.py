@@ -8,8 +8,9 @@ Four subcommands cover the batch workflow:
     ltbf report RUN_DIR          condense sweep CSVs into a text summary
 
 All output is plain CSV plus key-value stdout lines; plotting is left to
-external tooling.  Exit codes: 0 success, 2 configuration problem,
-3 numerical failure, 4 file I/O problem.
+external tooling.  Exit codes: 0 success, 2 configuration problem (a
+config too large to allocate among them), 3 numerical failure, 4 file
+I/O problem.
 
 The sweep config file holds one solver configuration per line:
 
@@ -461,6 +462,9 @@ def run(argv=None):
         return _COMMANDS[args.command](args)
     except ConfigError as err:
         print("config error: %s" % err, file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as err:  # a config whose arrays cannot be allocated
+        print("config error: out of memory: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
     except _NUMERICAL_ERRORS as err:
         print("numerical failure: %s" % err, file=sys.stderr)

@@ -14,8 +14,8 @@ hermitian_evd_small, each with one path on numpy's BLAS and LAPACK.  The
 slow loop routes each one is tested against live with the tests
 (tests/oracles.py), not here.  Two contracts hold at the edges: cholesky,
 trsm_right_upper_ct and hermitian_evd_small raise NotFiniteError on a
-non-finite input, and cholesky reports a breakdown index found by LAPACK alone, by bisection
-over its leading blocks when it rejects the whole matrix.
+non-finite input, and cholesky raises CholeskyBreakdownError on a matrix
+LAPACK rejects or on a pivot at or below its floor.
 """
 
 from __future__ import annotations
@@ -54,13 +54,8 @@ class NotFiniteError(ValueError):
 
 
 class CholeskyBreakdownError(ArithmeticError):
-    """Cholesky hit a non-positive pivot.  Carries the failing index."""
-
-    def __init__(self, index, pivot):
-        super().__init__(
-            "cholesky breakdown at pivot %d (value %.3e)" % (index, pivot))
-        self.index = index
-        self.pivot = pivot
+    """Cholesky met a pivot at or below its floor, or LAPACK rejected the
+    matrix as not positive definite."""
 
 
 class SingularTriangularError(ArithmeticError):
@@ -174,32 +169,13 @@ def _charge_cholesky(counter, n):
         counter.add("cholesky", update + n * (n - 1) // 2, update)
 
 
-def _leading_factor(w):
-    """Factor of the longest leading block of w that LAPACK accepts, and
-    the next pivot: the Schur complement w[j, j] - |l^-1 w[:j, j]|^2 of
-    that j x j block, by bisection over the block size and one solve."""
-    good, bad = 0, w.shape[0]  # w[:good, :good] factors, w[:bad, :bad] not
-    l = np.zeros((0, 0), dtype=np.complex128)
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            l = np.linalg.cholesky(w[:mid, :mid])
-            good = mid
-        except np.linalg.LinAlgError:
-            bad = mid
-    s = np.linalg.solve(l, w[:good, good])
-    return l, float(w[good, good].real - np.vdot(s, s).real)
-
-
 def cholesky(w, counter=None):
     """Lower Cholesky factor of a Hermitian positive definite matrix.
 
-    LAPACK factorization (numpy.linalg.cholesky).  A pivot diag(l)[j]**2 at
-    or below 1e-14 * trace(w) / n raises CholeskyBreakdownError carrying the
-    first such index j, which callers use as a rank-deficiency signal.  A
-    matrix LAPACK rejects outright raises the same error: at the first such
-    low pivot of its longest accepted leading block, else at the pivot
-    right after that block.
+    One LAPACK factorization (numpy.linalg.cholesky).  A matrix LAPACK
+    rejects, or a pivot diag(l)[j]**2 at or below 1e-14 * trace(w) / n,
+    raises CholeskyBreakdownError, which callers use as a rank-deficiency
+    signal; the message names the first such low pivot.
 
     Parameters
     ----------
@@ -222,15 +198,16 @@ def cholesky(w, counter=None):
     _check_hermitian(w, 1e-12, "cholesky input")
     _charge_cholesky(counter, w.shape[0])  # the work is done either way
     try:
-        l, rejected = np.linalg.cholesky(w), None
-    except np.linalg.LinAlgError:
-        l, rejected = _leading_factor(w)
+        l = np.linalg.cholesky(w)
+    except np.linalg.LinAlgError as err:
+        raise CholeskyBreakdownError(
+            "cholesky input is not positive definite") from err
     pivots = np.diagonal(l).real ** 2
     low = np.flatnonzero(pivots <= _pivot_floor(w))
     if low.size:
-        raise CholeskyBreakdownError(int(low[0]), float(pivots[low[0]]))
-    if rejected is not None:
-        raise CholeskyBreakdownError(l.shape[0], rejected)
+        j = low[0]
+        raise CholeskyBreakdownError(
+            "cholesky breakdown at pivot %d (value %.3e)" % (j, pivots[j]))
     return l
 
 
@@ -282,6 +259,7 @@ def trsm_right_upper_ct(y, l, counter=None):
         inv = np.linalg.inv(l)
     except np.linalg.LinAlgError as err:
         raise NotFiniteError("triangular factor has no finite inverse") from err
+    _check_finite(inv, "inverse of the triangular factor")  # subnormal pivots
     _charge_trsm(counter, y)
     return np.matmul(y, inv.conj().T)
 

@@ -151,6 +151,9 @@ class ScenarioConfig:
     def validate(self):
         if self.side < 1:
             raise ConfigError("side must be >= 1, got %d" % self.side)
+        # N = side^2 must fit the u32 row and column counts of a matrix file
+        if self.side > 2 ** 16 - 1:
+            raise ConfigError("side must be at most 65535, got %d" % self.side)
         if self.n_ue < 1 or self.n_streams < 1 or self.paths_per_user < 1:
             raise ConfigError("user, stream and path counts must be >= 1")
         if self.subcarriers < 1:
@@ -159,9 +162,9 @@ class ScenarioConfig:
             raise ConfigError("need n_streams * paths_per_user <= subcarriers "
                               "for distinct tap delays")
         # the file header stores the counts as u32 and the seed as u64
-        if max(self.side, self.n_ue, self.n_streams, self.paths_per_user,
+        if max(self.n_ue, self.n_streams, self.paths_per_user,
                self.subcarriers) > 2 ** 32 - 1:
-            raise ConfigError("side, user, stream, path and subcarrier counts "
+            raise ConfigError("user, stream, path and subcarrier counts "
                               "must be at most 2^32 - 1")
         low, high = self.snr_db_range
         if not (np.isfinite(low) and np.isfinite(high) and low <= high):

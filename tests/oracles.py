@@ -53,7 +53,8 @@ def cholesky_oracle(w, counter=None):
         col = w[j:, j] - l[j:, :j] @ l[j, :j].conj()
         pivot = float(col[0].real)
         if pivot <= floor:
-            raise CholeskyBreakdownError(j, pivot)
+            raise CholeskyBreakdownError(
+                "cholesky breakdown at pivot %d (value %.3e)" % (j, pivot))
         d = np.sqrt(pivot)
         l[j, j] = d
         l[j + 1:, j] = col[1:] / d

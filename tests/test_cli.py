@@ -902,6 +902,19 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
             assert not os.path.exists(argv[2])
 
 
+def test_unallocatable_config_is_a_config_error(capsys, monkeypatch, tmp_path):
+    # stands in for a valid config whose arrays do not fit in memory
+    def exhaust(cfg):
+        raise MemoryError("Unable to allocate 596. GiB")
+    monkeypatch.setattr(cli, "generate_scenario", exhaust)
+    (tmp_path / "ok.cfg").write_text("side = 4\nsubcarriers = 16\n")
+    out = tmp_path / "g.bslv"
+    rc, _, err = run_capture(capsys, ["gen", str(tmp_path / "ok.cfg"), str(out)])
+    assert rc == 2
+    assert err.startswith("config error:") and "596. GiB" in err
+    assert not out.exists()
+
+
 def test_beamspace_overflow_is_a_numerical_failure(capsys, tmp_path,
                                                    quiet_scenario):
     # valid statistics and a finite Q, but its beamspace transform

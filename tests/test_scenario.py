@@ -65,14 +65,16 @@ class TestConfig:
         dict(seed=2 ** 64),
         # a linear SNR target of 10^310 overflows a float
         dict(snr_db_range=(0.0, 3100.0)),
+        # N = side^2 past what a matrix file's u32 shape stores
+        dict(side=2 ** 16),
     ])
     def test_validation_rejects(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides).validate()
 
     def test_validation_accepts_the_header_limits(self):
-        cfg = small_config(subcarriers=2 ** 32 - 1, seed=2 ** 64 - 1,
-                           snr_db_range=(-4000.0, 3082.0))
+        cfg = small_config(side=2 ** 16 - 1, subcarriers=2 ** 32 - 1,
+                           seed=2 ** 64 - 1, snr_db_range=(-4000.0, 3082.0))
         assert cfg.validate() is cfg
 
 
@@ -591,7 +593,8 @@ def _valid_configs(draw):
     paths = draw(st.integers(1, 64))
     low, high = sorted([draw(_snr_db), draw(_snr_db)])
     return ScenarioConfig(
-        side=draw(st.integers(1, 10 ** 6)), n_ue=draw(st.integers(1, 10 ** 6)),
+        side=draw(st.integers(1, 2 ** 16 - 1)),
+        n_ue=draw(st.integers(1, 10 ** 6)),
         n_streams=n_streams, paths_per_user=paths, snr_db_range=(low, high),
         noise_psd=draw(_finite.filter(lambda v: v > 0.0)),
         subcarriers=draw(st.integers(n_streams * paths, 10 ** 6)),
