@@ -29,7 +29,7 @@ def value_error(res, ref_vals):
 
 
 def main():
-    cfg = ScenarioConfig(side=8, snr_db_range=(-6.0, 14.0), seed=3327)
+    cfg = ScenarioConfig(side=8, snr_db_low=-6.0, snr_db_high=14.0, seed=3327)
     stats, _ = generate_scenario(cfg)
     system = assemble_q(stats)
     a = system.matrix

@@ -34,8 +34,8 @@ def run_config(name, system, precond, eps):
 def main():
     cfg = ScenarioConfig()
     print("scenario: %d antennas, %d users, SNR %g..%g dB, seed %d"
-          % (cfg.n_antennas, cfg.n_ue, cfg.snr_db_range[0],
-             cfg.snr_db_range[1], cfg.seed))
+          % (cfg.n_antennas, cfg.n_ue, cfg.snr_db_low, cfg.snr_db_high,
+             cfg.seed))
     stats, _ = generate_scenario(cfg)
     system = assemble_q(stats)
 

@@ -60,7 +60,7 @@ class BeamspaceOperator:
     @property
     def f(self):
         """(N, N) matrix F_x kron F_y, built per access; the pipeline never
-        reads it."""
+        reads it, but perfbench's tracer reads its nbytes (operator_mb)."""
         return np.kron(self.axis_dft, self.axis_dft)
 
 
@@ -92,7 +92,8 @@ def _axis_passes(grid, first, second):
 
 
 def _check_method(method):
-    # the one path; the keyword stays for callers that name it
+    # the one path; the keyword stays for callers that name it, such as
+    # perfbench's drops-n64 workload (method="fft")
     if method != "fft":
         raise ValueError("unknown method %r, expected 'fft'" % method)
 

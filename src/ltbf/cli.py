@@ -130,7 +130,6 @@ def _cmd_gen(args):
     cfg = read_config_file(args.config_file)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    cfg.validate()
     stats, channels = generate_scenario(cfg)
     system = assemble_q(stats)  # rejects the statistics before any file exists
     save_scenario(args.out_path, cfg, stats, channels)
@@ -469,10 +468,7 @@ def run(argv=None):
     except _NUMERICAL_ERRORS as err:
         print("numerical failure: %s" % err, file=sys.stderr)
         return _EXIT_NUMERICAL
-    except FileFormatError as err:
-        print("file error: %s" % err, file=sys.stderr)
-        return _EXIT_IO
-    except OSError as err:
+    except OSError as err:  # FileFormatError among them
         print("file error: %s" % err, file=sys.stderr)
         return _EXIT_IO
 

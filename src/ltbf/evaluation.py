@@ -61,6 +61,8 @@ __all__ = [
 def build_projector(covariance, rank):
     """Dominant-eigenvector basis of a user covariance.
 
+    perfbench's tracer binds the `covariance` argument by name.
+
     Returns an (N, rank) orthonormal matrix whose columns are the top
     eigenvectors in descending eigenvalue order.
     """
@@ -274,6 +276,8 @@ def capacity_vs_iterations(system, score, checkpoints, tolerances,
     there, and its later iterates differ from this run's in the low bits.
     The iterate taken is then the first later one whose estimate and true
     residual are both below it.
+
+    perfbench's tracer binds the `checkpoints` argument by name.
     """
     n = system.matrix.shape[0]
     budgets = [int(b) for b in checkpoints]

@@ -91,6 +91,7 @@ class FlopCounter:
         slot[1] += int(adds)
 
     def merge(self, other):
+        # no caller in the package; perfbench's tracer merges span counts
         self.mults += other.mults
         self.adds += other.adds
         for kernel, (m, a) in other.per_kernel.items():
@@ -300,5 +301,6 @@ def hermitian_evd_small(b, counter=None):
         raise JacobiConvergenceError("hermitian eigensolver did not converge") from err
     if counter is not None:
         model = 9 * b.shape[0] ** 3 // 2
+        # perfbench reads this tag as linalg.jacobi_evd.mults
         counter.add("jacobi_evd", model, model)
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])

@@ -42,15 +42,16 @@ them does.  The buffer starts the file where the first complex block is
 16-byte aligned; a later block sits off the 8-byte complex alignment only
 after an odd number of 36-byte path records, and is copied.
 
-Scenario configs also travel as flat key=value text files; keys match the
-ScenarioConfig field names (snr_db_range splits into snr_db_low and
-snr_db_high), '#' starts a comment.
+ScenarioConfig declares the nine header settings once: its fields, in
+order, are the header's fields and the keys of the flat key=value text
+files that configs also travel as ('#' starts a comment).
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import typing
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -87,9 +88,15 @@ _KIND_MATRIX = 2
 # one 36-byte path record, per stream, per path
 _PATH = np.dtype([("power", "<f8"), ("azimuth", "<f8"), ("elevation", "<f8"),
                   ("phase", "<f8"), ("tap", "<u4")])
+# the scenario header (the ScenarioConfig fields in order), each user's
+# (alpha, symbol_energy) ahead of its covariance, a matrix's (rows, cols)
+_HEADER = struct.Struct("<5I3dQ")
+_USER = struct.Struct("<2d")
+_SHAPE = struct.Struct("<2I")
 # payload offset of each kind's first complex block: a scenario's first
-# covariance follows the 52-byte header and the user's two f64 scalars
-_FIRST_BLOCK = {_KIND_SCENARIO: 68, _KIND_MATRIX: 8}
+# covariance follows the header and the first user's record
+_FIRST_BLOCK = {_KIND_SCENARIO: _HEADER.size + _USER.size,
+                _KIND_MATRIX: _SHAPE.size}
 # rows per panel, and side of a tile, of the N x N passes below: a panel
 # and its column counterpart stay in cache while each entry is read once
 _PANEL = 64
@@ -124,14 +131,18 @@ class DegenerateGeometryError(ConfigError):
 class ScenarioConfig:
     """Knobs of the synthetic scenario generator.
 
+    The fields, in order, are the scenario file header and the keys of a
+    config file, each parsed by its annotated type.
+
     side : array side T; the array has N = side * side antennas.
     n_ue : number of users.
     n_streams : spatial streams per user.
     paths_per_user : propagation paths per stream.
-    snr_db_range : (low, high) post-beamforming SNR targets in dB; users
-        are placed at uniform dB spacing across the range.
-    noise_psd : noise power spectral density N0.
     subcarriers : size of the OFDM grid; also the tap-delay grid.
+    snr_db_low, snr_db_high : post-beamforming SNR targets in dB of the
+        first and last user; users are placed at uniform dB spacing
+        between them.
+    noise_psd : noise power spectral density N0.
     seed : master seed; every draw derives from it deterministically.
     """
 
@@ -139,9 +150,10 @@ class ScenarioConfig:
     n_ue: int = 4
     n_streams: int = 1
     paths_per_user: int = 4
-    snr_db_range: tuple = (-6.0, 14.0)
-    noise_psd: float = 1.0
     subcarriers: int = 256
+    snr_db_low: float = -6.0
+    snr_db_high: float = 14.0
+    noise_psd: float = 1.0
     seed: int = 3301
 
     @property
@@ -161,14 +173,9 @@ class ScenarioConfig:
         if self.n_streams * self.paths_per_user > self.subcarriers:
             raise ConfigError("need n_streams * paths_per_user <= subcarriers "
                               "for distinct tap delays")
-        # the file header stores the counts as u32 and the seed as u64
-        if max(self.n_ue, self.n_streams, self.paths_per_user,
-               self.subcarriers) > 2 ** 32 - 1:
-            raise ConfigError("user, stream, path and subcarrier counts "
-                              "must be at most 2^32 - 1")
-        low, high = self.snr_db_range
+        low, high = self.snr_db_low, self.snr_db_high
         if not (np.isfinite(low) and np.isfinite(high) and low <= high):
-            raise ConfigError("snr_db_range must be a finite (low, high) pair")
+            raise ConfigError("need finite snr_db_low <= snr_db_high")
         try:
             10.0 ** (high / 10.0)  # the largest linear SNR target
         except OverflowError:
@@ -176,9 +183,21 @@ class ScenarioConfig:
                               % high) from None
         if not (np.isfinite(self.noise_psd) and self.noise_psd > 0.0):
             raise ConfigError("noise_psd must be positive")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must lie in [0, 2^64), got %d" % self.seed)
+        try:  # the counts as u32, the seed as u64
+            _HEADER.pack(*_header_values(self))
+        except struct.error as err:
+            raise ConfigError("config does not fit the scenario file header: "
+                              "%s" % err) from None
         return self
+
+
+# config-file key -> the type that parses its value, in header order
+_CONFIG_KEYS = typing.get_type_hints(ScenarioConfig)
+
+
+def _header_values(cfg):
+    """The config's fields in header order; astuple would deep-copy them."""
+    return tuple(getattr(cfg, key) for key in _CONFIG_KEYS)
 
 
 @dataclass
@@ -298,9 +317,10 @@ def _degenerate(steer, n):
 def generate_scenario(cfg):
     """Generate (user statistics, instantaneous channels) for a config.
 
-    Users sit at uniform dB spacing across cfg.snr_db_range.  Tap delays
-    are drawn without replacement per user, which makes the subcarrier
-    average of h h^H reproduce the covariance exactly on the full grid.
+    Users sit at uniform dB spacing from cfg.snr_db_low to cfg.snr_db_high.
+    Tap delays are drawn without replacement per user, which makes the
+    subcarrier average of h h^H reproduce the covariance exactly on the
+    full grid.
 
     Returns
     -------
@@ -310,11 +330,11 @@ def generate_scenario(cfg):
     cfg.validate()
     n = cfg.n_antennas
     k_sc = cfg.subcarriers
+    low, high = cfg.snr_db_low, cfg.snr_db_high
     if cfg.n_ue == 1:
-        targets_db = [0.5 * (cfg.snr_db_range[0] + cfg.snr_db_range[1])]
+        targets_db = [0.5 * (low + high)]
     else:
-        targets_db = [cfg.snr_db_range[0]
-                      + (cfg.snr_db_range[1] - cfg.snr_db_range[0]) * i / (cfg.n_ue - 1)
+        targets_db = [low + (high - low) * i / (cfg.n_ue - 1)
                       for i in range(cfg.n_ue)]
 
     stats = []
@@ -420,19 +440,6 @@ def assemble_q(stats):
         raise ConfigError("assembled system matrix is not finite") from err
 
 
-_CONFIG_KEYS = {
-    "side": int,
-    "n_ue": int,
-    "n_streams": int,
-    "paths_per_user": int,
-    "snr_db_low": float,
-    "snr_db_high": float,
-    "noise_psd": float,
-    "subcarriers": int,
-    "seed": int,
-}
-
-
 def read_config_lines(path):
     """(line number, text) of each line of a UTF-8 config file that is not
     blank once its '#' comment is cut; other bytes are a ConfigError."""
@@ -450,7 +457,6 @@ def read_config_lines(path):
 def read_config_file(path):
     """Parse a flat key=value scenario config file into a ScenarioConfig."""
     cfg = ScenarioConfig()
-    low, high = cfg.snr_db_range
     for lineno, line in read_config_lines(path):
         if "=" not in line:
             raise ConfigError("%s:%d: expected key = value, got %r"
@@ -463,13 +469,7 @@ def read_config_file(path):
         except ValueError as err:
             raise ConfigError("%s:%d: bad value for %s: %r"
                               % (path, lineno, key, value)) from err
-        if key == "snr_db_low":
-            low = parsed
-        elif key == "snr_db_high":
-            high = parsed
-        else:
-            cfg = replace(cfg, **{key: parsed})
-    cfg = replace(cfg, snr_db_range=(low, high))
+        cfg = replace(cfg, **{key: parsed})
     return cfg.validate()
 
 
@@ -533,19 +533,16 @@ def _read_container(path, expect_kind):
     return payload
 
 
+# perfbench's tracer binds the `path` argument of these four by name
 def save_scenario(path, cfg, stats, channels):
     """Write config, covariances and channels as one BSLV container."""
     cfg.validate()
     n = cfg.n_antennas
-    parts = [struct.pack("<5I", cfg.side, cfg.n_ue, cfg.n_streams,
-                         cfg.paths_per_user, cfg.subcarriers),
-             struct.pack("<3d", cfg.snr_db_range[0], cfg.snr_db_range[1],
-                         cfg.noise_psd),
-             struct.pack("<Q", cfg.seed)]
+    parts = [_HEADER.pack(*_header_values(cfg))]
     if len(stats) != cfg.n_ue or len(channels) != cfg.n_ue:
         raise ValueError("stats/channels length must match n_ue")
     for st, ch in zip(stats, channels):
-        parts.append(struct.pack("<2d", st.alpha, st.symbol_energy))
+        parts.append(_USER.pack(st.alpha, st.symbol_energy))
         parts.append(_pack_complex(st.covariance.reshape(n * n)))
         paths = np.empty(cfg.n_streams * cfg.paths_per_user, dtype=_PATH)
         for name, values in zip(_PATH.names, (ch.powers, ch.azimuths,
@@ -567,34 +564,30 @@ def load_scenario(path):
     """
     payload = _read_container(path, _KIND_SCENARIO)
     try:
-        side, n_ue, n_streams, paths, subc = struct.unpack_from("<5I", payload, 0)
-        low, high, noise = struct.unpack_from("<3d", payload, 20)
-        (seed,) = struct.unpack_from("<Q", payload, 44)
+        cfg = ScenarioConfig(*_HEADER.unpack_from(payload, 0))
     except struct.error as err:
         raise MalformedHeaderError("%s: scenario header does not parse" % path) from err
-    cfg = ScenarioConfig(side=side, n_ue=n_ue, n_streams=n_streams,
-                         paths_per_user=paths, snr_db_range=(low, high),
-                         noise_psd=noise, subcarriers=subc, seed=seed)
     cfg.validate()
     n = cfg.n_antennas
-    offset = 52
+    shape = (cfg.n_streams, cfg.paths_per_user)
+    offset = _HEADER.size
     stats = []
     channels = []
-    for _ in range(n_ue):
-        if offset + 16 > len(payload):
+    for _ in range(cfg.n_ue):
+        if offset + _USER.size > len(payload):
             raise ChecksumError("%s: truncated user block" % path)
-        alpha, energy = struct.unpack_from("<2d", payload, offset)
-        offset += 16
+        alpha, energy = _USER.unpack_from(payload, offset)
+        offset += _USER.size
         cov_flat, offset = _unpack_complex(payload, offset, n * n)
         cov = cov_flat.reshape(n, n)
-        records, offset = _unpack(payload, offset, n_streams * paths, _PATH)
-        shape = (n_streams, paths)
+        records, offset = _unpack(payload, offset, shape[0] * shape[1], _PATH)
         powers, azimuths, elevations, phases = (
             records[name].reshape(shape).astype(np.float64)
             for name in _PATH.names[:4])
         taps = records["tap"].reshape(shape).astype(np.int64)
-        h_flat, offset = _unpack_complex(payload, offset, subc * n * n_streams)
-        h = h_flat.reshape(subc, n, n_streams)
+        h_flat, offset = _unpack_complex(
+            payload, offset, cfg.subcarriers * n * cfg.n_streams)
+        h = h_flat.reshape(cfg.subcarriers, n, cfg.n_streams)
         stats.append(UserStats(covariance=cov, alpha=alpha, symbol_energy=energy))
         channels.append(InstantChannel(h=h, powers=powers,
                                        azimuths=azimuths, elevations=elevations,
@@ -611,7 +604,7 @@ def save_matrix(path, a):
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     _write_container(path, _KIND_MATRIX,
-                     [struct.pack("<2I", a.shape[0], a.shape[1]),
+                     [_SHAPE.pack(*a.shape),
                       _pack_complex(a.reshape(-1))])
 
 
@@ -620,10 +613,10 @@ def load_matrix(path):
     buffer."""
     payload = _read_container(path, _KIND_MATRIX)
     try:
-        rows, cols = struct.unpack_from("<2I", payload, 0)
+        rows, cols = _SHAPE.unpack_from(payload, 0)
     except struct.error as err:
         raise MalformedHeaderError("%s: matrix header does not parse" % path) from err
-    flat, offset = _unpack_complex(payload, 8, rows * cols)
+    flat, offset = _unpack_complex(payload, _SHAPE.size, rows * cols)
     if offset != len(payload):
         raise MalformedHeaderError("%s: %d stray payload bytes"
                                    % (path, len(payload) - offset))

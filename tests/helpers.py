@@ -106,8 +106,8 @@ def benchmark_q_config():
     (lambda_9 / lambda_8 is about 0.15), which is what sketch-accuracy
     tests need.
     """
-    return ScenarioConfig(side=8, paths_per_user=2, snr_db_range=(14.0, 14.0),
-                          seed=3327)
+    return ScenarioConfig(side=8, paths_per_user=2, snr_db_low=14.0,
+                          snr_db_high=14.0, seed=3327)
 
 
 def benchmark_q_system():
@@ -119,7 +119,7 @@ def benchmark_q_system():
 def small_scenario_config(**overrides):
     """Fast scenario for unit tests: N=16, 16 subcarriers."""
     base = dict(side=4, n_ue=2, n_streams=1, paths_per_user=2,
-                snr_db_range=(0.0, 10.0), subcarriers=16, seed=421)
+                snr_db_low=0.0, snr_db_high=10.0, subcarriers=16, seed=421)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -338,8 +338,8 @@ def stagnating_case():
     """
     for seed in range(421, 441):
         cfg = small_scenario_config(side=8, n_ue=8, paths_per_user=4,
-                                    snr_db_range=(0.0, 90.0), subcarriers=8,
-                                    seed=seed)
+                                    snr_db_low=0.0, snr_db_high=90.0,
+                                    subcarriers=8, seed=seed)
         stats, channels = generate_scenario(cfg)
         system = assemble_q(stats)
         level_at, stagnated_at = accuracy_stops(system)

@@ -427,7 +427,7 @@ class TestFirstIteration:
 def hard_loading(seed=1):
     """Beamspace side-8 system over -10..50 dB with its q=16 p=4 sketch, the
     widest loading of these tests."""
-    cfg = ScenarioConfig(side=8, n_ue=8, snr_db_range=(-10.0, 50.0),
+    cfg = ScenarioConfig(side=8, n_ue=8, snr_db_low=-10.0, snr_db_high=50.0,
                          subcarriers=64, seed=seed)
     stats, _ = generate_scenario(cfg)
     system = to_beamspace(build_operator(8), assemble_q(stats))
@@ -584,9 +584,9 @@ class TestIterationBound:
     def test_orders_scenarios_by_conditioning(self):
         cfg = CGConfig(max_iters=640, epsilon=1e-6)
         rows = []
-        for snr in [(0.0, 0.0), (-6.0, 14.0)]:
-            scen = ScenarioConfig(side=8, snr_db_range=snr, subcarriers=32,
-                                  seed=3321)
+        for low, high in [(0.0, 0.0), (-6.0, 14.0)]:
+            scen = ScenarioConfig(side=8, snr_db_low=low, snr_db_high=high,
+                                  subcarriers=32, seed=3321)
             stats, _ = generate_scenario(scen)
             system = assemble_q(stats)
             vals, _ = full_evd_oracle(system.matrix)

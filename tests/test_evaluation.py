@@ -313,7 +313,8 @@ class TestExplicitQuotient:
 class TestMMSEBaseline:
     def test_single_user_closed_form(self):
         cfg = ScenarioConfig(side=2, n_ue=1, n_streams=1, paths_per_user=2,
-                             snr_db_range=(6.0, 6.0), subcarriers=8, seed=33)
+                             snr_db_low=6.0, snr_db_high=6.0, subcarriers=8,
+                             seed=33)
         stats, channels = generate_scenario(cfg)
         baseline = mmse_baseline_sinr(stats, channels, cfg.noise_psd)
         for k in range(cfg.subcarriers):
@@ -389,7 +390,7 @@ class TestCapacity:
 def quiet_scene():
     """Vanishing transmit power: Q is I to rounding, so CG attains its
     accuracy after a single iteration."""
-    cfg = small_scenario_config(snr_db_range=(-300.0, -300.0))
+    cfg = small_scenario_config(snr_db_low=-300.0, snr_db_high=-300.0)
     stats, channels = generate_scenario(cfg)
     return cfg, stats, channels, assemble_q(stats)
 

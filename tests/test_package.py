@@ -65,6 +65,21 @@ def test_perfbench_smoke_runs():
     assert "smoke: ok" in done.stdout.splitlines(), done.stdout
 
 
+def test_golden_battery_is_deterministic(tmp_path):
+    # every gen, invert, sweep and report output of one small scenario,
+    # hashed with the output directory masked: two runs agree line for line
+    manifests = []
+    for out in ("a", "b"):
+        done = subprocess.run(
+            [sys.executable, "tools/golden.py", ".", str(tmp_path / out),
+             "--side", "4", "--seeds", "101"],
+            cwd=_ROOT, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        manifests.append(done.stdout.splitlines())
+    assert len(manifests[0]) == 40
+    assert manifests[0] == manifests[1]
+
+
 _DEMOS = sorted(path.name for path in (_ROOT / "demos").glob("*.py"))
 
 

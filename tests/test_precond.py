@@ -284,8 +284,8 @@ class TestDefaultSketch:
         # (a RankDeficiencyError, with no redraw left)
         monkeypatch.setattr(randevd, "_MAX_REDRAWS", 0)
         cfg = ScenarioConfig(side=8, n_ue=8, paths_per_user=8,
-                             snr_db_range=(-10.0, 40.0), subcarriers=64,
-                             seed=seed)
+                             snr_db_low=-10.0, snr_db_high=40.0,
+                             subcarriers=64, seed=seed)
         stats, _ = generate_scenario(cfg)
         system = assemble_q(stats)
         for system in (system, to_beamspace(build_operator(8), system)):

@@ -76,7 +76,7 @@ class TestRecovery:
         # wide eigengap at the truncation rank, so four power iterations pin
         # the leading subspace to oracle accuracy
         cfg = ScenarioConfig(side=8, n_ue=8, n_streams=1, paths_per_user=1,
-                             snr_db_range=(16.0, 26.0), subcarriers=16,
+                             snr_db_low=16.0, snr_db_high=26.0, subcarriers=16,
                              seed=501)
         stats, _ = generate_scenario(cfg)
         system = assemble_q(stats)

@@ -33,7 +33,7 @@ from ltbf.scenario import (
 
 def small_config(**overrides):
     base = dict(side=4, n_ue=2, n_streams=1, paths_per_user=2,
-                snr_db_range=(0.0, 10.0), subcarriers=16, seed=421)
+                snr_db_low=0.0, snr_db_high=10.0, subcarriers=16, seed=421)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -43,7 +43,7 @@ class TestConfig:
         cfg = ScenarioConfig()
         assert cfg.side == 16 and cfg.n_antennas == 256
         assert cfg.n_ue == 4 and cfg.n_streams == 1
-        assert cfg.snr_db_range == (-6.0, 14.0)
+        assert (cfg.snr_db_low, cfg.snr_db_high) == (-6.0, 14.0)
         assert cfg.subcarriers == 256
         cfg.validate()
 
@@ -54,17 +54,18 @@ class TestConfig:
         dict(paths_per_user=0),
         dict(subcarriers=0),
         dict(n_streams=4, paths_per_user=8, subcarriers=16),
-        dict(snr_db_range=(10.0, 0.0)),
-        dict(snr_db_range=(0.0, np.inf)),
+        dict(snr_db_low=10.0, snr_db_high=0.0),
+        dict(snr_db_low=0.0, snr_db_high=np.inf),
         dict(noise_psd=0.0),
         dict(noise_psd=-1.0),
         dict(seed=-1),
         # past what the file header stores: counts as u32, the seed as u64
         dict(side=2 ** 32),
+        dict(n_ue=2 ** 32),
         dict(subcarriers=2 ** 32),
         dict(seed=2 ** 64),
         # a linear SNR target of 10^310 overflows a float
-        dict(snr_db_range=(0.0, 3100.0)),
+        dict(snr_db_low=0.0, snr_db_high=3100.0),
         # N = side^2 past what a matrix file's u32 shape stores
         dict(side=2 ** 16),
     ])
@@ -73,8 +74,9 @@ class TestConfig:
             small_config(**overrides).validate()
 
     def test_validation_accepts_the_header_limits(self):
-        cfg = small_config(side=2 ** 16 - 1, subcarriers=2 ** 32 - 1,
-                           seed=2 ** 64 - 1, snr_db_range=(-4000.0, 3082.0))
+        cfg = small_config(side=2 ** 16 - 1, n_ue=2 ** 32 - 1,
+                           subcarriers=2 ** 32 - 1, seed=2 ** 64 - 1,
+                           snr_db_low=-4000.0, snr_db_high=3082.0)
         assert cfg.validate() is cfg
 
 
@@ -134,13 +136,13 @@ class TestGeneration:
             assert abs(st.symbol_energy - st.alpha * 2.5 * cfg.n_streams) <= 1e-15
 
     def test_snr_targets_uniform_in_db(self):
-        cfg = small_config(n_ue=3, snr_db_range=(0.0, 10.0))
+        cfg = small_config(n_ue=3, snr_db_low=0.0, snr_db_high=10.0)
         stats, _ = generate_scenario(cfg)
         targets_db = [10.0 * np.log10(st.alpha * 16) for st in stats]
         assert np.allclose(targets_db, [0.0, 5.0, 10.0], atol=1e-9)
 
     def test_single_user_takes_midpoint(self):
-        cfg = small_config(n_ue=1, snr_db_range=(0.0, 10.0))
+        cfg = small_config(n_ue=1, snr_db_low=0.0, snr_db_high=10.0)
         stats, _ = generate_scenario(cfg)
         assert abs(10.0 * np.log10(stats[0].alpha * 16) - 5.0) <= 1e-9
 
@@ -163,13 +165,15 @@ class TestGeneration:
 
     def test_colinear_geometry_raises_after_retries(self):
         cfg = ScenarioConfig(side=1, n_ue=1, n_streams=1, paths_per_user=2,
-                             snr_db_range=(0.0, 0.0), subcarriers=8, seed=5)
+                             snr_db_low=0.0, snr_db_high=0.0, subcarriers=8,
+                             seed=5)
         with pytest.raises(DegenerateGeometryError):
             generate_scenario(cfg)
 
     def test_single_antenna_single_path_is_fine(self):
         cfg = ScenarioConfig(side=1, n_ue=1, n_streams=1, paths_per_user=1,
-                             snr_db_range=(0.0, 0.0), subcarriers=8, seed=5)
+                             snr_db_low=0.0, snr_db_high=0.0, subcarriers=8,
+                             seed=5)
         stats, channels = generate_scenario(cfg)
         assert stats[0].covariance.shape == (1, 1)
         assert channels[0].h.shape == (8, 1, 1)
@@ -201,10 +205,10 @@ class TestAssembleQ:
                    - np.real(np.trace(system.matrix)) / 16.0) <= 1e-12
 
     def test_wider_snr_range_worsens_conditioning(self):
-        flat, _ = generate_scenario(small_config(side=8, snr_db_range=(0.0, 0.0),
-                                                 seed=3321))
-        wide, _ = generate_scenario(small_config(side=8, snr_db_range=(-6.0, 14.0),
-                                                 seed=3321))
+        flat, _ = generate_scenario(small_config(
+            side=8, snr_db_low=0.0, snr_db_high=0.0, seed=3321))
+        wide, _ = generate_scenario(small_config(
+            side=8, snr_db_low=-6.0, snr_db_high=14.0, seed=3321))
         def kappa(stats):
             vals = np.linalg.eigvalsh(assemble_q(stats).matrix)
             return vals[-1] / vals[0]
@@ -539,7 +543,7 @@ class TestConfigFile:
             "seed = 11\n")
         cfg = read_config_file(path)
         assert cfg.side == 4 and cfg.n_ue == 2
-        assert cfg.snr_db_range == (-2.5, 7.5)
+        assert (cfg.snr_db_low, cfg.snr_db_high) == (-2.5, 7.5)
         assert cfg.subcarriers == 32 and cfg.seed == 11
 
     def test_unknown_key_names_key_and_line(self, tmp_path):
@@ -573,12 +577,7 @@ class TestConfigFile:
 
 def _config_lines(cfg):
     """A ScenarioConfig as the key = value lines of a config file."""
-    low, high = cfg.snr_db_range
-    values = dict(side=cfg.side, n_ue=cfg.n_ue, n_streams=cfg.n_streams,
-                  paths_per_user=cfg.paths_per_user, snr_db_low=low,
-                  snr_db_high=high, noise_psd=cfg.noise_psd,
-                  subcarriers=cfg.subcarriers, seed=cfg.seed)
-    return "".join("%s = %r\n" % item for item in values.items())
+    return "".join("%s = %r\n" % item for item in vars(cfg).items())
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -595,7 +594,8 @@ def _valid_configs(draw):
     return ScenarioConfig(
         side=draw(st.integers(1, 2 ** 16 - 1)),
         n_ue=draw(st.integers(1, 10 ** 6)),
-        n_streams=n_streams, paths_per_user=paths, snr_db_range=(low, high),
+        n_streams=n_streams, paths_per_user=paths, snr_db_low=low,
+        snr_db_high=high,
         noise_psd=draw(_finite.filter(lambda v: v > 0.0)),
         subcarriers=draw(st.integers(n_streams * paths, 10 ** 6)),
         seed=draw(st.integers(0, 2 ** 64 - 1)))
