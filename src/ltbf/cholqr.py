@@ -63,7 +63,8 @@ def cholesky_qr2(a, counter=None):
     Parameters
     ----------
     a : (n, k) complex ndarray with n >= k >= 1.  Must have numerically
-        full column rank; condition numbers up to roughly 1e7 are fine.
+        full column rank; stable up to condition number about u^-1/2 = 1e8
+        (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015).
     counter : FlopCounter, optional
         Charged through the two Gram products, two Cholesky
         factorizations and two triangular solves.

@@ -16,7 +16,8 @@ The sweep config file holds one solver configuration per line:
 
     NAME domain=antenna|beamspace precond=none|lowrank [q=Q] [p=2]
 
-q, the sketch width, defaults to min(32, N).
+q, the sketch width, defaults to min(32, N).  NAME goes unquoted into the
+CSV tables: it may hold neither ',' nor '"', and "exact" is reserved.
 
 '#' starts a comment.  Without a config file the four standard
 combinations (antenna/beamspace crossed with plain/low-rank) are run.
@@ -95,6 +96,9 @@ def read_sweep_configs(path):
         if "=" in name:
             raise ConfigError("%s:%d: first token must be the config id"
                               % (path, lineno))
+        if "," in name or '"' in name or name == "exact":
+            raise ConfigError("%s:%d: config id %r is 'exact' or holds ',' or "
+                              "'\"'" % (path, lineno, name))
         if name in seen:
             raise ConfigError("%s:%d: duplicate config id %r"
                               % (path, lineno, name))

@@ -26,12 +26,13 @@ map, projectors, SINR, capacity) is written once, by the caller.
 
 Degradation under an inexact inverse is compared against the algebraic
 guarantee rhs = gamma0 * (1-eps)^2 / ((1+eps)^2 + 4*eps*mean(gamma0)),
-with eps the spectral norm of Q X - I.  inverse_error takes that norm as
-the square root of the top eigenvalue of the Gram matrix E^H E, one GEMM
-and a Hermitian eigenvalue solve in place of a values-only SVD (at N = 256
-on a 2-core OpenBLAS machine, 9 ms against 15 ms with two BLAS threads,
-about even with one); the eigenvalue's relative error is of order N u,
-far inside what the bound needs.
+with eps the spectral norm of Q X - I; it holds for eps < 1, and at
+eps >= 1, where Q X may be singular, 1 - eps is clamped at 0 (rhs = 0).
+inverse_error takes that norm as the square root of the top eigenvalue
+of the Gram matrix E^H E, one GEMM and a Hermitian eigenvalue solve in
+place of a values-only SVD (at N = 256 on a 2-core OpenBLAS machine,
+9 ms against 15 ms with two BLAS threads, about even with one); the
+eigenvalue's relative error is of order N u, far inside what the bound needs.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def check_sinr_bound(gamma_exact, gamma_approx, epsilon):
                         / ((1+eps)^2 + 4*eps*mean_i(gamma_exact))
     where the mean runs over user i's own elements (the expectation over
     small-scale fading) and eps is the spectral residual norm of the
-    inverse.
+    inverse.  It holds for eps < 1; at eps >= 1, where Q X may be
+    singular, 1 - eps is clamped at 0, so rhs is 0.
     """
     g0 = np.asarray(gamma_exact, dtype=float)
     g1 = np.asarray(gamma_approx, dtype=float)
@@ -223,8 +225,8 @@ def check_sinr_bound(gamma_exact, gamma_approx, epsilon):
     eps = float(epsilon)
     user_mean = np.mean(g0.reshape(g0.shape[0], -1), axis=1)
     shape = (g0.shape[0],) + (1,) * (g0.ndim - 1)
-    rhs = g0 * (1.0 - eps) ** 2 / ((1.0 + eps) ** 2
-                                   + 4.0 * eps * user_mean.reshape(shape))
+    rhs = g0 * max(1.0 - eps, 0.0) ** 2 / (
+        (1.0 + eps) ** 2 + 4.0 * eps * user_mean.reshape(shape))
     margin = g1 - rhs
     return BoundCheck(rhs=rhs,
                       fraction_ok=float(np.mean(margin >= 0.0)),

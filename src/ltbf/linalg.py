@@ -73,8 +73,9 @@ class JacobiConvergenceError(RuntimeError):
 class FlopCounter:
     """Accumulator for nominal complex-operation counts.
 
-    One counter is created per call context and explicitly merged by the
-    caller; there is no global state.  `mults` and `adds` are totals,
+    A caller passes one counter down a call and reads it back; there is no
+    global state.  The package never merges counters; only perfbench's
+    tracer does, through merge.  `mults` and `adds` are totals,
     `per_kernel` maps a kernel tag to its own [mults, adds] pair.
     """
 
@@ -91,7 +92,6 @@ class FlopCounter:
         slot[1] += int(adds)
 
     def merge(self, other):
-        # no caller in the package; perfbench's tracer merges span counts
         self.mults += other.mults
         self.adds += other.adds
         for kernel, (m, a) in other.per_kernel.items():

@@ -40,7 +40,7 @@ __all__ = ["DEFAULT_WIDTH", "InvalidSpectrumError", "LowRankPreconditioner",
 
 # the sketch runs on L + delta I, delta = SKETCH_SHIFT * max(tr L, 1), so
 # each power step has a condition number of at most about 1e6, inside
-# CholeskyQR2's range of about 1e8
+# CholeskyQR2's stable range, condition numbers up to about u^-1/2 = 1e8
 SKETCH_SHIFT = 1e-6
 # the sketch width when none is given: min(DEFAULT_WIDTH, N)
 DEFAULT_WIDTH = 32

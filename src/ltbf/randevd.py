@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholqr import RankDeficiencyError, cholesky_qr2
+from .cholqr import cholesky_qr2
 from .linalg import DimensionMismatchError, gemm, hermitian_evd_small
 
 __all__ = ["EVDResult", "gaussian_start_block", "randomized_evd"]
-
-_MAX_REDRAWS = 3
 
 
 @dataclass
@@ -69,8 +67,8 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, shift=0.0):
         Power iterations, >= 1.  Each one multiplies by a and
         re-orthonormalizes with CholeskyQR2.
     seed : int
-        Seed for the start block.  On a rank-deficient sketch the block is
-        redrawn with seed+1, seed+2, ... at most three times.
+        Seed for the one start block G.  If a is rank deficient, so is a G
+        for every G, and cholesky_qr2's RankDeficiencyError is raised.
     counter : FlopCounter, optional.
     shift : float
         Each power iteration multiplies by a - shift * I, applied to the
@@ -90,24 +88,16 @@ def randomized_evd(a, rank, power_iters, seed, counter=None, shift=0.0):
     if power_iters < 1:
         raise ValueError("power_iters must be >= 1")
 
-    last_err = None
-    for redraw in range(_MAX_REDRAWS + 1):
-        try:
-            q_cur = gaussian_start_block(n, rank, seed + redraw)
-            for _ in range(power_iters):
-                y = gemm(a, q_cur, counter=counter)
-                if shift:
-                    y -= shift * q_cur
-                    if counter is not None:
-                        counter.add("col_scale", y.size, y.size)
-                q_cur = cholesky_qr2(y, counter=counter)
-            t = gemm(a, q_cur, counter=counter)
-            b = gemm(q_cur.conj().T, t, counter=counter)
-            vals, vecs = hermitian_evd_small(b, counter=counter)
-            u = gemm(q_cur, vecs, counter=counter)
-            return EVDResult(eigvecs=u, eigvals=vals)
-        except RankDeficiencyError as err:
-            last_err = err
-            continue
-    raise RankDeficiencyError(
-        "sketch stayed rank deficient after %d redraws" % _MAX_REDRAWS) from last_err
+    q_cur = gaussian_start_block(n, rank, seed)
+    for _ in range(power_iters):
+        y = gemm(a, q_cur, counter=counter)
+        if shift:
+            y -= shift * q_cur
+            if counter is not None:
+                counter.add("col_scale", y.size, y.size)
+        q_cur = cholesky_qr2(y, counter=counter)
+    t = gemm(a, q_cur, counter=counter)
+    b = gemm(q_cur.conj().T, t, counter=counter)
+    vals, vecs = hermitian_evd_small(b, counter=counter)
+    u = gemm(q_cur, vecs, counter=counter)
+    return EVDResult(eigvecs=u, eigvals=vals)

@@ -708,6 +708,17 @@ class TestSweep:
                                              "--iters", "2",
                                              "--out-dir", str(tmp_path / "r2")])
         assert rc == 2 and "duplicate" in stderr
+        # ids land unquoted in the CSV tables; "exact" labels cdf.csv rows
+        for i, name in enumerate(["a,b", '"q', "exact"], 3):
+            unsafe = write_config(tmp_path / ("bad%d.cfg" % i),
+                                  "%s precond=none\n" % name)
+            out_dir = tmp_path / ("r%d" % i)
+            rc, _, stderr = run_capture(capsys, ["sweep", mid_scenario,
+                                                 "--configs", unsafe,
+                                                 "--iters", "2",
+                                                 "--out-dir", str(out_dir)])
+            assert rc == 2 and "bad%d.cfg:1:" % i in stderr
+            assert not out_dir.exists()
 
 
 class TestReport:

@@ -352,6 +352,25 @@ class TestBoundCheck:
         assert chk.fraction_ok == 1.0
         assert np.max(chk.rhs / g0) <= 0.5
 
+    def test_residual_past_one_gives_zero_rhs(self):
+        # one plain CG step on a -10..40 dB loading leaves eps = 16.1;
+        # unclamped, (1-eps)^2 grew back and 153 of 512 SINRs fell below
+        cfg = ScenarioConfig(side=8, n_ue=8, paths_per_user=8,
+                             snr_db_low=-10.0, snr_db_high=40.0,
+                             subcarriers=64, seed=101)
+        stats, channels = generate_scenario(cfg)
+        system = assemble_q(stats)
+        g0 = scenario_gammas(stats, channels,
+                             direct_inverse_oracle(system.matrix),
+                             cfg.noise_psd)
+        state = cg_inverse(system, config=CGConfig(max_iters=1, epsilon=0.0))
+        _, spec = inverse_error(system, state.x)
+        assert spec >= 1.0
+        gbad = scenario_gammas(stats, channels, state.x, cfg.noise_psd)
+        chk = check_sinr_bound(g0, gbad, spec)
+        assert np.all(chk.rhs == 0.0)
+        assert chk.fraction_ok == 1.0
+
     def test_tiny_residual_keeps_rhs_tight(self, scene):
         _, _, _, _, _, g0 = scene
         chk = check_sinr_bound(g0, g0, 1e-12)

@@ -76,7 +76,7 @@ def test_golden_battery_is_deterministic(tmp_path):
             cwd=_ROOT, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         manifests.append(done.stdout.splitlines())
-    assert len(manifests[0]) == 40
+    assert len(manifests[0]) == 47
     assert manifests[0] == manifests[1]
 
 

@@ -15,7 +15,6 @@ from ltbf.precond import (
     build_preconditioner,
     from_eigenpairs,
 )
-from ltbf import randevd
 from ltbf.randevd import randomized_evd
 from ltbf.scenario import ScenarioConfig, SystemMatrix, assemble_q, generate_scenario
 from oracles import direct_inverse_oracle
@@ -277,12 +276,10 @@ class TestDefaultSketch:
         assert m.eigvals.shape == (min(DEFAULT_WIDTH, n),)
 
     @pytest.mark.parametrize("seed", [101, 102, 103])
-    def test_wide_range_loading_sketches_without_a_redraw(self, monkeypatch,
-                                                          seed):
+    def test_wide_range_loading_sketches_every_width(self, seed):
         # 8 users x 8 paths over -10..40 dB: L has rank 64 = N and spans
         # five decades, yet no power step of any width breaks CholeskyQR2
-        # (a RankDeficiencyError, with no redraw left)
-        monkeypatch.setattr(randevd, "_MAX_REDRAWS", 0)
+        # (a RankDeficiencyError)
         cfg = ScenarioConfig(side=8, n_ue=8, paths_per_user=8,
                              snr_db_low=-10.0, snr_db_high=40.0,
                              subcarriers=64, seed=seed)

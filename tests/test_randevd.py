@@ -167,11 +167,20 @@ class TestDeterminismAndEquivariance:
 
 
 class TestFailureModes:
-    def test_rank_deficient_input_exhausts_redraws(self):
+    def test_rank_deficient_input_raises_after_one_draw(self, monkeypatch):
         v = helpers.random_complex((16, 1), 130)
         rank1 = v @ v.conj().T
-        with pytest.raises(RankDeficiencyError, match="redraws"):
+        seeds = []
+
+        def counted_block(n, cols, seed):
+            seeds.append(seed)
+            return gaussian_start_block(n, cols, seed)
+
+        monkeypatch.setattr(randevd, "gaussian_start_block", counted_block)
+        # a G is rank deficient for every G, so no second draw is made
+        with pytest.raises(RankDeficiencyError):
             randomized_evd(rank1, 3, 2, seed=131)
+        assert seeds == [131]
 
     def test_rank_bounds(self):
         a = np.eye(8, dtype=complex)

@@ -8,7 +8,10 @@ and writes every file under the directory OUT (made if missing):
 - `gen` of the default config at the given side, once per seed;
 - `invert` of each scenario through the four pipelines (antenna or
   beamspace, plain or low-rank) at --eps 1e-6 and 1e-20, with --trace;
-- `sweep` of each scenario at both eps, and `report` of each sweep.
+- `sweep` of each scenario at both eps, and `report` of each sweep;
+- `sweep --configs` of each scenario at --eps 1e-6, and its `report`,
+  over explicit sketch widths and power steps (N = side^2): antenna
+  q=1 p=1, beamspace q=N/2 p=4, antenna q=N p=1 and beamspace q=N p=2.
 
 It prints a manifest to stdout: one line per file written and per
 command's stdout, holding its SHA-256 and its name, with OUT masked in
@@ -33,6 +36,17 @@ import sys
 _EPSILONS = ("1e-6", "1e-20")
 _PIPELINES = [(domain, precond) for domain in ("antenna", "beamspace")
               for precond in ("none", "lowrank")]
+_TABLES = ("capacity.csv", "cdf.csv", "bound.csv", "run_meta.csv",
+           "sparsity.csv")
+
+
+def sketch_configs(n):
+    """Lines of a sweep --configs file: the low-rank setups at explicit
+    widths (q = N is the worst-conditioned sketch) and power steps."""
+    setups = [("antenna", 1, 1), ("beamspace", max(n // 2, 1), 4),
+              ("antenna", n, 1), ("beamspace", n, 2)]
+    return ["%s-q%d-p%d domain=%s precond=lowrank q=%d p=%d\n"
+            % (domain, q, p, domain, q, p) for domain, q, p in setups]
 
 
 def battery(run, out, side, seeds):
@@ -56,9 +70,18 @@ def battery(run, out, side, seeds):
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append("%s  %s" % (digest, name))
 
+    def sweep(path, run_dir, options):
+        call("sweep-" + run_dir, ["sweep", path] + options
+             + ["--out-dir", os.path.join(out, run_dir)])
+        files(*(os.path.join(run_dir, table) for table in _TABLES))
+        call("report-" + run_dir, ["report", os.path.join(out, run_dir)])
+
     config = os.path.join(out, "scene.cfg")
     with open(config, "w", encoding="utf-8") as fh:
         fh.write("side = %d\n" % side)
+    sketches = os.path.join(out, "sketches.cfg")
+    with open(sketches, "w", encoding="utf-8") as fh:
+        fh.writelines(sketch_configs(side * side))
     for seed in seeds:
         scene = "scene-%d" % seed
         path = os.path.join(out, scene + ".bslv")
@@ -72,13 +95,9 @@ def battery(run, out, side, seeds):
                       "--eps", eps, "--out", os.path.join(out, stem + ".inv"),
                       "--trace", os.path.join(out, stem + ".trace.csv")])
                 files(stem + ".inv", stem + ".trace.csv")
-            run_dir = "%s-sweep-%s" % (scene, eps)
-            call("sweep-" + run_dir, ["sweep", path, "--eps", eps,
-                                      "--out-dir", os.path.join(out, run_dir)])
-            files(*(os.path.join(run_dir, table) for table in (
-                "capacity.csv", "cdf.csv", "bound.csv", "run_meta.csv",
-                "sparsity.csv")))
-            call("report-" + run_dir, ["report", os.path.join(out, run_dir)])
+            sweep(path, "%s-sweep-%s" % (scene, eps), ["--eps", eps])
+        sweep(path, "%s-sweep-sketches" % scene,
+              ["--eps", _EPSILONS[0], "--configs", sketches])
     return lines
 
 
