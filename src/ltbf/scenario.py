@@ -44,7 +44,8 @@ after an odd number of 36-byte path records, and is copied.
 
 ScenarioConfig declares the nine header settings once: its fields, in
 order, are the header's fields and the keys of the flat key=value text
-files that configs also travel as ('#' starts a comment).
+files that configs also travel as ('#' starts a comment; each key may
+appear once, and a repeated key is a ConfigError).
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ _SHAPE = struct.Struct("<2I")
 # covariance follows the header and the first user's record
 _FIRST_BLOCK = {_KIND_SCENARIO: _HEADER.size + _USER.size,
                 _KIND_MATRIX: _SHAPE.size}
-# rows per panel, and side of a tile, of the N x N passes below: a panel
+# rows per panel, and side of a tile, of the N x N passes below (the
+# generator's in-place Hermitian part, SystemMatrix, assemble_q): a panel
 # and its column counterpart stay in cache while each entry is read once
 _PANEL = 64
 
@@ -276,18 +278,21 @@ class SystemMatrix:
 
 
 def steering_vector(side, azimuth, elevation):
-    """Half-wavelength T x T planar-array response for one direction.
+    """Half-wavelength T x T planar-array response, one row per direction.
 
     Kronecker product of the two axis responses with directional cosines
-    u = sin(az) cos(el) and v = sin(el); every entry has unit modulus so
-    the squared norm is exactly N.
+    u = sin(az) cos(el) and v = sin(el).  Scalar angles give an (N,)
+    vector; arrays of angles broadcast together and give one length-N row
+    per direction, each entry as the scalar call computes it.  Every entry
+    has unit modulus, so the squared norm is N to rounding.
     """
-    u = np.sin(azimuth) * np.cos(elevation)
-    v = np.sin(elevation)
+    u = np.asarray(np.sin(azimuth) * np.cos(elevation))[..., None]
+    v = np.asarray(np.sin(elevation))[..., None]
     m = np.arange(side)
     ax = np.exp(1j * np.pi * m * u)
     ay = np.exp(1j * np.pi * m * v)
-    return np.kron(ax, ay)
+    rows = ax[..., :, None] * ay[..., None, :]
+    return rows.reshape(rows.shape[:-2] + (side * side,))
 
 
 def _draw_user(cfg, user, attempt):
@@ -302,6 +307,34 @@ def _draw_user(cfg, user, attempt):
     taps = rng.choice(cfg.subcarriers, size=cfg.n_streams * cfg.paths_per_user,
                       replace=False).reshape(shape)
     return azimuths, elevations, powers, phases, taps
+
+
+def _hermitian_part_inplace(c):
+    """Overwrite the square array c with its Hermitian part 0.5 (c + c^H).
+
+    One pass over the tile pairs (i, j), (j, i) on and above the diagonal.
+    Both new tiles are formed from the old ones in two tile buffers before
+    either is written, each entry as the dense form computes it, so the
+    result is bit-identical to 0.5 * (c + c.conj().T) with no N x N
+    temporary.  (Mirroring one new tile into the other would match in
+    value but not in the signed zeros of the imaginary parts.)
+    """
+    n = c.shape[0]
+    buf = np.empty((2, _PANEL * _PANEL), dtype=np.complex128)
+    for i in range(0, n, _PANEL):
+        for j in range(i, n, _PANEL):
+            upper = c[i:i + _PANEL, j:j + _PANEL]
+            lower = c[j:j + _PANEL, i:i + _PANEL]
+            new_upper = buf[0, :upper.size].reshape(upper.shape)
+            new_lower = buf[1, :lower.size].reshape(lower.shape)
+            np.conjugate(lower.T, out=new_upper)
+            new_upper += upper
+            new_upper *= 0.5
+            np.conjugate(upper.T, out=new_lower)
+            new_lower += lower
+            new_lower *= 0.5
+            upper[...] = new_upper
+            lower[...] = new_lower
 
 
 def _degenerate(steer, n):
@@ -342,11 +375,9 @@ def generate_scenario(cfg):
     for user in range(cfg.n_ue):
         for attempt in range(5):
             azimuths, elevations, powers, phases, taps = _draw_user(cfg, user, attempt)
-            steer = np.empty((n, cfg.n_streams * cfg.paths_per_user), dtype=np.complex128)
-            for s in range(cfg.n_streams):
-                for l in range(cfg.paths_per_user):
-                    steer[:, s * cfg.paths_per_user + l] = steering_vector(
-                        cfg.side, azimuths[s, l], elevations[s, l])
+            # column s * paths_per_user + l steers stream s, path l
+            steer = np.ascontiguousarray(steering_vector(
+                cfg.side, azimuths.reshape(-1), elevations.reshape(-1)).T)
             if not _degenerate(steer, n):
                 break
         else:
@@ -355,7 +386,7 @@ def generate_scenario(cfg):
 
         weights = (powers / cfg.n_streams).reshape(-1)
         cov = (steer * weights) @ steer.conj().T
-        cov = 0.5 * (cov + cov.conj().T)
+        _hermitian_part_inplace(cov)
         cov *= n / float(np.real(np.trace(cov)))
 
         target = 10.0 ** (targets_db[user] / 10.0)
@@ -455,8 +486,12 @@ def read_config_lines(path):
 
 
 def read_config_file(path):
-    """Parse a flat key=value scenario config file into a ScenarioConfig."""
+    """Parse a flat key=value scenario config file into a ScenarioConfig.
+
+    Each key may appear once; a repeated key is a ConfigError naming both
+    of its lines."""
     cfg = ScenarioConfig()
+    first_line = {}
     for lineno, line in read_config_lines(path):
         if "=" not in line:
             raise ConfigError("%s:%d: expected key = value, got %r"
@@ -464,6 +499,10 @@ def read_config_file(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+        if key in first_line:
+            raise ConfigError("%s:%d: duplicate config key %r, first set on "
+                              "line %d" % (path, lineno, key, first_line[key]))
+        first_line[key] = lineno
         try:
             parsed = _CONFIG_KEYS[key](value)
         except ValueError as err:

@@ -14,11 +14,15 @@ arithmetic and nothing else:
 - direct_inverse_oracle: the loop Cholesky and substitution against the
   identity;
 - dense_to_beamspace / dense_from_beamspace: the beamspace similarity as
-  two counted products with the explicit DFT matrix op.f.
+  two counted products with the explicit DFT matrix op.f;
+- hermitian_part_oracle, steering_oracle and steering_columns_oracle: the
+  scenario generator's dense Hermitian part and its per-path np.kron
+  steering loop, and generate_scenario_oracle, the generator composed
+  from them.
 
 They share only the private contract helpers of ltbf.linalg (pivot floor,
-counts, shape and Hermitian checks).  The package itself calls none of
-them.
+counts, shape and Hermitian checks) and the generator's draws and
+degeneracy test.  The package itself calls none of them.
 """
 
 import numpy as np
@@ -35,6 +39,7 @@ from ltbf.linalg import (
     fro_norm,
     gemm,
 )
+from ltbf.scenario import _degenerate, _draw_user
 
 
 def cholesky_oracle(w, counter=None):
@@ -220,3 +225,53 @@ def dense_from_beamspace(op, a, counter=None):
     """F^H a F with the explicit DFT matrix, two counted products."""
     f = op.f
     return gemm(gemm(f.conj().T, a, counter=counter), f, counter=counter)
+
+
+def hermitian_part_oracle(c):
+    """Hermitian part of a square matrix, as the dense expression."""
+    return 0.5 * (c + c.conj().T)
+
+
+def steering_oracle(side, azimuth, elevation):
+    """One direction's planar-array response, as np.kron of the two axis
+    responses."""
+    u = np.sin(azimuth) * np.cos(elevation)
+    v = np.sin(elevation)
+    m = np.arange(side)
+    return np.kron(np.exp(1j * np.pi * m * u), np.exp(1j * np.pi * m * v))
+
+
+def steering_columns_oracle(side, azimuths, elevations):
+    """(N, streams * paths) steering columns by the per-path loop: column
+    s * paths + l steers stream s, path l."""
+    streams, paths = azimuths.shape
+    steer = np.empty((side * side, streams * paths), dtype=np.complex128)
+    for s in range(streams):
+        for l in range(paths):
+            steer[:, s * paths + l] = steering_oracle(
+                side, azimuths[s, l], elevations[s, l])
+    return steer
+
+
+def generate_scenario_oracle(cfg):
+    """(covariances, channels) of generate_scenario for a config whose
+    geometry is not degenerate, composed from the slow routes above."""
+    n, k_sc = cfg.n_antennas, cfg.subcarriers
+    covs, hs = [], []
+    for user in range(cfg.n_ue):
+        for attempt in range(5):
+            azimuths, elevations, powers, phases, taps = _draw_user(
+                cfg, user, attempt)
+            steer = steering_columns_oracle(cfg.side, azimuths, elevations)
+            if not _degenerate(steer, n):
+                break
+        weights = (powers / cfg.n_streams).reshape(-1)
+        cov = hermitian_part_oracle((steer * weights) @ steer.conj().T)
+        cov *= n / float(np.real(np.trace(cov)))
+        grid = np.arange(k_sc)
+        coeff = (np.sqrt(powers)[None] * np.exp(1j * phases)[None]
+                 * np.exp(-2j * np.pi * grid[:, None, None] * taps[None] / k_sc))
+        steer3 = steer.reshape(n, cfg.n_streams, cfg.paths_per_user)
+        covs.append(cov)
+        hs.append(np.einsum("nsl,ksl->kns", steer3, coeff))
+    return covs, hs

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -76,8 +78,84 @@ def test_golden_battery_is_deterministic(tmp_path):
             cwd=_ROOT, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         manifests.append(done.stdout.splitlines())
-    assert len(manifests[0]) == 47
+    assert len(manifests[0]) == 52
     assert manifests[0] == manifests[1]
+
+
+def _bench_pairs_tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", _ROOT / "tools" / "bench_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _stub_runner(values):
+    """A benchmark runner printing fixed details and result lines; values
+    maps (tree, seed) to the metric values of that run."""
+    def run(tree, argv):
+        seed = int(argv[argv.index("--seed") + 1])
+        metrics = {name: {"value": value, "unit": "u"}
+                   for name, value in values[tree, seed].items()}
+        details = {"ops": {"untraced": 3}, "failures": [],
+                   "machine": {"nproc": 2, "seed": seed}}
+        result = {"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": metrics}
+        return 0, "%s\n%s\n" % (json.dumps(details), json.dumps(result)), ""
+    return run
+
+
+def test_bench_pairs_reports_runs_and_verdicts(tmp_path):
+    tool = _bench_pairs_tool()
+    spec = json.loads((_ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    trees = {"parent": str(tmp_path / "p"), "change": str(tmp_path / "c")}
+    seeds = [1, 2, 3, 4]
+    values = {}
+    for i, seed in enumerate(seeds):
+        # op_s.p50: the parent's IQR/median exceeds its bound, so however
+        # the change reads, the verdict is unresolved
+        values[trees["parent"], seed] = {
+            "op_s.p50": 1.0 + (1.0 if i % 2 else 0.0), "ops_per_s": 10.0,
+            "setup_s": 1.0, "peak_rss_mb": 100.0}
+        values[trees["change"], seed] = {
+            "op_s.p50": 0.5, "ops_per_s": 12.0,
+            "setup_s": 1.0 + 2.0 * bounds["setup_s"], "peak_rss_mb": 100.0}
+    report = tool.bench_pairs(trees, seeds, 0.5, ["w"], spec,
+                              runner=_stub_runner(values))
+    json.dumps(report)
+    assert {"command", "seconds", "seeds", "machine", "commits", "src_trees",
+            "workloads"} <= set(report)
+    assert report["seeds"] == seeds
+    assert report["machine"]["perfbench"] == {"nproc": 2}
+    entry = report["workloads"]["w"]
+    assert [r["seed"] for r in entry["runs"]["parent"]] == seeds
+    # the tree that runs first alternates from seed to seed
+    assert [r["position"] for r in entry["runs"]["parent"]] == [0, 1, 0, 1]
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+    metrics = entry["metrics"]
+    assert set(metrics) == set(bounds)
+    op = metrics["op_s.p50"]
+    assert op["parent"]["iqr_over_median"] > bounds["op_s.p50"]
+    assert (op["verdict"], op["pairs"], op["pairs_won"]) == ("unresolved", 4, 4)
+    rate = metrics["ops_per_s"]
+    assert (rate["verdict"], rate["pairs_won"]) == ("pass", 4)
+    assert abs(rate["median_change"] - 0.2) <= 1e-12
+    assert (metrics["setup_s"]["verdict"], metrics["setup_s"]["pairs_won"]) \
+        == ("fail", 0)
+    assert metrics["peak_rss_mb"]["verdict"] == "pass"
+    assert {"median", "q1", "q3", "n"} <= set(metrics["setup_s"]["change"])
+
+
+def test_bench_pairs_keeps_a_failed_run_out_of_the_statistics():
+    tool = _bench_pairs_tool()
+    record = tool.parse_run(1, "", "Traceback: boom\n")
+    assert record == {"returncode": 1, "error": "Traceback: boom\n"}
+    metric = {"name": "setup_s", "better": "lower", "bound": 0.25}
+    runs = {"parent": [{"metrics": {"setup_s": 1.0}}, record],
+            "change": [{"metrics": {"setup_s": 0.9}}, {"metrics": {"setup_s": 5.0}}]}
+    out = tool.summarize(runs, metric)
+    assert (out["parent"]["n"], out["pairs"], out["pairs_won"]) == (1, 1, 1)
 
 
 _DEMOS = sorted(path.name for path in (_ROOT / "demos").glob("*.py"))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import oracles
 from ltbf.linalg import DimensionMismatchError, NotFiniteError, fro_norm
 from ltbf.scenario import (
     ChecksumError,
@@ -27,6 +29,7 @@ from ltbf.scenario import (
     save_scenario,
     _PANEL,
     _add_checked,
+    _hermitian_part_inplace,
     steering_vector,
 )
 
@@ -93,6 +96,85 @@ class TestSteering:
     def test_broadside_is_flat(self):
         a = steering_vector(3, 0.0, 0.0)
         assert np.max(np.abs(a - 1.0)) <= 1e-14
+
+
+class TestGeneratorKernels:
+    """The generator's in-place Hermitian part and steering broadcast match
+    their slow routes byte for byte, signed zeros included."""
+
+    @staticmethod
+    def hermitized(c, scale=1.0):
+        got = c.copy()
+        _hermitian_part_inplace(got)
+        got *= scale
+        return got
+
+    @pytest.mark.parametrize("n", [1, _PANEL - 1, _PANEL, _PANEL + 1, 81, 130])
+    def test_hermitian_part_matches_the_oracle(self, n):
+        a = helpers.random_complex((n, 3), n)
+        c = a @ a.conj().T + 1e-3 * helpers.random_complex((n, n), n + 1)
+        want = oracles.hermitian_part_oracle(c)
+        # scaled to trace N, as the generator does after the pass
+        scale = n / float(np.real(np.trace(want)))
+        want *= scale
+        assert self.hermitized(c, scale).tobytes() == want.tobytes()
+
+    def test_signed_zeros_of_symmetric_inputs_match(self):
+        n = 130
+        a = helpers.random_complex((n, n), 5)
+        real_symmetric = (a.real + a.real.T).astype(np.complex128)
+        equal_imaginary = a.real + 1j * (a.imag + a.imag.T)
+        for c in (real_symmetric, equal_imaginary):
+            want = oracles.hermitian_part_oracle(c)
+            # mirroring one tile into its partner would write these bytes
+            assert np.conj(want.T).tobytes() != want.tobytes()
+            assert self.hermitized(c).tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 200), log_scale=st.integers(-150, 150),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hermitian_part_property(self, n, log_scale, seed):
+        c = helpers.random_complex((n, n), seed) * 10.0 ** log_scale
+        want = oracles.hermitian_part_oracle(c)
+        assert self.hermitized(c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", [1, 3, 8])
+    def test_steering_rows_match_scalar_calls(self, side):
+        rng = np.random.default_rng(side)
+        azimuths = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 3))
+        elevations = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 3))
+        rows = steering_vector(side, azimuths, elevations)
+        assert rows.shape == (2, 3, side * side)
+        for idx in np.ndindex(2, 3):
+            one = steering_vector(side, azimuths[idx], elevations[idx])
+            assert one.shape == (side * side,)
+            assert rows[idx].tobytes() == one.tobytes()
+            assert one.tobytes() == oracles.steering_oracle(
+                side, azimuths[idx], elevations[idx]).tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(side=9, n_ue=3, n_streams=2, paths_per_user=3, subcarriers=64),
+        dict(side=1, n_ue=2, n_streams=1, paths_per_user=1, subcarriers=8),
+    ])
+    def test_generator_matches_the_oracle_composition(self, overrides):
+        cfg = small_config(**overrides)
+        stats, channels = generate_scenario(cfg)
+        covs, hs = oracles.generate_scenario_oracle(cfg)
+        for st_, ch, cov, h in zip(stats, channels, covs, hs):
+            assert st_.covariance.tobytes() == cov.tobytes()
+            assert ch.h.tobytes() == h.tobytes()
+
+    def test_generation_makes_no_n_by_n_temporary(self):
+        cfg = ScenarioConfig(side=16)
+        generate_scenario(cfg)  # first-call allocations are not per scenario
+        tracemalloc.start()
+        try:
+            stats, _ = generate_scenario(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense Hermitian part held about 1.2 covariances above these
+        assert peak - held < 0.25 * stats[0].covariance.nbytes
 
 
 class TestGeneration:
@@ -560,6 +642,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as err:
             read_config_file(path)
         assert ":1" in str(err.value)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("side = 4\n# comment\nn_ue = 2\nside = 8\n")
+        with pytest.raises(ConfigError) as err:
+            read_config_file(path)
+        message = str(err.value)
+        assert ":4:" in message and "'side'" in message
+        assert "line 1" in message
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "scene.cfg"

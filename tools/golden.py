@@ -6,6 +6,9 @@ Runs `ltbf.cli.run` in this process, with `ltbf` imported from TREE/src,
 and writes every file under the directory OUT (made if missing):
 
 - `gen` of the default config at the given side, once per seed;
+- `gen` of a multi-stream config at the given side (3 users, 2 streams,
+  3 paths each, 64 subcarriers), once per seed, and its beamspace
+  low-rank `invert` at --eps 1e-6, with --trace;
 - `invert` of each scenario through the four pipelines (antenna or
   beamspace, plain or low-rank) at --eps 1e-6 and 1e-20, with --trace;
 - `sweep` of each scenario at both eps, and `report` of each sweep;
@@ -36,6 +39,10 @@ import sys
 _EPSILONS = ("1e-6", "1e-20")
 _PIPELINES = [(domain, precond) for domain in ("antenna", "beamspace")
               for precond in ("none", "lowrank")]
+# the multi-stream config's lines after `side`: the stream and path order
+# of each user's steering columns shows only with n_streams > 1
+_MULTI_STREAM = ("n_ue = 3\nn_streams = 2\npaths_per_user = 3\n"
+                 "subcarriers = 64\n")
 _TABLES = ("capacity.csv", "cdf.csv", "bound.csv", "run_meta.csv",
            "sparsity.csv")
 
@@ -79,6 +86,9 @@ def battery(run, out, side, seeds):
     config = os.path.join(out, "scene.cfg")
     with open(config, "w", encoding="utf-8") as fh:
         fh.write("side = %d\n" % side)
+    multi_config = os.path.join(out, "multi.cfg")
+    with open(multi_config, "w", encoding="utf-8") as fh:
+        fh.write("side = %d\n%s" % (side, _MULTI_STREAM))
     sketches = os.path.join(out, "sketches.cfg")
     with open(sketches, "w", encoding="utf-8") as fh:
         fh.writelines(sketch_configs(side * side))
@@ -98,6 +108,17 @@ def battery(run, out, side, seeds):
             sweep(path, "%s-sweep-%s" % (scene, eps), ["--eps", eps])
         sweep(path, "%s-sweep-sketches" % scene,
               ["--eps", _EPSILONS[0], "--configs", sketches])
+        multi = "multi-%d" % seed
+        multi_path = os.path.join(out, multi + ".bslv")
+        call("gen-" + multi, ["gen", multi_config, multi_path,
+                              "--seed", str(seed)])
+        stem = multi + "-beamspace-lowrank-" + _EPSILONS[0]
+        call("invert-" + stem,
+             ["invert", multi_path, "--domain", "beamspace", "--precond",
+              "lowrank", "--eps", _EPSILONS[0],
+              "--out", os.path.join(out, stem + ".inv"),
+              "--trace", os.path.join(out, stem + ".trace.csv")])
+        files(multi + ".bslv", stem + ".inv", stem + ".trace.csv")
     return lines
 
 
