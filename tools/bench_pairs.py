@@ -110,8 +110,9 @@ def summarize(runs, metric):
         base = out["parent"]["median"]
         if base:
             out["median_change"] = (out["change"]["median"] - base) / abs(base)
-    spread = out["parent"] and out["parent"]["iqr_over_median"]
-    if out["median_change"] is None or spread is None or spread > bound:
+    # a median change implies a nonzero parent median, so a spread
+    if (out["median_change"] is None
+            or out["parent"]["iqr_over_median"] > bound):
         out["verdict"] = "unresolved"
     else:
         # a positive sign * change is the change being worse
