@@ -90,19 +90,47 @@ def _bench_pairs_tool():
     return tool
 
 
-def _stub_runner(values):
-    """A benchmark runner printing fixed details and result lines; values
-    maps (tree, seed) to the metric values of that run."""
+def _stub_runner(values, seen=None):
+    """A benchmark runner printing fixed details and result lines.  values
+    maps (tree, seed) to the metric values of that run, or to None for a
+    run that crashes; a "failed" entry among the values sets the run's
+    failed ops (and makes it incorrect).  seen, if given, collects each
+    argv."""
     def run(tree, argv):
+        if seen is not None:
+            seen.append(argv)
         seed = int(argv[argv.index("--seed") + 1])
+        entry = values[tree, seed]
+        if entry is None:
+            return 1, "", "Traceback: boom\n"
+        entry = dict(entry)
+        failed = entry.pop("failed", 0)
         metrics = {name: {"value": value, "unit": "u"}
-                   for name, value in values[tree, seed].items()}
+                   for name, value in entry.items()}
         details = {"ops": {"untraced": 3}, "failures": [],
                    "machine": {"nproc": 2, "seed": seed}}
-        result = {"correct": True, "attempted": 4, "failed": 0,
+        result = {"correct": not failed, "attempted": 4, "failed": failed,
                   "metrics": metrics}
         return 0, "%s\n%s\n" % (json.dumps(details), json.dumps(result)), ""
     return run
+
+
+def _steady(setup_s=1.0):
+    return {"op_s.p50": 1.0, "ops_per_s": 10.0, "setup_s": setup_s,
+            "peak_rss_mb": 100.0}
+
+
+def _bench(tool, tmp_path, parent, change, seeds=(1, 2, 3, 4)):
+    """The report of stub runs whose values are parent(i) and change(i)
+    for the i-th seed."""
+    spec = json.loads((_ROOT / "BENCHMARK.json").read_text())
+    trees = {"parent": str(tmp_path / "p"), "change": str(tmp_path / "c")}
+    values = {}
+    for i, seed in enumerate(seeds):
+        values[trees["parent"], seed] = parent(i)
+        values[trees["change"], seed] = change(i)
+    return tool.bench_pairs(trees, list(seeds), ["w"], spec,
+                            runner=_stub_runner(values))["workloads"]["w"]
 
 
 def test_bench_pairs_reports_runs_and_verdicts(tmp_path):
@@ -113,31 +141,38 @@ def test_bench_pairs_reports_runs_and_verdicts(tmp_path):
     seeds = [1, 2, 3, 4]
     values = {}
     for i, seed in enumerate(seeds):
-        # op_s.p50: the parent's IQR/median exceeds its bound, so however
-        # the change reads, the verdict is unresolved
+        # op_s.p50: the parent's IQR/median exceeds its bound and the
+        # sides' runs overlap, so the verdict is unresolved
         values[trees["parent"], seed] = {
             "op_s.p50": 1.0 + (1.0 if i % 2 else 0.0), "ops_per_s": 10.0,
             "setup_s": 1.0, "peak_rss_mb": 100.0}
         values[trees["change"], seed] = {
-            "op_s.p50": 0.5, "ops_per_s": 12.0,
+            "op_s.p50": 1.0 if i < 2 else 0.5, "ops_per_s": 12.0,
             "setup_s": 1.0 + 2.0 * bounds["setup_s"], "peak_rss_mb": 100.0}
-    report = tool.bench_pairs(trees, seeds, 0.5, ["w"], spec,
-                              runner=_stub_runner(values))
+    seen = []
+    report = tool.bench_pairs(trees, seeds, ["w"], spec,
+                              runner=_stub_runner(values, seen))
     json.dumps(report)
     assert {"command", "seconds", "seeds", "machine", "commits", "src_trees",
             "workloads"} <= set(report)
+    # every run lasts the benchmark's run length
+    assert report["seconds"] == spec["run_seconds"]
+    assert all(argv[argv.index("--seconds") + 1] == str(spec["run_seconds"])
+               for argv in seen)
     assert report["seeds"] == seeds
     assert report["machine"]["perfbench"] == {"nproc": 2}
     entry = report["workloads"]["w"]
     assert [r["seed"] for r in entry["runs"]["parent"]] == seeds
     # the tree that runs first alternates from seed to seed
     assert [r["position"] for r in entry["runs"]["parent"]] == [0, 1, 0, 1]
-    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert entry["failures"] == {
+        side: {"crashed": 0, "incorrect": 0, "failed_share": 0.0}
+        for side in ("parent", "change")}
     metrics = entry["metrics"]
     assert set(metrics) == set(bounds)
     op = metrics["op_s.p50"]
     assert op["parent"]["iqr_over_median"] > bounds["op_s.p50"]
-    assert (op["verdict"], op["pairs"], op["pairs_won"]) == ("unresolved", 4, 4)
+    assert (op["verdict"], op["pairs"], op["pairs_won"]) == ("unresolved", 4, 3)
     rate = metrics["ops_per_s"]
     assert (rate["verdict"], rate["pairs_won"]) == ("pass", 4)
     assert abs(rate["median_change"] - 0.2) <= 1e-12
@@ -147,15 +182,69 @@ def test_bench_pairs_reports_runs_and_verdicts(tmp_path):
     assert {"median", "q1", "q3", "n"} <= set(metrics["setup_s"]["change"])
 
 
-def test_bench_pairs_keeps_a_failed_run_out_of_the_statistics():
+def test_bench_pairs_keeps_a_failed_run_out_of_the_statistics(tmp_path):
     tool = _bench_pairs_tool()
-    record = tool.parse_run(1, "", "Traceback: boom\n")
-    assert record == {"returncode": 1, "error": "Traceback: boom\n"}
-    metric = {"name": "setup_s", "better": "lower", "bound": 0.25}
-    runs = {"parent": [{"metrics": {"setup_s": 1.0}}, record],
-            "change": [{"metrics": {"setup_s": 0.9}}, {"metrics": {"setup_s": 5.0}}]}
-    out = tool.summarize(runs, metric)
-    assert (out["parent"]["n"], out["pairs"], out["pairs_won"]) == (1, 1, 1)
+    assert tool.parse_run(1, "", "Traceback: boom\n") \
+        == {"returncode": 1, "error": "Traceback: boom\n"}
+    # seed 0: the parent crashes; seed 1: a change run fails a check and
+    # reads 50 s; seed 2: a parent run fails a check.  The change has no
+    # more crashes and a smaller failed-op share, so the statistics decide.
+    entry = _bench(tool, tmp_path,
+                   lambda i: {0: None, 2: dict(_steady(), failed=1)}.get(
+                       i, _steady()),
+                   lambda i: dict(_steady(50.0), failed=1) if i == 1
+                   else _steady())
+    assert entry["failures"]["parent"] == {
+        "crashed": 1, "incorrect": 1, "failed_share": 1 / 12}
+    assert entry["failures"]["change"] == {
+        "crashed": 0, "incorrect": 1, "failed_share": 1 / 16}
+    setup = entry["metrics"]["setup_s"]
+    assert (setup["parent"]["n"], setup["change"]["n"]) == (2, 3)
+    assert setup["change"]["median"] == 1.0
+    assert (setup["pairs"], setup["verdict"]) == (1, "pass")
+
+
+@pytest.mark.parametrize("case, parent, change, reason", [
+    ("every change run crashes", lambda i: _steady(), lambda i: None,
+     "no usable change run"),
+    ("every run fails a check", lambda i: dict(_steady(), failed=1),
+     lambda i: dict(_steady(0.5), failed=1), "no usable change run"),
+    ("one more crash", lambda i: _steady(),
+     lambda i: None if i == 2 else _steady(0.5),
+     "more crashed runs than the parent"),
+    ("more failed ops", lambda i: _steady(),
+     lambda i: dict(_steady(0.5), failed=1) if i == 3 else _steady(0.5),
+     "a larger share of failed ops than the parent"),
+])
+def test_bench_pairs_fails_a_change_that_fails_more(tmp_path, case, parent,
+                                                    change, reason):
+    # the change's usable runs read better, yet every metric fails
+    entry = _bench(_bench_pairs_tool(), tmp_path, parent, change)
+    for metric in entry["metrics"].values():
+        assert (metric["verdict"], metric["reason"]) == ("fail", reason)
+
+
+def test_bench_pairs_resolves_runs_that_do_not_overlap(tmp_path):
+    tool = _bench_pairs_tool()
+    # the parent's spread exceeds the bound, but every change run reads
+    # better than every parent run: pass
+    entry = _bench(tool, tmp_path, lambda i: _steady(1.0 + i),
+                   lambda i: _steady(0.9 - 0.1 * i))
+    setup = entry["metrics"]["setup_s"]
+    assert setup["parent"]["iqr_over_median"] > setup["bound"]
+    assert setup["verdict"] == "pass"
+    # every change run reads worse, and the median by more than the
+    # bound: fail
+    entry = _bench(tool, tmp_path, lambda i: _steady(1.0 + i),
+                   lambda i: _steady(10.0 + i))
+    assert entry["metrics"]["setup_s"]["verdict"] == "fail"
+    # worse in every run, but the median within the bound: the spread
+    # leaves it unresolved
+    entry = _bench(tool, tmp_path, lambda i: _steady(1.0 + 0.5 * (i % 2)),
+                   lambda i: _steady(1.51 + 0.01 * i))
+    setup = entry["metrics"]["setup_s"]
+    assert setup["parent"]["iqr_over_median"] > setup["bound"]
+    assert setup["verdict"] == "unresolved"
 
 
 _DEMOS = sorted(path.name for path in (_ROOT / "demos").glob("*.py"))

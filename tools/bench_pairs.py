@@ -1,30 +1,38 @@
 """Paired benchmark runs of two checkouts, written to one JSON file.
 
     python tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
-        [--seeds 601,...] [--seconds S] [--workloads a,b]
+        [--seeds 601,...] [--workloads a,b]
 
 For each workload of CHANGE's BENCHMARK.json and each seed, runs the
 benchmark command it declares,
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once with PARENT and once with CHANGE as the working directory, so each
-tree runs its own sources.  The tree that goes first alternates from seed
-to seed.  Each run's last stdout line is its result object and the line
+with T the run_seconds of BENCHMARK.json, so that every run lasts the
+benchmark's run length.  It runs once with PARENT and once with CHANGE as
+the working directory, so each tree runs its own sources.  The tree that
+goes first alternates from seed to seed.  Each run's last stdout line is its result object and the line
 before it the details object.  The JSON file holds:
 
 - machine facts, the seeds, the run length and both trees' commits (and
   the tree hash of their src/, which names the sources run);
 - every run of both sides: result, metrics, op counts and failures;
+- per workload: each side's crashed runs (a non-zero exit or no result
+  line), runs that failed a check (`correct` false) and failed ops over
+  attempted ops;
 - per workload and metric of the BENCHMARK.json end_to_end list: each
-  side's median and quartiles, the pairs the change won, the change of the
+  side's median and quartiles over its usable runs (exit 0 and `correct`
+  true), the pairs of usable runs the change won, the change of the
   median and a verdict against the metric's bound, read from
-  BENCHMARK.json: "pass", "fail" when the median is worse by more than the
-  bound, or "unresolved" when the parent's own IQR/median exceeds it.
+  BENCHMARK.json.
 
---seconds defaults to BENCHMARK.json's run_seconds.  A run that exits
-non-zero or prints no result is kept with its exit status and its
-stderr tail, and counts in no statistic.
+The verdict is "fail" when the change has no usable run, more crashed
+runs than the parent, or a larger share of failed ops, whatever its
+metrics read.  Otherwise it is "pass" when every change run reads better
+than every parent run, and "unresolved" when the parent's own IQR/median
+exceeds the bound, unless every change run reads worse than every parent
+run and the median is worse by more than the bound.  Else it is "fail"
+when the median is worse by more than the bound and "pass" when not.
 """
 
 from __future__ import annotations
@@ -76,6 +84,11 @@ def parse_run(code, stdout, stderr):
             "machine": details.get("machine")}
 
 
+def usable(record):
+    """Whether a run exited 0, reported its metrics and passed its checks."""
+    return record.get("correct") is True and "metrics" in record
+
+
 def quartiles(values):
     """(q1, median, q3) by linear interpolation between order statistics."""
     ordered = sorted(values)
@@ -85,11 +98,40 @@ def quartiles(values):
     return q1, median, q3
 
 
+def failures(runs):
+    """Per side: crashed runs, runs that failed a check and the share of
+    failed ops over the ops attempted by the runs that reported."""
+    out = {}
+    for side in SIDES:
+        attempted = sum(r.get("attempted") or 0 for r in runs[side])
+        failed = sum(r.get("failed") or 0 for r in runs[side])
+        out[side] = {
+            "crashed": sum(1 for r in runs[side] if "metrics" not in r),
+            "incorrect": sum(1 for r in runs[side]
+                             if "metrics" in r and r.get("correct") is not True),
+            "failed_share": failed / attempted if attempted else None}
+    return out
+
+
+def failure_reason(runs):
+    """Why the change fails on this workload whatever its metrics read, or
+    None."""
+    counts = failures(runs)
+    if not any(usable(r) for r in runs["change"]):
+        return "no usable change run"
+    if counts["change"]["crashed"] > counts["parent"]["crashed"]:
+        return "more crashed runs than the parent"
+    if ((counts["change"]["failed_share"] or 0.0)
+            > (counts["parent"]["failed_share"] or 0.0)):
+        return "a larger share of failed ops than the parent"
+    return None
+
+
 def summarize(runs, metric):
     """Per-side statistics, pairs won and the verdict of one gated metric."""
     name, better, bound = metric["name"], metric["better"], metric["bound"]
     values = {side: [r["metrics"][name] for r in runs[side]
-                     if name in r.get("metrics", {})] for side in SIDES}
+                     if usable(r) and name in r["metrics"]] for side in SIDES}
     out = {"bound": bound, "better": better}
     for side in SIDES:
         if not values[side]:
@@ -99,10 +141,12 @@ def summarize(runs, metric):
         out[side] = {"n": len(values[side]), "median": median, "q1": q1,
                      "q3": q3,
                      "iqr_over_median": (q3 - q1) / abs(median) if median else None}
+    # sign * value is lower for the better reading
     sign = 1.0 if better == "lower" else -1.0
     pairs = [(p["metrics"][name], c["metrics"][name])
              for p, c in zip(runs["parent"], runs["change"])
-             if name in p.get("metrics", {}) and name in c.get("metrics", {})]
+             if usable(p) and usable(c)
+             and name in p["metrics"] and name in c["metrics"]]
     out["pairs"] = len(pairs)
     out["pairs_won"] = sum(1 for p, c in pairs if sign * (c - p) < 0.0)
     out["median_change"] = None
@@ -110,21 +154,32 @@ def summarize(runs, metric):
         base = out["parent"]["median"]
         if base:
             out["median_change"] = (out["change"]["median"] - base) / abs(base)
-    # a median change implies a nonzero parent median, so a spread
-    if (out["median_change"] is None
-            or out["parent"]["iqr_over_median"] > bound):
+    reason = failure_reason(runs)
+    if reason is not None:
+        out["verdict"], out["reason"] = "fail", reason
+        return out
+    if out["median_change"] is None:
+        out["verdict"] = "unresolved"
+        return out
+    # a positive sign * change is the change being worse
+    worse = sign * out["median_change"] > bound
+    change = [sign * v for v in values["change"]]
+    parent = [sign * v for v in values["parent"]]
+    if max(change) < min(parent):
+        out["verdict"] = "pass"
+    elif (out["parent"]["iqr_over_median"] > bound
+          and not (worse and min(change) > max(parent))):
         out["verdict"] = "unresolved"
     else:
-        # a positive sign * change is the change being worse
-        out["verdict"] = ("fail" if sign * out["median_change"] > bound
-                          else "pass")
+        out["verdict"] = "fail" if worse else "pass"
     return out
 
 
-def bench_pairs(trees, seeds, seconds, workloads, spec,
-                runner=run_benchmark, log=None):
+def bench_pairs(trees, seeds, workloads, spec, runner=run_benchmark,
+                log=None):
     """The report object of paired runs of trees = {"parent": ..,
     "change": ..}: every run, then each workload's gated metrics."""
+    seconds = spec["run_seconds"]
     report = {"command": spec["command"], "seconds": seconds,
               "seeds": list(seeds),
               "machine": {"platform": platform.platform(),
@@ -155,17 +210,10 @@ def bench_pairs(trees, seeds, seconds, workloads, spec,
                                                or record.get("error")))
         report["workloads"][workload] = {
             "runs": runs,
-            "failed_share": {side: _failed_share(runs[side]) for side in SIDES},
+            "failures": failures(runs),
             "metrics": {m["name"]: summarize(runs, m)
                         for m in spec["end_to_end"]}}
     return report
-
-
-def _failed_share(runs):
-    """Failed ops over attempted ops of a side's runs that reported."""
-    attempted = sum(r.get("attempted") or 0 for r in runs)
-    failed = sum(r.get("failed") or 0 for r in runs)
-    return failed / attempted if attempted else None
 
 
 def main(argv=None):
@@ -175,20 +223,17 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
                         help="comma list of run seeds, one pair each")
-    parser.add_argument("--seconds", type=float,
-                        help="seconds per run (default: run_seconds)")
     parser.add_argument("--workloads",
                         help="comma list (default: every workload)")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"),
               encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
     seeds = [int(tok) for tok in args.seeds.split(",")]
     trees = {"parent": args.parent, "change": args.change}
-    report = bench_pairs(trees, seeds, seconds, workloads, spec,
+    report = bench_pairs(trees, seeds, workloads, spec,
                          log=lambda text: print(text, file=sys.stderr,
                                                 flush=True))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -196,8 +241,9 @@ def main(argv=None):
         fh.write("\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
-            print("%s %s: %s (pairs won %d/%d)"
-                  % (workload, name, m["verdict"], m["pairs_won"], m["pairs"]))
+            print("%s %s: %s (pairs won %d/%d)%s"
+                  % (workload, name, m["verdict"], m["pairs_won"], m["pairs"],
+                     ": " + m["reason"] if "reason" in m else ""))
     return 0
 
 
