@@ -120,16 +120,16 @@ def _steady(setup_s=1.0):
             "peak_rss_mb": 100.0}
 
 
-def _bench(tool, tmp_path, parent, change, seeds=(1, 2, 3, 4)):
-    """The report of stub runs whose values are parent(i) and change(i)
-    for the i-th seed."""
+def _bench(tool, tmp_path, parent, change):
+    """The workload entry of four stub pairs whose values are parent(i)
+    and change(i) for seed i."""
     spec = json.loads((_ROOT / "BENCHMARK.json").read_text())
     trees = {"parent": str(tmp_path / "p"), "change": str(tmp_path / "c")}
     values = {}
-    for i, seed in enumerate(seeds):
-        values[trees["parent"], seed] = parent(i)
-        values[trees["change"], seed] = change(i)
-    return tool.bench_pairs(trees, list(seeds), ["w"], spec,
+    for seed in range(4):
+        values[trees["parent"], seed] = parent(seed)
+        values[trees["change"], seed] = change(seed)
+    return tool.bench_pairs(trees, range(4), ["w"], spec,
                             runner=_stub_runner(values))["workloads"]["w"]
 
 
