@@ -103,8 +103,9 @@ def to_beamspace(op, system, method="fft"):
 
     The result is tagged with the beamspace domain; SystemMatrix keeps its
     Hermitian part, which removes the round-off drift of the transform,
-    and raises NotFiniteError if the transform overflowed.  Trace and
-    spectrum are preserved.
+    and raises NotFiniteError if the transform overflowed.  The Hermitian
+    part is formed in the transform's own output, so the call holds one
+    N x N block.  Trace and spectrum are preserved.
     """
     _check_method(method)
     if system.domain != "antenna":
@@ -113,7 +114,7 @@ def to_beamspace(op, system, method="fft"):
     grid = _as_grid(system.matrix, op.side)
     with np.errstate(over="ignore", invalid="ignore"):  # SystemMatrix rejects it
         qb = _axis_passes(grid, np.fft.fft, np.fft.ifft)
-    return SystemMatrix(qb.reshape(system.matrix.shape), "beamspace")
+    return SystemMatrix._adopt(qb.reshape(system.matrix.shape), "beamspace")
 
 
 def from_beamspace(op, x_b, method="fft"):

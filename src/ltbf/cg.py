@@ -57,6 +57,15 @@ accuracy_level_scale(system) * ||X_k||_F the level.  X is rebound to a
 fresh array every iteration, so the hook may keep a reference to it.
 
 residual_history is the only per-iteration record a run keeps.
+
+The N x N blocks a run holds are Q, P, S, R and X, plus after iteration
+1 Z = M^-1 R (R itself in plain CG), the scratch where checks form
+I - Q X, and the iterate kept for a "stagnated" stop while X has moved
+past it.  No identity or zero block is held: P_0 is M^-1 applied to an
+identity that lives for that call, X_1 = P_0 diag(alpha) + 0.0 (the
++ 0.0 turns -0 parts into +0, as 0 + v does), R_1 is formed in S_0's
+block, and I - Q X is formed in place, as 1 - y on the diagonal and
+0 - y off it.  Every block matches the dense form byte for byte.
 """
 
 from __future__ import annotations
@@ -144,10 +153,19 @@ def accuracy_level_scale(system):
     return _LEVEL_C * unit_roundoff * fro_norm(q) / q.shape[0]
 
 
-def _true_residual(q, x, eye, out, counter):
+def _identity_minus(y):
+    """Overwrite the square block y with I - y, each entry as
+    np.eye(n) - y forms it: 1 - y on the diagonal, 0 - y off it (never
+    -y, which differs on +0 parts)."""
+    diagonal = 1.0 - np.diagonal(y)
+    np.subtract(0.0, y, out=y)
+    y.flat[::y.shape[0] + 1] = diagonal
+    return y
+
+
+def _true_residual(q, x, out, counter):
     """I - Q X written into out (allocated when None), and its scaled norm."""
-    out = gemm(q, x, counter=counter, out=out)
-    np.subtract(eye, out, out=out)
+    out = _identity_minus(gemm(q, x, counter=counter, out=out))
     return out, float(fro_norm(out) / np.sqrt(q.shape[0]))
 
 
@@ -156,8 +174,9 @@ def _first_block(q, preconditioner, counter):
 
     Every preconditioner here is Hermitian, so S_0 = (M^-1 Q)^H: one apply
     to Q in place of an N x N product, or Q itself for plain CG (M = I).
-    S_0 is written into a block of its own, since later iterations
-    overwrite S in place and an apply may return the block it was given.
+    P_0 is M^-1 applied to an identity that lives for the call only.
+    S_0 is written into a block of its own, since iteration 1 overwrites
+    it with R_1 and an apply may return the block it was given.
     """
     n = q.shape[0]
     if preconditioner is None:
@@ -203,8 +222,7 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
     n = q.shape[0]
     _validate(config, n)
 
-    eye = np.eye(n, dtype=np.complex128)
-    x = np.zeros((n, n), dtype=np.complex128)
+    x = None  # X_0 = 0 is never formed; a zero budget returns it
     t = None  # scratch for the true residual I - Q X formed at checks
     history = []
     iterations = 0
@@ -218,7 +236,6 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
 
     for it in range(config.max_iters):
         if it == 0:  # X_0 = 0, R_0 = I
-            r = eye.copy()
             p, s = _first_block(q, preconditioner, counter)
             rz = np.diagonal(p).copy()  # r_j^H z_j = e_j^H P_0 e_j
         else:
@@ -227,8 +244,18 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
         frozen |= np.abs(ps) < _FREEZE_EPS
         denom = np.where(frozen, 1.0, ps)
         alpha = np.where(frozen, 0.0, rz / denom)
-        x = x + p * alpha[None, :]
-        r -= s * alpha[None, :]
+        # S diag(alpha) goes into S's block, which the next product
+        # overwrites; X is a fresh block every iteration
+        x_new = p * alpha[None, :]
+        s *= alpha[None, :]
+        if it == 0:
+            x_new += 0.0  # as 0 + P_0 alpha: -0 parts become +0
+            r = _identity_minus(s)  # R_1 = I - S_0 alpha, in S_0's block
+            s = None  # S takes a block of its own at iteration 2
+        else:
+            x_new += x
+            r -= s
+        x = x_new
         if counter is not None:
             counter.add("col_scale", 2 * n * n, 2 * n * n)
         estimate = float(fro_norm(r) / np.sqrt(n))
@@ -241,7 +268,7 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
         # recursion: the true residual of X_1, a check at no product
         exact = it == 0 or checking or last
         if it > 0 and exact:
-            t, res = _true_residual(q, x, eye, t, counter)
+            t, res = _true_residual(q, x, t, counter)
         history.append(res)
         if not (np.isfinite(estimate) and np.isfinite(res)
                 and np.all(np.isfinite(alpha))):
@@ -261,7 +288,7 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
             stop = "converged"
         if stop is not None:
             if not exact:
-                t, history[-1] = _true_residual(q, x, eye, t, counter)
+                t, history[-1] = _true_residual(q, x, t, counter)
             break
         if passed:  # past iteration 1, which converges when it passes
             r[...] = t  # the true residual replaces the recursive one
@@ -283,6 +310,8 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
 
     # a zero budget returns X = 0, whose residual is I
     residual = history[-1] if history else 1.0
+    if x is None:
+        x = np.zeros((n, n), dtype=np.complex128)
     if stop == "stagnated":
         x, residual = kept_x, kept
     return CGState(x=x, residual=residual, iterations=iterations, stop=stop,
@@ -291,6 +320,4 @@ def cg_inverse(system, preconditioner=None, *, config, counter=None,
 
 def residual_norm(system, x):
     """Scaled true residual ||Q X - I||_F / sqrt(N) of a candidate inverse."""
-    q = system.matrix
-    eye = np.eye(q.shape[0], dtype=np.complex128)
-    return _true_residual(q, x, eye, None, None)[1]
+    return _true_residual(system.matrix, x, None, None)[1]

@@ -91,11 +91,14 @@ def inverse_error(system, x):
     The Frobenius figure is ||Q X - I||_F / sqrt(N), matching the solver's
     stopping rule; the spectral norm of Q X - I is the operator-level eps
     entering the SINR guarantee, taken from the Gram matrix (see
-    _spectral_norm).  A residual holding NaN raises LinAlgError.
+    _spectral_norm).  A residual holding NaN raises LinAlgError.  Q X - I
+    is formed in the product's block: subtracting 0 off the diagonal
+    changes no bit, signed zeros included.
     """
     q = system.matrix
     n = q.shape[0]
-    resid = q @ x - np.eye(n, dtype=q.dtype)
+    resid = q @ x
+    resid.flat[::n + 1] -= 1.0
     fro = float(np.linalg.norm(resid)) / np.sqrt(n)
     return fro, _spectral_norm(resid)
 

@@ -67,14 +67,17 @@ class LowRankPreconditioner:
         """Apply the preconditioner to an (n, m) block.
 
         Never forms the dense operator; two thin products and a diagonal
-        scaling, charged to the counter under "precond_apply".
+        scaling, charged to the counter under "precond_apply".  The
+        difference is written into the product's block, so the call holds
+        one (n, m) block, the one it returns.
         """
         if block.ndim != 2 or block.shape[0] != self.eigvecs.shape[0]:
             raise DimensionMismatchError(
                 "block must have %d rows, got shape %s"
                 % (self.eigvecs.shape[0], (block.shape,)))
         proj = np.matmul(self.eigvecs.conj().T, block)
-        out = block - np.matmul(self.eigvecs, self.weights[:, None] * proj)
+        out = np.matmul(self.eigvecs, self.weights[:, None] * proj)
+        np.subtract(block, out, out=out)
         if counter is not None:
             n, m = block.shape
             rank = self.eigvals.shape[0]

@@ -238,12 +238,15 @@ class SystemMatrix:
     """A system matrix tagged with its domain and mean diagonal level.
 
     The one place that makes a system matrix valid, so that solvers and
-    sketches take it as Hermitian unchecked.  Construction reads the input
-    as complex128, rejects one that is not 2-D, square and non-empty with
-    DimensionMismatchError and stores its Hermitian part 0.5 (m + m^H),
-    formed panel by panel into one new array; a NotFiniteError follows if
-    that holds a non-finite entry (a non-finite input, or an overflow) or
-    its trace overflows.  Positive definiteness is left to the solvers.
+    sketches take it as Hermitian unchecked.  Construction copies the input
+    into a new row-major complex128 array, rejects one that is not 2-D,
+    square and non-empty with DimensionMismatchError and overwrites the
+    copy with its Hermitian part 0.5 (m + m^H) by the tile-pair pass of
+    _hermitian_part_inplace; a NotFiniteError follows if that holds a
+    non-finite entry (a non-finite input, or an overflow) or its trace
+    overflows.  Positive definiteness is left to the solvers.  assemble_q
+    and to_beamspace hand over the array they built through _adopt, which
+    forms the Hermitian part in that array, so no second block is made.
 
     matrix : (N, N) Hermitian.
     domain : "antenna" or "beamspace".
@@ -257,24 +260,28 @@ class SystemMatrix:
     sigma2: float = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        self._store(np.array(self.matrix, dtype=np.complex128, order="C"))
+
+    @classmethod
+    def _adopt(cls, m, domain):
+        """The system of a row-major complex128 array m that the caller
+        built and hands over: m itself becomes its Hermitian part."""
+        system = cls.__new__(cls)
+        system.domain = domain
+        system._store(m)
+        return system
+
+    def _store(self, m):
         if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] != m.shape[0]:
             raise DimensionMismatchError(
                 "system matrix must be square and non-empty, got %s" % (m.shape,))
-        n = m.shape[0]
-        h = np.empty((n, n), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, n, _PANEL):
-                rows = h[i:i + _PANEL]
-                np.conjugate(m[:, i:i + _PANEL].T, out=rows)
-                rows += m[i:i + _PANEL]
-                rows *= 0.5
-                if not np.isfinite(rows).all():
-                    raise NotFiniteError("system matrix has non-finite entries")
-            self.sigma2 = float(np.real(np.trace(h))) / n
+            if not _hermitian_part_inplace(m):
+                raise NotFiniteError("system matrix has non-finite entries")
+            self.sigma2 = float(np.real(np.trace(m))) / m.shape[0]
         if not np.isfinite(self.sigma2):
             raise NotFiniteError("system matrix trace overflows")
-        self.matrix = h
+        self.matrix = m
 
 
 def steering_vector(side, azimuth, elevation):
@@ -310,17 +317,20 @@ def _draw_user(cfg, user, attempt):
 
 
 def _hermitian_part_inplace(c):
-    """Overwrite the square array c with its Hermitian part 0.5 (c + c^H).
+    """Overwrite the square array c with its Hermitian part 0.5 (c + c^H)
+    and return whether every entry of it is finite.
 
     One pass over the tile pairs (i, j), (j, i) on and above the diagonal.
     Both new tiles are formed from the old ones in two tile buffers before
-    either is written, each entry as the dense form computes it, so the
+    either is written, each entry as conj(c^T) + c, then * 0.5, so the
     result is bit-identical to 0.5 * (c + c.conj().T) with no N x N
     temporary.  (Mirroring one new tile into the other would match in
-    value but not in the signed zeros of the imaginary parts.)
+    value but not in the signed zeros of the imaginary parts.)  The
+    finiteness check reads the new tiles while they sit in the buffers.
     """
     n = c.shape[0]
     buf = np.empty((2, _PANEL * _PANEL), dtype=np.complex128)
+    finite = True
     for i in range(0, n, _PANEL):
         for j in range(i, n, _PANEL):
             upper = c[i:i + _PANEL, j:j + _PANEL]
@@ -333,8 +343,10 @@ def _hermitian_part_inplace(c):
             np.conjugate(upper.T, out=new_lower)
             new_lower += lower
             new_lower *= 0.5
+            finite = finite and np.isfinite(buf[:, :upper.size]).all()
             upper[...] = new_upper
             lower[...] = new_lower
+    return bool(finite)
 
 
 def _degenerate(steer, n):
@@ -466,7 +478,7 @@ def assemble_q(stats):
                 raise ConfigError("symbol_energy must be positive and finite, "
                                   "got %r" % st.symbol_energy)
     try:
-        return SystemMatrix(q, "antenna")
+        return SystemMatrix._adopt(q, "antenna")
     except NotFiniteError as err:
         raise ConfigError("assembled system matrix is not finite") from err
 

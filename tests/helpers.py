@@ -14,6 +14,7 @@ import csv
 import os
 import struct
 import tempfile
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,6 +25,27 @@ from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import build_projectors, capacity, scenario_gammas
 from ltbf.scenario import (ScenarioConfig, assemble_q, generate_scenario,
                            save_matrix, save_scenario)
+
+
+def peak_blocks(fn, block_nbytes):
+    """tracemalloc peak of a call of fn, its output included, in blocks of
+    block_nbytes above what was allocated before it.  A first untraced call
+    keeps one-time allocations (caches, imports) out of the figure."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / block_nbytes
+
+
+def side16_system():
+    """Antenna system of the default config at side 16 (N = 256), the size
+    of the working-set tests."""
+    stats, _ = generate_scenario(ScenarioConfig(side=16))
+    return stats, assemble_q(stats)
 
 
 def triple_loop_gemm(a, b):

@@ -18,6 +18,11 @@ arithmetic and nothing else:
 - hermitian_part_oracle, steering_oracle and steering_columns_oracle: the
   scenario generator's dense Hermitian part and its per-path np.kron
   steering loop, and generate_scenario_oracle, the generator composed
+  from them;
+- first_iterate_oracle, first_residual_oracle,
+  identity_minus_product_oracle and product_minus_identity_oracle: the
+  dense forms with an explicit zero or identity block that cg_inverse and
+  inverse_error form in place, and block_cg_oracle, block CG composed
   from them.
 
 They share only the private contract helpers of ltbf.linalg (pivot floor,
@@ -275,3 +280,70 @@ def generate_scenario_oracle(cfg):
         covs.append(cov)
         hs.append(np.einsum("nsl,ksl->kns", steer3, coeff))
     return covs, hs
+
+
+def first_iterate_oracle(p0, alpha):
+    """X_1 = 0 + P_0 diag(alpha), with an explicit zero block."""
+    return np.zeros_like(p0) + p0 * alpha[None, :]
+
+
+def first_residual_oracle(s0, alpha):
+    """R_1 = I - S_0 diag(alpha), with an explicit identity."""
+    return np.eye(s0.shape[0], dtype=np.complex128) - s0 * alpha[None, :]
+
+
+def identity_minus_product_oracle(q, x):
+    """I - Q X, with an explicit identity."""
+    return np.eye(q.shape[0], dtype=np.complex128) - q @ x
+
+
+def product_minus_identity_oracle(q, x):
+    """Q X - I, with an explicit identity."""
+    return q @ x - np.eye(q.shape[0], dtype=np.complex128)
+
+
+def block_cg_oracle(q, preconditioner, iters):
+    """(X_iters, its true residual block) of block CG from X_0 = 0, with the
+    solver's step and freeze rules on explicit blocks.
+
+    It matches cg_inverse(max_iters=iters, epsilon=0) byte for byte on a
+    run that stops on its budget with no residual replacement, which holds
+    at epsilon 0 (the true residual never falls below it).  The residual
+    block of iters = 1 is R_1 itself, which cg_inverse records as X_1's.
+    """
+    n = q.shape[0]
+    if preconditioner is None:
+        def apply(block):
+            return block
+        p = np.eye(n, dtype=np.complex128)
+        s = q.copy()
+    else:
+        apply = preconditioner.apply
+        p = apply(np.eye(n, dtype=np.complex128))
+        # S_0 = Q P_0 = (M^-1 Q)^H, in row-major order as cg_inverse keeps it
+        s = np.ascontiguousarray(np.conjugate(apply(q).T))
+    rz = np.diagonal(p).copy()
+    frozen = np.zeros(n, dtype=bool)
+    for it in range(iters):
+        if it > 0:
+            s = q @ p
+        ps = np.einsum("ij,ij->j", p.conj(), s)
+        frozen |= np.abs(ps) < 1e-300
+        alpha = np.where(frozen, 0.0, rz / np.where(frozen, 1.0, ps))
+        if it == 0:
+            x = first_iterate_oracle(p, alpha)
+            r = first_residual_oracle(s, alpha)
+        else:
+            x = x + p * alpha[None, :]
+            r = r - s * alpha[None, :]
+        if it + 1 == iters:
+            break
+        z = apply(r)
+        rz_new = np.einsum("ij,ij->j", r.conj(), z)
+        frozen |= np.abs(rz) < 1e-300
+        beta = np.where(frozen, 0.0, rz_new / np.where(frozen, 1.0, rz))
+        if np.any(frozen):
+            z = np.where(frozen[None, :], 0.0, z)
+        p = p * beta[None, :] + z
+        rz = rz_new
+    return x, r if iters == 1 else identity_minus_product_oracle(q, x)

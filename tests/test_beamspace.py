@@ -198,6 +198,14 @@ class TestTransforms:
         direct = direct_inverse_oracle(system.matrix)
         assert fro_norm(chained - direct) <= 1e-9
 
+    def test_forward_transform_holds_one_block(self):
+        # side 16 (N = 256): the Hermitian part is formed in the FFT
+        # output; 2.13 when SystemMatrix copied it
+        _, system = helpers.side16_system()
+        op = build_operator(16)
+        assert helpers.peak_blocks(lambda: to_beamspace(op, system),
+                                   system.matrix.nbytes) <= 1.5
+
     def test_domain_guard(self):
         op = build_operator(4)
         system = scenario_system(3334)

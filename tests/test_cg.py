@@ -5,10 +5,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import oracles
 from ltbf.cg import (
     CGConfig,
     CGState,
     NumericalBreakdownError,
+    _true_residual,
     accuracy_level_scale,
     cg_inverse,
     residual_norm,
@@ -422,6 +424,99 @@ class TestFirstIteration:
                            config=CGConfig(max_iters=160, epsilon=eps))
         assert state.iterations > 1
         assert system.matrix.tobytes() == before
+
+
+def diagonal_system():
+    """A diagonal Q with entries of both signs: every off-diagonal entry is
+    an exact zero, and the negative steps of plain CG give X_1 -0 parts."""
+    return dense_system(np.diag([3.0, -7.0, 0.3, 11.0, -0.6, 5.0]))
+
+
+def dense_form_case(case, precond):
+    """(system, preconditioner or None) of the dense-form comparisons."""
+    if case == "diagonal":
+        system = diagonal_system()
+        # coordinate eigenvectors keep P_0 diagonal, its zeros exact
+        pre = from_eigenpairs(np.eye(6)[:, :2], [5.0, 0.25])
+    else:
+        system = scenario_system(3327, side=4)
+        pre = build_preconditioner(system, rank=4, power_iters=2, seed=1)
+    return system, pre if precond == "low-rank" else None
+
+
+class TestDenseForms:
+    """cg_inverse forms in place what the oracles form with an explicit
+    zero or identity block, byte for byte, signed zeros included."""
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("precond", ["plain", "low-rank"])
+    @pytest.mark.parametrize("case", ["diagonal", "scenario"])
+    def test_run_matches_the_dense_forms(self, case, precond, iters):
+        system, pre = dense_form_case(case, precond)
+        state = cg_inverse(system, preconditioner=pre,
+                           config=CGConfig(max_iters=iters, epsilon=0.0))
+        x, resid = oracles.block_cg_oracle(system.matrix, pre, iters)
+        assert state.stop == "budget"
+        assert state.x.tobytes() == x.tobytes()
+        n = system.matrix.shape[0]
+        assert state.residual == fro_norm(resid) / np.sqrt(n)
+
+    def test_diagonal_case_holds_the_signed_zeros(self):
+        # plain CG's first step on it: P_0 = I, S_0 = Q
+        q = diagonal_system().matrix
+        eye = np.eye(6, dtype=np.complex128)
+        alpha = np.diagonal(eye) / np.einsum("ij,ij->j", eye.conj(), q)
+        # -0 parts, which 0 + v turns into +0
+        assert np.signbit((eye * alpha[None, :]).real).any()
+        # +0 parts, where -v would write -0 and 0 - v writes +0
+        step = q * alpha[None, :]
+        assert (-step).tobytes() != (0.0 - step).tobytes()
+
+    @pytest.mark.parametrize("case", ["diagonal", "scenario"])
+    def test_true_residual_matches_the_dense_form(self, case):
+        system, _ = dense_form_case(case, "plain")
+        q = system.matrix
+        x = cg_inverse(system, config=CGConfig(max_iters=3, epsilon=0.0)).x
+        resid, norm = _true_residual(q, x, None, None)
+        want = oracles.identity_minus_product_oracle(q, x)
+        assert resid.tobytes() == want.tobytes()
+        assert norm == fro_norm(want) / np.sqrt(q.shape[0])
+        # written into the scratch block it is given
+        scratch = np.empty_like(q)
+        assert _true_residual(q, x, scratch, None)[0] is scratch
+        assert scratch.tobytes() == want.tobytes()
+
+
+class TestWorkingSet:
+    """N x N blocks a run holds above Q, at side 16 (N = 256); each bound
+    sits over the figure measured here, with the parent's in its comment."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return helpers.side16_system()[1]
+
+    def test_one_iteration_low_rank_run(self, system):
+        pre = build_preconditioner(system, rank=None, power_iters=2, seed=1)
+        config = CGConfig(max_iters=1, epsilon=0.0)
+        # P_0, S_0 (then R_1) and X_1, plus one apply's output at a time;
+        # 7.13 with a held identity, a zero X_0 and temporaries
+        assert helpers.peak_blocks(
+            lambda: cg_inverse(system, pre, config=config),
+            system.matrix.nbytes) <= 3.5
+
+    def test_plain_multi_iteration_run(self, system):
+        config = CGConfig(max_iters=12, epsilon=0.0)
+        # P, S, R, X, X_1 kept for a stagnated stop, and the next X or the
+        # check scratch; 7.15 with a held identity and temporaries
+        assert helpers.peak_blocks(
+            lambda: cg_inverse(system, config=config),
+            system.matrix.nbytes) <= 6.5
+
+    def test_residual_norm(self, system):
+        x = np.eye(system.matrix.shape[0], dtype=np.complex128)
+        # the product's block only; 2.00 with an explicit identity
+        assert helpers.peak_blocks(lambda: residual_norm(system, x),
+                                   system.matrix.nbytes) <= 1.5
 
 
 def hard_loading(seed=1):

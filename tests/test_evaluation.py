@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
 import ltbf.cli as cli
+import ltbf.evaluation as evaluation
+import oracles
 from ltbf.cg import CGConfig, cg_inverse, residual_norm
 from ltbf.evaluation import (
     _spectral_norm,
@@ -93,6 +98,50 @@ class TestInverseError:
         with pytest.raises(np.linalg.LinAlgError):
             inverse_error(system, xbad)
         assert np.linalg.LinAlgError in cli._NUMERICAL_ERRORS
+
+    @staticmethod
+    def spectral_spy(monkeypatch):
+        """Record the block inverse_error hands to _spectral_norm and the
+        tracemalloc peak reached by then."""
+        seen = {}
+
+        def spy(a):
+            if tracemalloc.is_tracing():
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["resid"] = a.copy()
+            return _spectral_norm(a)
+
+        monkeypatch.setattr(evaluation, "_spectral_norm", spy)
+        return seen
+
+    @pytest.mark.parametrize("case", ["diagonal", "scenario"])
+    def test_residual_matches_the_dense_form(self, case, scene, monkeypatch):
+        if case == "diagonal":
+            # exact zeros off the diagonal, with -0 parts in X
+            system = SystemMatrix(np.diag([3.0, -7.0, 0.3, 11.0]), "antenna")
+            x = np.diag(1.0 / np.array([3.0, -7.0, 0.3, 11.0])).astype(complex)
+            x[0, 1] = -0.0
+        else:
+            system = scene[3]
+            x = cg_inverse(system, config=CGConfig(max_iters=3,
+                                                   epsilon=0.0)).x
+        seen = self.spectral_spy(monkeypatch)
+        fro, spec = inverse_error(system, x)
+        want = oracles.product_minus_identity_oracle(system.matrix, x)
+        assert seen["resid"].tobytes() == want.tobytes()
+        n = system.matrix.shape[0]
+        assert (fro, spec) == (float(np.linalg.norm(want)) / np.sqrt(n),
+                               _spectral_norm(want))
+
+    def test_residual_is_formed_in_the_product_block(self, monkeypatch):
+        _, system = helpers.side16_system()
+        x = np.eye(system.matrix.shape[0], dtype=np.complex128)
+        seen = self.spectral_spy(monkeypatch)
+        helpers.peak_blocks(lambda: inverse_error(system, x),
+                            system.matrix.nbytes)
+        # up to the Gram route, which adds a conjugate copy and the Gram
+        # matrix on top: 3.00 with an explicit identity and the product
+        assert seen["peak"] / system.matrix.nbytes <= 1.5
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 24), rank=st.integers(1, 24),

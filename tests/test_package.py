@@ -179,6 +179,12 @@ def test_bench_pairs_reports_runs_and_verdicts(tmp_path):
     assert (metrics["setup_s"]["verdict"], metrics["setup_s"]["pairs_won"]) \
         == ("fail", 0)
     assert metrics["peak_rss_mb"]["verdict"] == "pass"
+    # a gain takes 9 of every 10 pairs and a median move past the
+    # parent's IQR: every pair and 2.0 past an IQR of 0 for ops_per_s;
+    # 3 of 4 pairs for op_s.p50; none for a tie or a loss
+    assert {name: m["gain"] for name, m in metrics.items()} == {
+        "op_s.p50": False, "ops_per_s": True, "setup_s": False,
+        "peak_rss_mb": False}
     assert {"median", "q1", "q3", "n"} <= set(metrics["setup_s"]["change"])
 
 
@@ -222,6 +228,7 @@ def test_bench_pairs_fails_a_change_that_fails_more(tmp_path, case, parent,
     entry = _bench(_bench_pairs_tool(), tmp_path, parent, change)
     for metric in entry["metrics"].values():
         assert (metric["verdict"], metric["reason"]) == ("fail", reason)
+        assert metric["gain"] is False
 
 
 def test_bench_pairs_resolves_runs_that_do_not_overlap(tmp_path):
@@ -233,6 +240,13 @@ def test_bench_pairs_resolves_runs_that_do_not_overlap(tmp_path):
     setup = entry["metrics"]["setup_s"]
     assert setup["parent"]["iqr_over_median"] > setup["bound"]
     assert setup["verdict"] == "pass"
+    # the medians 2.5 and 0.75 differ by more than the parent's IQR, 1.5
+    assert setup["gain"] is True
+    # better in every pair, but the median by 0.5, within the IQR: no gain
+    entry = _bench(tool, tmp_path, lambda i: _steady(1.0 + i),
+                   lambda i: _steady(0.5 + i))
+    setup = entry["metrics"]["setup_s"]
+    assert (setup["pairs_won"], setup["gain"]) == (4, False)
     # every change run reads worse, and the median by more than the
     # bound: fail
     entry = _bench(tool, tmp_path, lambda i: _steady(1.0 + i),

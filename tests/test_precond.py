@@ -143,6 +143,14 @@ class TestApply:
         assert counter.mults <= 1.1 * (2 * rank * n * m_cols + n * m_cols)
         assert set(counter.per_kernel) == {"precond_apply"}
 
+    def test_n_by_n_apply_holds_one_block(self):
+        # side 16 (N = 256): the output and two thin (N, rank) products;
+        # 2.13 when the difference took a block of its own
+        _, system = helpers.side16_system()
+        pre = build_preconditioner(system, rank=None, power_iters=2, seed=1)
+        assert helpers.peak_blocks(lambda: pre.apply(system.matrix),
+                                   system.matrix.nbytes) <= 1.5
+
 
 class TestBuildFromSystem:
     def test_matches_direct_inverse_of_surrogate(self):

@@ -339,6 +339,27 @@ class TestSystemMatrix:
         again = SystemMatrix(q, "antenna").matrix
         assert again.tobytes() == q.tobytes()
 
+    def test_copies_the_callers_array(self):
+        # a real-symmetric input: the dense form's signed zeros differ from
+        # a mirrored tile's, and a complex128 row-major array is the one
+        # np.asarray would not copy
+        a = helpers.random_complex((130, 130), 5)
+        m = (a.real + a.real.T).astype(np.complex128)
+        before = m.tobytes()
+        for arg in (m, np.asfortranarray(m)):
+            system = SystemMatrix(arg, "antenna")
+            assert m.tobytes() == before
+            assert not np.shares_memory(system.matrix, m)
+            assert system.matrix.flags.c_contiguous
+            assert system.matrix.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+
+    def test_assemble_q_holds_one_block(self):
+        # side 16 (N = 256): Q and one panel of alpha C; 2.13 when
+        # SystemMatrix copied Q
+        stats, system = helpers.side16_system()
+        assert helpers.peak_blocks(lambda: assemble_q(stats),
+                                   system.matrix.nbytes) <= 1.5
+
     @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), (0, 0)])
     def test_shape_rejected(self, shape):
         with pytest.raises(DimensionMismatchError):

@@ -23,8 +23,8 @@ before it the details object.  The JSON file holds:
 - per workload and metric of the BENCHMARK.json end_to_end list: each
   side's median and quartiles over its usable runs (exit 0 and `correct`
   true), the pairs of usable runs the change won, the change of the
-  median and a verdict against the metric's bound, read from
-  BENCHMARK.json.
+  median, a verdict against the metric's bound, read from
+  BENCHMARK.json, and whether the change is a gain.
 
 The verdict is "fail" when the change has no usable run, more crashed
 runs than the parent, or a larger share of failed ops, whatever its
@@ -33,6 +33,11 @@ than every parent run, and "unresolved" when the parent's own IQR/median
 exceeds the bound, unless every change run reads worse than every parent
 run and the median is worse by more than the bound.  Else it is "fail"
 when the median is worse by more than the bound and "pass" when not.
+
+`gain` is true when the change won at least 9 of every 10 pairs and its
+median reads better than the parent's by more than the parent's IQR,
+the rule a claimed gain is held to; never where the verdict fails for
+crashes or failed ops.
 """
 
 from __future__ import annotations
@@ -155,6 +160,11 @@ def summarize(runs, metric):
         if base:
             out["median_change"] = (out["change"]["median"] - base) / abs(base)
     reason = failure_reason(runs)
+    out["gain"] = bool(
+        reason is None and out["pairs"]
+        and out["pairs_won"] >= 0.9 * out["pairs"]
+        and sign * (out["parent"]["median"] - out["change"]["median"])
+        > out["parent"]["q3"] - out["parent"]["q1"])
     if reason is not None:
         out["verdict"], out["reason"] = "fail", reason
         return out
@@ -241,8 +251,9 @@ def main(argv=None):
         fh.write("\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
-            print("%s %s: %s (pairs won %d/%d)%s"
+            print("%s %s: %s (pairs won %d/%d)%s%s"
                   % (workload, name, m["verdict"], m["pairs_won"], m["pairs"],
+                     ", gain" if m["gain"] else "",
                      ": " + m["reason"] if "reason" in m else ""))
     return 0
 
