@@ -45,8 +45,9 @@ from .linalg import (CholeskyBreakdownError, FlopCounter,
                      SingularTriangularError)
 from .precond import InvalidSpectrumError, build_preconditioner, sketch_width
 from .scenario import (ConfigError, FileFormatError, assemble_q,
-                       generate_scenario, load_scenario, read_config_file,
-                       read_config_lines, save_matrix, save_scenario)
+                       generate_scenario, load_scenario, load_system,
+                       read_config_file, read_config_lines, save_matrix,
+                       save_scenario)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -181,13 +182,11 @@ def _check_iterations(what, count, n):
 
 
 def _cmd_invert(args):
-    cfg, stats = load_scenario(args.scenario)[:2]
+    cfg, system = load_system(args.scenario)
     _check_sketch(args.q, args.p, cfg.n_antennas)
     _check_eps(args.eps)
     if args.max_iters is not None:
         _check_iterations("--max-iters", args.max_iters, cfg.n_antennas)
-    system = assemble_q(stats)
-    del stats  # the covariances are not needed past Q
     operator = build_operator(cfg.side)
     setup = SolverSetup("invert", domain=args.domain, precond=args.precond,
                         q=args.q, p=args.p)

@@ -35,12 +35,30 @@ Matrix payload:
     u32 rows, u32 cols
     rows * cols complex entries, row-major, each (f64 re, f64 im)
 
-The loaders read a file into one buffer and check its CRC over the whole
-payload before any array is made.  The loaded covariance, channel and
-matrix arrays are views into that buffer, which lives as long as any of
-them does.  The buffer starts the file where the first complex block is
-16-byte aligned; a later block sits off the 8-byte complex alignment only
-after an odd number of 36-byte path records, and is copied.
+load_scenario and load_matrix read a file into one buffer and check its
+CRC over the whole payload before any array is made.  The loaded
+covariance, channel and matrix arrays are views into that buffer, which
+lives as long as any of them does.  The buffer starts the file where the
+first complex block is 16-byte aligned; a later block sits off the 8-byte
+complex alignment only after an odd number of 36-byte path records, and
+is copied.
+
+load_system reads a scenario file in one sequential pass for the system
+matrix alone, and holds Q plus one N x N buffer whatever the file's size:
+each covariance is read into the buffer, checked and added into Q, and
+the path and channel bytes pass through the same buffer unread.  Its
+contract:
+
+- Q's bytes and the exception class of a rejected file are those of
+  assemble_q(load_scenario(path)[1]); both routes share the frame,
+  header, size and per-user checks.
+- No array leaves before the CRC over the whole payload has passed.  Any
+  header, config, size or statistics error waits for the end of the CRC
+  pass, so a corrupt or truncated file raises only a FileFormatError
+  subclass, even where a partial sum would fail a statistics check first.
+- The payload size the header implies is compared with the file's size
+  (os.fstat) before any N x N block is made; a read that comes back
+  short, as from a file cut while it is read, is a ChecksumError.
 
 ScenarioConfig declares the nine header settings once: its fields, in
 order, are the header's fields and the keys of the flat key=value text
@@ -78,6 +96,7 @@ __all__ = [
     "read_config_file",
     "save_scenario",
     "load_scenario",
+    "load_system",
     "save_matrix",
     "load_matrix",
 ]
@@ -89,15 +108,19 @@ _KIND_MATRIX = 2
 # one 36-byte path record, per stream, per path
 _PATH = np.dtype([("power", "<f8"), ("azimuth", "<f8"), ("elevation", "<f8"),
                   ("phase", "<f8"), ("tap", "<u4")])
-# the scenario header (the ScenarioConfig fields in order), each user's
-# (alpha, symbol_energy) ahead of its covariance, a matrix's (rows, cols)
+# each user's record ahead of its covariance
+_USER = np.dtype([("alpha", "<f8"), ("symbol_energy", "<f8")])
+# the scenario header (the ScenarioConfig fields in order), a matrix's
+# (rows, cols)
 _HEADER = struct.Struct("<5I3dQ")
-_USER = struct.Struct("<2d")
 _SHAPE = struct.Struct("<2I")
 # payload offset of each kind's first complex block: a scenario's first
 # covariance follows the header and the first user's record
-_FIRST_BLOCK = {_KIND_SCENARIO: _HEADER.size + _USER.size,
+_FIRST_BLOCK = {_KIND_SCENARIO: _HEADER.size + _USER.itemsize,
                 _KIND_MATRIX: _SHAPE.size}
+# bytes of load_system's skip scratch, and the least its covariance buffer
+# holds, since that buffer takes the scratch's place
+_SKIP_BYTES = 1 << 16
 # rows per panel, and side of a tile, of the N x N passes below (the
 # generator's in-place Hermitian part, SystemMatrix, assemble_q): a panel
 # and its column counterpart stay in cache while each entry is read once
@@ -427,9 +450,13 @@ def _add_checked(q, c, alpha):
     One pass over the row panels of c.  The skew reads only the tiles on
     and above the diagonal: tile (i, j) of c - c^H is c_ij - c_ji^H, and
     tile (j, i) has the same norm, so an off-diagonal tile counts twice.
+    alpha c goes into q a few rows at a time through the same tile
+    buffer, each entry as q + alpha * c forms it, so no panel-sized
+    temporary is made.
     """
     n = c.shape[0]
-    tile = np.empty(_PANEL * _PANEL, dtype=np.complex128)
+    tile = np.empty(max(_PANEL * _PANEL, n), dtype=np.complex128)
+    step = tile.size // n  # rows of alpha c per pass through the tile
     squares = skew_squares = 0.0
     for i in range(0, n, _PANEL):
         rows = c[i:i + _PANEL]
@@ -440,47 +467,65 @@ def _add_checked(q, c, alpha):
             np.conjugate(c[j:j + _PANEL, i:i + _PANEL].T, out=diff)
             diff -= upper
             skew_squares += (1.0 if j == i else 2.0) * np.vdot(diff, diff).real
-        q[i:i + _PANEL] += alpha * rows
+        for r in range(0, rows.shape[0], step):
+            part = rows[r:r + step]
+            scaled = tile[:part.size].reshape(part.shape)
+            np.multiply(part, alpha, out=scaled)
+            q[i + r:i + r + part.shape[0]] += scaled
     return float(np.sqrt(squares)), float(np.sqrt(skew_squares))
+
+
+def _add_user(q, cov, alpha, symbol_energy):
+    """Check one user's statistics and add alpha cov into Q in place.
+
+    The checks of assemble_q and load_system: the covariance must be
+    N x N, finite and Hermitian with trace N
+    (||C - C^H||_F <= 1e-12 ||C||_F), alpha and symbol_energy positive and
+    finite; otherwise a ConfigError.  NaN fails every check.  One panel
+    pass over the covariance checks it and adds it into Q.
+    """
+    n = q.shape[0]
+    if cov.shape != (n, n):
+        raise ConfigError("covariance shapes disagree")
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.real(np.trace(cov)))
+        if not abs(trace - n) <= 1e-9 * n:
+            raise ConfigError("covariance trace %r deviates from N=%d"
+                              % (trace, n))
+        scale, skew = _add_checked(q, cov, alpha)
+    if not (np.isfinite(scale) and skew <= 1e-12 * scale):
+        raise ConfigError("covariance is not finite and Hermitian")
+    if not (alpha > 0.0 and np.isfinite(alpha)):
+        raise ConfigError("alpha must be positive and finite, got %r" % alpha)
+    if not (symbol_energy > 0.0 and np.isfinite(symbol_energy)):
+        raise ConfigError("symbol_energy must be positive and finite, "
+                          "got %r" % symbol_energy)
+
+
+def _q_system(q):
+    """The antenna system of the summed Q; a non-finite one is a
+    ConfigError, as for any statistics a CRC-valid file can carry."""
+    try:
+        return SystemMatrix._adopt(q, "antenna")
+    except NotFiniteError as err:
+        raise ConfigError("assembled system matrix is not finite") from err
 
 
 def assemble_q(stats):
     """Assemble the system matrix Q = I + sum_i alpha_i covariance_i.
 
     Empty stats are a ValueError: with no users the dimension is unknown.
-    Covariances must be finite and Hermitian with
-    trace N (||C - C^H||_F <= 1e-12 ||C||_F), each alpha and symbol_energy
-    positive and finite, and Q finite; otherwise a ConfigError, as for an
-    invalid config, since a CRC-valid scenario file can carry such
-    statistics.  NaN fails every check.  One panel pass over each
-    covariance checks it and adds it into Q in place.
+    Each user passes the checks of _add_user, and Q must be finite;
+    otherwise a ConfigError, as for an invalid config, since a CRC-valid
+    scenario file can carry such statistics.
     """
     if not stats:
         raise ValueError("assemble_q needs at least one user")
     n = stats[0].covariance.shape[0]
     q = np.eye(n, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for st in stats:
-            cov = st.covariance
-            if cov.shape != (n, n):
-                raise ConfigError("covariance shapes disagree")
-            trace = float(np.real(np.trace(cov)))
-            if not abs(trace - n) <= 1e-9 * n:
-                raise ConfigError("covariance trace %r deviates from N=%d"
-                                  % (trace, n))
-            scale, skew = _add_checked(q, cov, st.alpha)
-            if not (np.isfinite(scale) and skew <= 1e-12 * scale):
-                raise ConfigError("covariance is not finite and Hermitian")
-            if not (st.alpha > 0.0 and np.isfinite(st.alpha)):
-                raise ConfigError("alpha must be positive and finite, got %r"
-                                  % st.alpha)
-            if not (st.symbol_energy > 0.0 and np.isfinite(st.symbol_energy)):
-                raise ConfigError("symbol_energy must be positive and finite, "
-                                  "got %r" % st.symbol_energy)
-    try:
-        return SystemMatrix._adopt(q, "antenna")
-    except NotFiniteError as err:
-        raise ConfigError("assembled system matrix is not finite") from err
+    for st in stats:
+        _add_user(q, st.covariance, st.alpha, st.symbol_energy)
+    return _q_system(q)
 
 
 def read_config_lines(path):
@@ -529,20 +574,47 @@ def _pack_complex(a):
     return np.ascontiguousarray(a, dtype="<c16")
 
 
+def _user_layout(cfg):
+    """One user's blocks in file order, as (dtype, count): its record, its
+    covariance, its path records and its channels."""
+    n = cfg.n_antennas
+    return ((_USER, 1), (np.dtype("<c16"), n * n),
+            (_PATH, cfg.n_streams * cfg.paths_per_user),
+            (np.dtype("<c16"), cfg.subcarriers * n * cfg.n_streams))
+
+
+def _nbytes(blocks):
+    return sum(dtype.itemsize * count for dtype, count in blocks)
+
+
+def _check_size(path, expected, size):
+    """A payload of `size` bytes must hold the `expected` bytes its header
+    implies: fewer is a truncated file, more are stray bytes."""
+    if size < expected:
+        raise ChecksumError("%s: file truncated: the header implies %d "
+                            "payload bytes, the file holds %d"
+                            % (path, expected, size))
+    if size > expected:
+        raise MalformedHeaderError("%s: %d stray payload bytes"
+                                   % (path, size - expected))
+
+
+def _parse_header(path, head):
+    """The validated config of a scenario payload that starts with `head`."""
+    try:
+        cfg = ScenarioConfig(*_HEADER.unpack_from(head, 0))
+    except struct.error as err:
+        raise MalformedHeaderError("%s: scenario header does not parse"
+                                   % path) from err
+    return cfg.validate()
+
+
 def _unpack(buf, offset, count, dtype):
-    """View of `count` records of `dtype` at `offset`, bounds-checked before
-    anything is allocated, and the offset past them."""
-    end = offset + np.dtype(dtype).itemsize * count
-    if end > len(buf):
-        raise ChecksumError("file truncated inside a block of %d records" % count)
-    return np.frombuffer(buf, dtype=dtype, count=count, offset=offset), end
-
-
-def _unpack_complex(buf, offset, count):
-    """`count` complex entries at `offset`: a view of the buffer when it is
-    aligned, else an aligned copy."""
-    arr, end = _unpack(buf, offset, count, "<c16")
-    return np.require(arr, requirements="A"), end
+    """`count` records of `dtype` at `offset`, and the offset past them: a
+    view of the buffer when it is aligned, else an aligned copy.  The
+    caller has checked the buffer's length."""
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
+    return np.require(arr, requirements="A"), offset + arr.nbytes
 
 
 def _write_container(path, kind, parts):
@@ -554,6 +626,19 @@ def _write_container(path, kind, parts):
             crc = zlib.crc32(part, crc)
             fh.write(part)
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+
+
+def _check_frame(path, size, frame, expect_kind):
+    """Check the magic, version and kind in the first 8 bytes of a
+    container file of `size` bytes."""
+    if size < 12 or frame[:4] != _MAGIC:
+        raise MalformedHeaderError("%s: not a BSLV container" % path)
+    version, kind = struct.unpack_from("<HH", frame, 4)
+    if version != _VERSION:
+        raise VersionError("%s: unsupported version %d" % (path, version))
+    if kind != expect_kind:
+        raise MalformedHeaderError("%s: record kind %d, expected %d"
+                                   % (path, kind, expect_kind))
 
 
 def _read_container(path, expect_kind):
@@ -569,19 +654,64 @@ def _read_container(path, expect_kind):
         pad = -(buf.ctypes.data + 8 + _FIRST_BLOCK[expect_kind]) % 16
         window = memoryview(buf)[pad:pad + size]
         blob = window[:fh.readinto(window)]
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise MalformedHeaderError("%s: not a BSLV container" % path)
-    version, kind = struct.unpack_from("<HH", blob, 4)
-    if version != _VERSION:
-        raise VersionError("%s: unsupported version %d" % (path, version))
-    if kind != expect_kind:
-        raise MalformedHeaderError("%s: record kind %d, expected %d"
-                                   % (path, kind, expect_kind))
+    _check_frame(path, len(blob), blob[:8], expect_kind)
     payload = blob[8:-4]
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ChecksumError("%s: payload CRC mismatch" % path)
     return payload
+
+
+class _PayloadStream:
+    """One sequential pass over the payload of an open container file.
+
+    Construction checks the frame.  Every read adds its bytes to the CRC,
+    and a read that comes back short, as from a file cut while it is read,
+    is a ChecksumError.  Skipped bytes pass through `scratch`, which the
+    caller may replace by a buffer of its own.
+    """
+
+    def __init__(self, fh, path, expect_kind):
+        self.fh = fh
+        self.path = path
+        size = os.fstat(fh.fileno()).st_size
+        frame = fh.read(8)
+        if size >= 12 and len(frame) < 8:
+            raise self._short()
+        _check_frame(path, size, frame, expect_kind)
+        self.size = self.left = size - 12  # payload bytes, and those unread
+        self.crc = 0
+        self.scratch = np.empty(_SKIP_BYTES, dtype=np.uint8)
+
+    def _short(self):
+        return ChecksumError("%s: file shorter than its size" % self.path)
+
+    def read_into(self, out):
+        """Fill the writable byte buffer `out` from the payload."""
+        if self.fh.readinto(out) != len(out):
+            raise self._short()
+        self.crc = zlib.crc32(out, self.crc)
+        self.left -= len(out)
+        return out
+
+    def read(self, count):
+        return self.read_into(bytearray(count))
+
+    def skip(self, count):
+        while count:
+            step = min(count, len(self.scratch))
+            self.read_into(self.scratch[:step])
+            count -= step
+
+    def finish(self):
+        """Read the rest of the payload and check the CRC."""
+        self.skip(self.left)
+        self.scratch = None  # the caller's buffer may go
+        stored = self.fh.read(4)
+        if len(stored) < 4:
+            raise self._short()
+        if struct.unpack("<I", stored)[0] != self.crc & 0xFFFFFFFF:
+            raise ChecksumError("%s: payload CRC mismatch" % self.path)
 
 
 # perfbench's tracer binds the `path` argument of these four by name
@@ -593,7 +723,8 @@ def save_scenario(path, cfg, stats, channels):
     if len(stats) != cfg.n_ue or len(channels) != cfg.n_ue:
         raise ValueError("stats/channels length must match n_ue")
     for st, ch in zip(stats, channels):
-        parts.append(_USER.pack(st.alpha, st.symbol_energy))
+        parts.append(np.array([(st.alpha, st.symbol_energy)],
+                              dtype=_USER).tobytes())
         parts.append(_pack_complex(st.covariance.reshape(n * n)))
         paths = np.empty(cfg.n_streams * cfg.paths_per_user, dtype=_PATH)
         for name, values in zip(_PATH.names, (ch.powers, ch.azimuths,
@@ -614,39 +745,75 @@ def load_scenario(path):
     is copied), which lives as long as any of them does.
     """
     payload = _read_container(path, _KIND_SCENARIO)
-    try:
-        cfg = ScenarioConfig(*_HEADER.unpack_from(payload, 0))
-    except struct.error as err:
-        raise MalformedHeaderError("%s: scenario header does not parse" % path) from err
-    cfg.validate()
+    cfg = _parse_header(path, payload)
+    layout = _user_layout(cfg)
+    _check_size(path, _HEADER.size + cfg.n_ue * _nbytes(layout), len(payload))
     n = cfg.n_antennas
     shape = (cfg.n_streams, cfg.paths_per_user)
     offset = _HEADER.size
     stats = []
     channels = []
     for _ in range(cfg.n_ue):
-        if offset + _USER.size > len(payload):
-            raise ChecksumError("%s: truncated user block" % path)
-        alpha, energy = _USER.unpack_from(payload, offset)
-        offset += _USER.size
-        cov_flat, offset = _unpack_complex(payload, offset, n * n)
-        cov = cov_flat.reshape(n, n)
-        records, offset = _unpack(payload, offset, shape[0] * shape[1], _PATH)
+        blocks = []
+        for dtype, count in layout:
+            block, offset = _unpack(payload, offset, count, dtype)
+            blocks.append(block)
+        (user,), cov_flat, records, h_flat = blocks
         powers, azimuths, elevations, phases = (
             records[name].reshape(shape).astype(np.float64)
             for name in _PATH.names[:4])
         taps = records["tap"].reshape(shape).astype(np.int64)
-        h_flat, offset = _unpack_complex(
-            payload, offset, cfg.subcarriers * n * cfg.n_streams)
-        h = h_flat.reshape(cfg.subcarriers, n, cfg.n_streams)
-        stats.append(UserStats(covariance=cov, alpha=alpha, symbol_energy=energy))
-        channels.append(InstantChannel(h=h, powers=powers,
-                                       azimuths=azimuths, elevations=elevations,
-                                       phases=phases, taps=taps))
-    if offset != len(payload):
-        raise MalformedHeaderError("%s: %d stray payload bytes"
-                                   % (path, len(payload) - offset))
+        stats.append(UserStats(covariance=cov_flat.reshape(n, n),
+                               alpha=float(user["alpha"]),
+                               symbol_energy=float(user["symbol_energy"])))
+        channels.append(InstantChannel(
+            h=h_flat.reshape(cfg.subcarriers, n, cfg.n_streams),
+            powers=powers, azimuths=azimuths, elevations=elevations,
+            phases=phases, taps=taps))
     return cfg, stats, channels
+
+
+def _sum_covariances(stream):
+    """(cfg, Q as an array) from the payload stream, one user at a time:
+    each covariance is read into one N x N buffer, checked and added into
+    Q, and the rest of its user's bytes pass through that buffer too."""
+    cfg = _parse_header(stream.path, stream.read(min(_HEADER.size, stream.left)))
+    layout = _user_layout(cfg)
+    _check_size(stream.path, _HEADER.size + cfg.n_ue * _nbytes(layout),
+                stream.size)
+    n = cfg.n_antennas
+    q = np.eye(n, dtype=np.complex128)
+    buf = np.empty(max(n * n, _SKIP_BYTES // 16), dtype="<c16")
+    stream.scratch = buf.view(np.uint8)  # the covariance's bytes lead it
+    cov = buf[:n * n].reshape(n, n)
+    rest = _nbytes(layout[2:])
+    for _ in range(cfg.n_ue):
+        user = np.frombuffer(stream.read(_USER.itemsize), dtype=_USER)[0]
+        stream.read_into(stream.scratch[:cov.nbytes])
+        _add_user(q, cov, float(user["alpha"]), float(user["symbol_energy"]))
+        stream.skip(rest)
+    return cfg, q
+
+
+def load_system(path):
+    """(cfg, antenna SystemMatrix Q) of a BSLV scenario container, read in
+    one sequential pass that holds Q and one N x N buffer.
+
+    Q's bytes are those of assemble_q(load_scenario(path)[1]), and a file
+    that route rejects raises the same exception class here.  Every
+    error waits for the CRC pass over the whole payload, so a corrupt or
+    truncated file raises a FileFormatError subclass whatever its bytes
+    would fail first, and nothing is returned before the CRC has passed.
+    The size the header implies is compared with the file's size before
+    any N x N block is made.
+    """
+    with open(path, "rb") as fh:
+        stream = _PayloadStream(fh, path, _KIND_SCENARIO)
+        try:
+            cfg, q = _sum_covariances(stream)
+        finally:  # a CRC mismatch or a short read takes precedence
+            stream.finish()
+    return cfg, _q_system(q)
 
 
 def save_matrix(path, a):
@@ -667,8 +834,6 @@ def load_matrix(path):
         rows, cols = _SHAPE.unpack_from(payload, 0)
     except struct.error as err:
         raise MalformedHeaderError("%s: matrix header does not parse" % path) from err
-    flat, offset = _unpack_complex(payload, _SHAPE.size, rows * cols)
-    if offset != len(payload):
-        raise MalformedHeaderError("%s: %d stray payload bytes"
-                                   % (path, len(payload) - offset))
+    _check_size(path, _SHAPE.size + 16 * rows * cols, len(payload))
+    flat, _ = _unpack(payload, _SHAPE.size, rows * cols, "<c16")
     return flat.reshape(rows, cols)

@@ -850,6 +850,8 @@ _EXIT_CASES = [
     ("gen-missing-config", ["gen", "{tmp}/absent.cfg", "{tmp}/g.bslv"], 4),
     ("invert-missing-scenario", ["invert", "{tmp}/absent.bslv"], 4),
     ("invert-corrupt-scenario", ["invert", "{tmp}/corrupt.bslv"], 4),
+    # a NaN first covariance in a corrupt file: the CRC's verdict comes first
+    ("invert-corrupt-nan-covariance", ["invert", "{tmp}/corrupt-nan.bslv"], 4),
     ("invert-oversized-path-block", ["invert", "{tmp}/oversized.bslv"], 4),
     ("sweep-oversized-path-block", ["sweep", "{tmp}/oversized.bslv",
                                     "--out-dir", "{tmp}/r"], 4),
@@ -891,6 +893,10 @@ def test_exit_code_contract(capsys, monkeypatch, tmp_path, quiet_scenario,
     blob = bytearray(open(quiet_scenario, "rb").read())
     blob[40] ^= 0xFF
     (tmp_path / "corrupt.bslv").write_bytes(bytes(blob))
+    blob = bytearray(helpers.invalid_statistics_bytes(
+        "nan-covariance", *load_scenario(quiet_scenario)))
+    blob[-20] ^= 0xFF  # in the last user's channels; the CRC is kept
+    (tmp_path / "corrupt-nan.bslv").write_bytes(bytes(blob))
     (tmp_path / "oversized.bslv").write_bytes(helpers.oversized_path_block_bytes())
     loaded = load_scenario(quiet_scenario)
     for name in helpers.INVALID_STATISTICS:

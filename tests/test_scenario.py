@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import types
 import zlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from ltbf.linalg import DimensionMismatchError, NotFiniteError, fro_norm
+import ltbf.scenario
 from ltbf.scenario import (
     ChecksumError,
     ConfigError,
@@ -24,6 +26,7 @@ from ltbf.scenario import (
     generate_scenario,
     load_matrix,
     load_scenario,
+    load_system,
     read_config_file,
     save_matrix,
     save_scenario,
@@ -433,6 +436,46 @@ class TestPanelPasses:
             assemble_q([user])
 
 
+def _handwritten_fixture():
+    """A minimal scenario written from the documented layout alone: 1x1
+    array, one user, one path, two subcarriers."""
+    side, n_ue, n_streams, paths, subc = 1, 1, 1, 1, 2
+    alpha, energy = 0.5, 0.5
+    cov = np.array([[1.0 + 0.0j]])
+    h = np.array([[[0.3 + 0.1j]], [[0.3 - 0.1j]]])
+    payload = struct.pack("<5I", side, n_ue, n_streams, paths, subc)
+    payload += struct.pack("<3d", -3.0, -3.0, 1.0)
+    payload += struct.pack("<Q", 9)
+    payload += struct.pack("<2d", alpha, energy)
+    payload += np.ascontiguousarray(cov.reshape(-1), dtype="<c16").tobytes()
+    payload += struct.pack("<4dI", 1.0, 0.25, -0.25, 1.5, 1)
+    payload += np.ascontiguousarray(h.reshape(-1), dtype="<c16").tobytes()
+    return b"BSLV" + struct.pack("<HH", 1, 1) + payload \
+        + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def _outcome(load):
+    """load()'s result, or the class of the documented error it raised."""
+    try:
+        return load()
+    except (FileFormatError, ConfigError) as err:
+        return type(err)
+
+
+def assert_routes_agree(path):
+    """load_system gives the config and Q bytes of load_scenario plus
+    assemble_q, or raises the same documented error class."""
+    def dense():
+        cfg, stats, _ = load_scenario(path)
+        return cfg, assemble_q(stats).matrix.tobytes()
+
+    def streamed():
+        cfg, system = load_system(path)
+        return cfg, system.matrix.tobytes()
+
+    assert _outcome(streamed) == _outcome(dense)
+
+
 def _read_buffer(a):
     """The object at the end of an array's chain of bases."""
     while True:
@@ -587,29 +630,13 @@ class TestPersistence:
             load_scenario(path)
 
     def test_handwritten_fixture_loads(self, tmp_path):
-        # minimal scenario written from the documented layout alone:
-        # 1x1 array, one user, one path, two subcarriers
-        side, n_ue, n_streams, paths, subc = 1, 1, 1, 1, 2
-        alpha, energy = 0.5, 0.5
-        cov = np.array([[1.0 + 0.0j]])
-        h = np.array([[[0.3 + 0.1j]], [[0.3 - 0.1j]]])
-        payload = struct.pack("<5I", side, n_ue, n_streams, paths, subc)
-        payload += struct.pack("<3d", -3.0, -3.0, 1.0)
-        payload += struct.pack("<Q", 9)
-        payload += struct.pack("<2d", alpha, energy)
-        payload += np.ascontiguousarray(cov.reshape(-1), dtype="<c16").tobytes()
-        payload += struct.pack("<4dI", 1.0, 0.25, -0.25, 1.5, 1)
-        payload += np.ascontiguousarray(h.reshape(-1), dtype="<c16").tobytes()
-        blob = b"BSLV" + struct.pack("<HH", 1, 1) + payload \
-            + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
         path = tmp_path / "hand.bslv"
-        path.write_bytes(blob)
-
+        path.write_bytes(_handwritten_fixture())
         cfg, stats, channels = load_scenario(path)
         assert cfg.side == 1 and cfg.subcarriers == 2 and cfg.seed == 9
         assert abs(np.real(np.trace(stats[0].covariance)) - 1.0) <= 1e-12
-        assert stats[0].alpha == alpha
-        assert np.array_equal(channels[0].h, h)
+        assert stats[0].alpha == 0.5
+        assert np.array_equal(channels[0].h, [[[0.3 + 0.1j]], [[0.3 - 0.1j]]])
         assert channels[0].taps[0, 0] == 1
         system = assemble_q(stats)
         assert np.linalg.eigvalsh(system.matrix).min() >= 1.0 - 1e-9
@@ -762,6 +789,7 @@ class TestMutatedFiles:
             assemble_q(stats)
         except (FileFormatError, ConfigError):
             pass
+        assert_routes_agree(path)
 
     @settings(max_examples=200, deadline=None)
     @given(cut=st.integers(0, len(_MUTATED_BASE) - 13))
@@ -774,6 +802,8 @@ class TestMutatedFiles:
         path.write_bytes(helpers.truncated(_MUTATED_BASE, cut))
         with pytest.raises(FileFormatError):
             load_scenario(path)
+        with pytest.raises(FileFormatError):
+            load_system(path)
 
     @settings(max_examples=50, deadline=None)
     @given(cut=st.integers(0, len(_MATRIX_BASE) - 13))
@@ -783,3 +813,118 @@ class TestMutatedFiles:
         path.write_bytes(helpers.truncated(_MATRIX_BASE, cut))
         with pytest.raises(FileFormatError):
             load_matrix(path)
+
+
+def _scenario_file(path, cfg):
+    save_scenario(path, cfg, *generate_scenario(cfg))
+    return path
+
+
+def _nan_first_covariance_bytes():
+    """_MUTATED_CONFIG's file with a NaN first covariance, CRC-valid."""
+    return helpers.invalid_statistics_bytes(
+        "nan-covariance", _MUTATED_CONFIG, *generate_scenario(_MUTATED_CONFIG))
+
+
+class TestLoadSystem:
+    """load_system against its oracle, load_scenario plus assemble_q."""
+
+    def test_every_truncation_agrees(self, tmp_path):
+        # the payload cut at every byte, CRC recomputed; the last cut keeps
+        # the whole payload
+        path = tmp_path / "scenario.bslv"
+        for cut in range(len(_MUTATED_BASE) - 11):
+            path.write_bytes(helpers.truncated(_MUTATED_BASE, cut))
+            assert_routes_agree(path)
+
+    @pytest.mark.parametrize("name", sorted(helpers.INVALID_STATISTICS))
+    def test_invalid_statistics_agree(self, tmp_path, name):
+        path = tmp_path / "scenario.bslv"
+        path.write_bytes(helpers.invalid_statistics_bytes(
+            name, _MUTATED_CONFIG, *generate_scenario(_MUTATED_CONFIG)))
+        assert_routes_agree(path)
+        with pytest.raises(ConfigError):
+            load_system(path)
+
+    @pytest.mark.parametrize("blob", [helpers.oversized_path_block_bytes(),
+                                      _handwritten_fixture(), _MUTATED_BASE],
+                             ids=["oversized-path-block", "handwritten",
+                                  "valid"])
+    def test_fixtures_agree(self, tmp_path, blob):
+        path = tmp_path / "scenario.bslv"
+        path.write_bytes(blob)
+        assert_routes_agree(path)
+
+    @pytest.mark.parametrize("n_streams, paths", [(1, 1), (1, 3), (3, 1),
+                                                  (2, 2)])
+    def test_odd_path_counts_agree(self, tmp_path, n_streams, paths):
+        # an odd n_streams * paths_per_user leaves the later blocks off the
+        # 8-byte complex alignment in the file
+        cfg = small_config(side=3, n_ue=3, n_streams=n_streams,
+                           paths_per_user=paths)
+        path = _scenario_file(tmp_path / "scenario.bslv", cfg)
+        assert_routes_agree(path)
+        loaded, system = load_system(path)
+        assert loaded == cfg and system.domain == "antenna"
+
+    def test_bad_statistics_wait_for_the_crc(self, tmp_path):
+        # a NaN first covariance fails a statistics check at once; a flipped
+        # byte of the last user's channels, CRC not recomputed, makes the
+        # file corrupt, and corrupt wins
+        blob = bytearray(_nan_first_covariance_bytes())
+        blob[-20] ^= 0xFF
+        path = tmp_path / "scenario.bslv"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumError):
+            load_system(path)
+        assert_routes_agree(path)
+
+    def test_huge_side_on_a_short_file_allocates_no_block(self, tmp_path):
+        # side 65535 claims N x N blocks of 69 TB; the payload is its header
+        # and one user's record
+        cfg = ScenarioConfig(side=2 ** 16 - 1, n_ue=1, paths_per_user=1,
+                             subcarriers=1).validate()
+        payload = (struct.pack("<5I3dQ", *vars(cfg).values())
+                   + struct.pack("<2d", 1.0, 1.0))
+        path = tmp_path / "huge.bslv"
+        for crc in (zlib.crc32(payload), 0):  # CRC valid, then not
+            path.write_bytes(b"BSLV" + struct.pack("<HH", 1, 1) + payload
+                             + struct.pack("<I", crc & 0xFFFFFFFF))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ChecksumError):
+                    load_system(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_short_read_is_a_checksum_error(self, tmp_path, monkeypatch):
+        # the file reads shorter than os.fstat says, as one cut while it
+        # is read: every cut ends in a ChecksumError
+        path = tmp_path / "scenario.bslv"
+        real_fstat = ltbf.scenario.os.fstat
+        monkeypatch.setattr(
+            ltbf.scenario.os, "fstat",
+            lambda fd: types.SimpleNamespace(
+                st_size=max(real_fstat(fd).st_size, len(_MUTATED_BASE))))
+        for cut in range(len(_MUTATED_BASE)):
+            path.write_bytes(_MUTATED_BASE[:cut])
+            with pytest.raises(ChecksumError):
+                load_system(path)
+        path.write_bytes(_MUTATED_BASE)
+        assert_routes_agree(path)
+
+    def test_holds_q_and_one_buffer(self, tmp_path):
+        # side 16 (N = 256): Q, the covariance buffer and one tile; the
+        # whole-file load plus assemble_q held about 9.3 blocks with 4 users
+        # (33 with 16), as the file buffer holds every user's covariance
+        # and channels
+        peaks = []
+        for n_ue in (4, 16):
+            path = _scenario_file(tmp_path / ("users%d.bslv" % n_ue),
+                                  ScenarioConfig(side=16, n_ue=n_ue))
+            peaks.append(helpers.peak_blocks(lambda: load_system(path),
+                                             16 * 256 * 256))
+        assert peaks[0] <= 2.2
+        assert abs(peaks[1] - peaks[0]) <= 0.1
