@@ -35,13 +35,13 @@ Matrix payload:
     u32 rows, u32 cols
     rows * cols complex entries, row-major, each (f64 re, f64 im)
 
-load_scenario and load_matrix read a file into one buffer and check its
-CRC over the whole payload before any array is made.  The loaded
-covariance, channel and matrix arrays are views into that buffer, which
-lives as long as any of them does.  The buffer starts the file where the
-first complex block is 16-byte aligned; a later block sits off the 8-byte
-complex alignment only after an odd number of 36-byte path records, and
-is copied.
+load_scenario and load_matrix read a file's payload into one buffer and
+check its CRC before any array is made.  The loaded covariance, channel
+and matrix arrays are views into that buffer, which lives as long as any
+of them does.  The payload sits in the buffer where the first complex
+block is 16-byte aligned; a later block sits off the 8-byte complex
+alignment only after an odd number of 36-byte path records, and is
+copied.
 
 load_system reads a scenario file in one sequential pass for the system
 matrix alone, and holds Q plus one N x N buffer whatever the file's size:
@@ -641,27 +641,6 @@ def _check_frame(path, size, frame, expect_kind):
                                    % (path, kind, expect_kind))
 
 
-def _read_container(path, expect_kind):
-    """The CRC-checked payload of a container, as a view of the file bytes.
-
-    The file is read into one uninitialised buffer 16 bytes longer than
-    the file, starting at the pad that puts the kind's first complex block
-    on a 16-byte boundary, so that the loaders can hand out views.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buf = np.empty(size + 16, dtype=np.uint8)
-        pad = -(buf.ctypes.data + 8 + _FIRST_BLOCK[expect_kind]) % 16
-        window = memoryview(buf)[pad:pad + size]
-        blob = window[:fh.readinto(window)]
-    _check_frame(path, len(blob), blob[:8], expect_kind)
-    payload = blob[8:-4]
-    (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ChecksumError("%s: payload CRC mismatch" % path)
-    return payload
-
-
 class _PayloadStream:
     """One sequential pass over the payload of an open container file.
 
@@ -712,6 +691,22 @@ class _PayloadStream:
             raise self._short()
         if struct.unpack("<I", stored)[0] != self.crc & 0xFFFFFFFF:
             raise ChecksumError("%s: payload CRC mismatch" % self.path)
+
+
+def _read_container(path, expect_kind):
+    """The CRC-checked payload of a container, as a byte array.
+
+    The payload is read into one uninitialised buffer 16 bytes longer
+    than it, starting at the pad that puts the kind's first complex block
+    on a 16-byte boundary, so that the loaders can hand out views.
+    """
+    with open(path, "rb") as fh:
+        stream = _PayloadStream(fh, path, expect_kind)
+        buf = np.empty(stream.size + 16, dtype=np.uint8)
+        pad = -(buf.ctypes.data + _FIRST_BLOCK[expect_kind]) % 16
+        payload = stream.read_into(buf[pad:pad + stream.size])
+        stream.finish()
+    return payload
 
 
 # perfbench's tracer binds the `path` argument of these four by name
@@ -797,16 +792,8 @@ def _sum_covariances(stream):
 
 def load_system(path):
     """(cfg, antenna SystemMatrix Q) of a BSLV scenario container, read in
-    one sequential pass that holds Q and one N x N buffer.
-
-    Q's bytes are those of assemble_q(load_scenario(path)[1]), and a file
-    that route rejects raises the same exception class here.  Every
-    error waits for the CRC pass over the whole payload, so a corrupt or
-    truncated file raises a FileFormatError subclass whatever its bytes
-    would fail first, and nothing is returned before the CRC has passed.
-    The size the header implies is compared with the file's size before
-    any N x N block is made.
-    """
+    one sequential pass that holds Q and one N x N buffer; the module
+    docstring states its contract."""
     with open(path, "rb") as fh:
         stream = _PayloadStream(fh, path, _KIND_SCENARIO)
         try:
