@@ -87,8 +87,6 @@ __all__ = [
 
 # a column whose p^H Q p or r^H z falls below this freezes
 _FREEZE_EPS = 1e-300
-# columns per panel of _colwise_dot's conjugate
-_DOT_PANEL = 64
 # level c u ||Q||_F ||X_k||_F / N, and the failed checks in a row that
 # mean stagnation
 _LEVEL_C = 8.0
@@ -134,23 +132,10 @@ class CGState:
 
 
 def _colwise_dot(a, b, counter):
-    """Column dots a_j^H b_j, the bytes of einsum("ij,ij->j", a.conj(), b).
-
-    One panel of _DOT_PANEL columns of a is conjugated at a time into a
-    reused buffer, so no N x N conjugate copy is made; each column's sum
-    runs over the same rows in the same order.
-    """
+    """Column dots a_j^H b_j."""
     if counter is not None:
         counter.add("colwise_dot", a.size, a.size - a.shape[1])
-    n, m = a.shape
-    out = np.empty(m, dtype=np.result_type(a, b))
-    buf = np.empty(n * min(m, _DOT_PANEL), dtype=a.dtype)
-    for j in range(0, m, _DOT_PANEL):
-        cols = a[:, j:j + _DOT_PANEL]
-        conj = buf[:cols.size].reshape(cols.shape)
-        np.conjugate(cols, out=conj)
-        out[j:j + _DOT_PANEL] = np.einsum("ij,ij->j", conj, b[:, j:j + _DOT_PANEL])
-    return out
+    return np.einsum("ij,ij->j", a.conj(), b)
 
 
 def _validate(config, n):

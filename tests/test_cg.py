@@ -10,7 +10,6 @@ from ltbf.cg import (
     CGConfig,
     CGState,
     NumericalBreakdownError,
-    _colwise_dot,
     _true_residual,
     accuracy_level_scale,
     cg_inverse,
@@ -488,17 +487,6 @@ class TestDenseForms:
         assert scratch.tobytes() == want.tobytes()
 
 
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (17, 17), (64, 64),
-                                       (65, 65), (130, 130), (300, 300),
-                                       (256, 3), (5, 130)])
-    def test_colwise_dot_matches_the_dense_form(self, shape):
-        a = helpers.random_complex(shape, 11)
-        b = helpers.random_complex(shape, 12)
-        a[0, :] = complex(-0.0, 0.0)  # signed zeros in a's first row
-        want = np.einsum("ij,ij->j", a.conj(), b)
-        assert _colwise_dot(a, b, None).tobytes() == want.tobytes()
-
-
 class TestWorkingSet:
     """N x N blocks a run holds above Q, at side 16 (N = 256); each bound
     sits over the figure measured here, with the parent's in its comment."""
@@ -523,12 +511,6 @@ class TestWorkingSet:
         assert helpers.peak_blocks(
             lambda: cg_inverse(system, config=config),
             system.matrix.nbytes) <= 6.5
-
-    def test_colwise_dot(self, system):
-        a = system.matrix
-        # one conjugated 64-column panel; 1.00 with a.conj()
-        assert helpers.peak_blocks(lambda: _colwise_dot(a, a, None),
-                                   a.nbytes) <= 0.5
 
     def test_residual_norm(self, system):
         x = np.eye(system.matrix.shape[0], dtype=np.complex128)
